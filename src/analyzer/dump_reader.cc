@@ -7,6 +7,25 @@
 
 namespace teeperf::analyzer {
 
+namespace {
+
+// The first `n` entries at `at`, in place when `at` is aligned for
+// LogEntry (the common case: file buffers come from the heap, and every
+// serialized offset is a multiple of 8), else copied once into d->owned.
+const LogEntry* entry_area(const char* at, u64 n, ParsedDump* d) {
+  if (reinterpret_cast<uintptr_t>(at) % alignof(LogEntry) == 0) {
+    return reinterpret_cast<const LogEntry*>(at);
+  }
+  d->owned.resize(static_cast<usize>(n));
+  if (n > 0) {
+    std::memcpy(static_cast<void*>(d->owned.data()), at,
+                static_cast<usize>(n) * sizeof(LogEntry));
+  }
+  return d->owned.data();
+}
+
+}  // namespace
+
 std::optional<ParsedDump> parse_dump(std::string_view bytes) {
   if (bytes.size() < sizeof(LogHeader)) return std::nullopt;
   alignas(LogHeader) unsigned char header_buf[sizeof(LogHeader)];
@@ -28,13 +47,9 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
     u64 available = (bytes.size() - sizeof(LogHeader)) / sizeof(LogEntry);
     u64 tail = h->tail.load(std::memory_order_relaxed);
     u64 n = std::min({available, tail, h->max_entries});
-    d.shards.emplace_back();
+    const LogEntry* base = entry_area(bytes.data() + sizeof(LogHeader), n, &d);
+    d.shards.emplace_back(base, static_cast<usize>(n));
     d.starts.push_back(0);
-    d.shards[0].resize(static_cast<usize>(n));
-    if (n > 0) {
-      std::memcpy(d.shards[0].data(), bytes.data() + sizeof(LogHeader),
-                  static_cast<usize>(n) * sizeof(LogEntry));
-    }
     return d;
   }
 
@@ -42,7 +57,8 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
   // attacker-controlled as the header, so each window is independently
   // clamped and the sum of all windows is budgeted against what the file
   // actually holds — a hostile directory of kMaxLogShards overlapping
-  // full-size segments must not multiply a small file into gigabytes.
+  // full-size segments must not multiply a small file into gigabytes of
+  // entries to reconstruct.
   u32 nshards = h->shard_count;
   if (nshards == 0 || nshards > kMaxLogShards) return std::nullopt;
   usize dir_bytes = static_cast<usize>(nshards) * sizeof(LogShard);
@@ -51,9 +67,10 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
   std::memcpy(static_cast<void*>(dir.data()), bytes.data() + sizeof(LogHeader),
               dir_bytes);
 
-  const char* entry_base = bytes.data() + sizeof(LogHeader) + dir_bytes;
   u64 available = (bytes.size() - sizeof(LogHeader) - dir_bytes) / sizeof(LogEntry);
-  u64 budget = available;  // total entries any directory may make us copy
+  const LogEntry* base =
+      entry_area(bytes.data() + sizeof(LogHeader) + dir_bytes, available, &d);
+  u64 budget = available;  // total entries all windows may hand to a consumer
   d.shards.resize(nshards);
   d.starts.resize(nshards, 0);
   for (u32 s = 0; s < nshards; ++s) {
@@ -64,11 +81,7 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
     // Subtraction form: off + capacity could wrap u64.
     n = std::min({n, dir[s].capacity, available - off, budget});
     budget -= n;
-    d.shards[s].resize(static_cast<usize>(n));
-    if (n > 0) {
-      std::memcpy(d.shards[s].data(), entry_base + off * sizeof(LogEntry),
-                  static_cast<usize>(n) * sizeof(LogEntry));
-    }
+    d.shards[s] = std::span<const LogEntry>(base + off, static_cast<usize>(n));
   }
   return d;
 }
@@ -77,7 +90,7 @@ bool SpillStitcher::absorb(const ParsedDump& dump, const WindowFn& fn) {
   if (cursors_.empty()) cursors_.assign(dump.shards.size(), 0);
   if (dump.shards.size() != cursors_.size()) return false;
   for (usize s = 0; s < cursors_.size(); ++s) {
-    const std::vector<LogEntry>& win = dump.shards[s];
+    std::span<const LogEntry> win = dump.shards[s];
     u64 start = dump.starts[s];
     u64 skip = 0;
     if (start < cursors_[s]) {

@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -19,15 +20,25 @@
 
 namespace teeperf::analyzer {
 
-// A serialized dump copied into properly typed, aligned storage. The raw
-// byte buffer guarantees neither alignment nor sanity — reading LogHeader's
-// atomics in place would be undefined, and every header field is attacker-
-// controlled once dumps come from a hostile host.
+// A serialized dump's windows, read in place. Every header field is
+// attacker-controlled once dumps come from a hostile host, and the raw byte
+// buffer guarantees no alignment, so the header and the shard directory
+// are copied out (reading LogHeader's atomics in place would be undefined)
+// and every window is clamped to what the buffer holds. The entries
+// themselves are not copied: each window is a span into the caller's
+// buffer, which must outlive the ParsedDump — or, when that buffer is not
+// aligned for LogEntry, into `owned`.
 struct ParsedDump {
+  ParsedDump() = default;
+  ParsedDump(ParsedDump&&) = default;
+  ParsedDump& operator=(ParsedDump&&) = default;
+  ParsedDump(const ParsedDump&) = delete;  // would alias the original's `owned`
+  ParsedDump& operator=(const ParsedDump&) = delete;
+
   // One window of entries per shard: v1 dumps parse into a single window,
   // v2 into one per directory entry (possibly empty). A thread's entries
   // live entirely inside one window.
-  std::vector<std::vector<LogEntry>> shards;
+  std::vector<std::span<const LogEntry>> shards;
   // Per-window absolute start cursor, parallel to `shards`: the serialized
   // directory's `drained` field. 0 for v1 dumps and for v2 logs that never
   // drained or wrapped; spill chunks and spill residue dumps record where
@@ -35,6 +46,9 @@ struct ParsedDump {
   // multi-chunk loader stitch and deduplicate.
   std::vector<u64> starts;
   double ns_per_tick = 0.0;
+  // An aligned copy of the entry area; filled only when the buffer was
+  // misaligned. A move keeps its storage, so the spans stay valid.
+  std::vector<LogEntry> owned;
 
   bool single() const { return shards.size() <= 1; }
   u64 total() const {
@@ -57,6 +71,7 @@ struct ParsedDump {
 // independently clamped to what the buffer actually holds, and the sum of
 // all windows is budgeted so a hostile directory cannot multiply a small
 // file into gigabytes. nullopt on a bad magic/version or sub-header buffer.
+// The result's windows view `bytes` (see ParsedDump).
 std::optional<ParsedDump> parse_dump(std::string_view bytes);
 
 // Stitches a sequence of parsed dumps (spill chunks in order, residue last)

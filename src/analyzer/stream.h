@@ -7,16 +7,20 @@
 // over the chunk sequence, holding only:
 //
 //   - per-shard open-invocation stacks (bounded by live call depth),
-//   - rolling per-method / per-edge / folded-stack aggregates
-//     (bounded by the number of *distinct* methods, edges and paths),
-//   - one chunk file at a time.
+//   - a per-shard path tree: one node, with its rolling aggregate, per
+//     distinct root-to-frame path (bounded by the number of *distinct*
+//     folded paths),
+//   - two chunk files: the one being folded and the one a reader thread
+//     reads and verifies ahead of it.
 //
 // No Invocation is ever materialized. Shards aggregate in parallel (a
 // thread's entries are confined to one shard, and every aggregate is a
 // sum/min/max, so worker scheduling cannot change the result); finish()
-// folds shards in directory order into a MergeableProfile. The result is
-// held byte-identical to MergeableProfile::from_profile(Profile::load(...))
-// by the differential tests in tests/test_analyze_stream.cc.
+// derives the method, edge and folded-stack aggregates from the path
+// trees and folds shards in directory order into a MergeableProfile. The
+// result is held byte-identical to
+// MergeableProfile::from_profile(Profile::load(...)) by the differential
+// tests in tests/test_analyze_stream.cc.
 #pragma once
 
 #include <map>
@@ -65,70 +69,81 @@ class StreamAnalyzer {
       const std::string& prefix, std::string* error = nullptr);
 
  private:
-  // One open invocation. `path_len` is the thread's folded-path length
-  // *before* this frame's name was appended — truncating back to it on
-  // close keeps one rolling string per thread instead of one per frame.
-  struct Frame {
-    u64 method = 0;
-    u64 start = 0;
-    u64 children = 0;
-    u64 parent_method = 0;
-    bool from_root = false;
-    usize path_len = 0;
-  };
-
-  struct ThreadState {
-    std::vector<Frame> open;
-    std::string path;  // names of open frames joined by ';'
-    u64 last_counter = 0;
-  };
-
-  struct MethodAgg {
+  // The aggregate of every closed frame of one path-tree node.
+  struct NodeAgg {
     u64 count = 0;
     u64 inclusive_total = 0;
     u64 exclusive_total = 0;
     u64 min_inclusive = ~0ull;
     u64 max_inclusive = 0;
+    void add(const NodeAgg& o);
   };
 
-  struct EdgeKey {
-    u64 caller = 0;
-    u64 callee = 0;
-    bool from_root = false;
-    bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    usize operator()(const EdgeKey& k) const {
-      return std::hash<u64>{}(k.caller * 1099511628211ull ^ k.callee ^
-                              (k.from_root ? 0x9e37ull : 0));
-    }
+  // One distinct root-to-frame path: the path of `parent` plus a call of
+  // `method`. Open frames name their node, so closing a frame updates one
+  // node instead of hashing the folded path string.
+  struct PathNode {
+    u64 method = 0;
+    u32 parent = 0;
+    NodeAgg agg;
   };
 
-  struct EdgeAgg {
-    u64 count = 0;
-    u64 inclusive_total = 0;
+  // The distinct paths of one shard — or, in finish(), of the whole
+  // session — each with the aggregate of its closed frames. Node ids grow
+  // from parent to child.
+  class PathTree {
+   public:
+    PathTree() : nodes_(1) {}
+    // The node for a call of `method` below `parent`, created on first sight.
+    u32 child(u32 parent, u64 method);
+    std::vector<PathNode>& nodes() { return nodes_; }
+    const std::vector<PathNode>& nodes() const { return nodes_; }
+
+   private:
+    // Open-addressing (parent, method) -> node table, at most half full.
+    // This lookup runs once per call entry, so it stays one flat array.
+    struct Slot {
+      u64 method = 0;
+      u32 parent = 0;
+      u32 node = 0;  // 0 = empty: the root is nobody's child
+    };
+    static usize slot_of(u32 parent, u64 method, usize mask);
+    void grow();
+
+    std::vector<PathNode> nodes_;  // [0] is the root, which is no frame
+    std::vector<Slot> slots_;
+  };
+
+  // One open invocation. `children` sums the inclusive time of closed
+  // callees, as the parent Invocation's would in Profile::build.
+  struct Frame {
+    u64 method = 0;
+    u64 start = 0;
+    u64 children = 0;
+    u32 node = 0;
+  };
+
+  struct ThreadState {
+    std::vector<Frame> open;
+    u64 last_counter = 0;
   };
 
   // All state one shard's reconstruction touches — disjoint across shards,
   // which is what makes parallel feeding safe without locks.
   struct ShardState {
     std::map<u64, ThreadState> threads;
-    std::unordered_map<u64, MethodAgg> methods;
-    std::unordered_map<EdgeKey, EdgeAgg, EdgeKeyHash> edges;
-    std::unordered_map<std::string, u64> folded;
-    // Method-id → name memo: one registry/symbol lookup per distinct method
-    // instead of one per call entry (the probe-rate hot path of analysis).
-    std::unordered_map<u64, std::string> names;
+    PathTree paths;
     ReconstructionStats recon;
   };
-
-  const std::string& cached_name(ShardState& sh, u64 method) const;
 
   std::string name_of(u64 method) const {
     return resolve_name(symbols_, method);
   }
   // Closes the top frame of `t` at counter `end_counter`.
-  void close_top(ShardState& sh, ThreadState& t, u64 end_counter);
+  static void close_top(ShardState& sh, ThreadState& t, u64 end_counter);
+  // Adds the session tree's aggregates to `m`, keyed by name: methods,
+  // call edges and folded stacks.
+  void fold_tree(const PathTree& tree, MergeableProfile* m) const;
 
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unordered_map<u64, std::string> symbols_;

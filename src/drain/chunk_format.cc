@@ -8,61 +8,93 @@
 
 namespace teeperf::drain {
 
-std::string serialize_chunk(const LogHeader& session,
-                            const std::vector<ShardWindow>& windows, u32 seq) {
-  u32 nshards = static_cast<u32>(windows.size());
-  LogHeader h;
-  std::memcpy(static_cast<void*>(&h), &session, sizeof(LogHeader));
-  h.version = kLogVersionSharded;
-  h.shard_count = nshards;
-  h.flags.store(session.flags.load(std::memory_order_relaxed) &
-                    ~(log_flags::kActive | log_flags::kRingBuffer |
-                      log_flags::kSpillDrain),
-                std::memory_order_relaxed);
-  h.tail.store(0, std::memory_order_relaxed);
-  // Drop accounting lives in the session's final residue dump, not in the
-  // chunks — a loader summing both would double count.
-  h.dropped.store(0, std::memory_order_relaxed);
+namespace {
 
-  std::vector<LogShard> dir(nshards);
-  u64 total = 0;
-  for (u32 s = 0; s < nshards; ++s) {
-    u64 len = windows[s].entries.size();
-    dir[s].entry_offset = total;
-    dir[s].capacity = len;
-    dir[s].tail.store(len, std::memory_order_relaxed);
-    dir[s].dropped.store(0, std::memory_order_relaxed);
-    dir[s].published.store(0, std::memory_order_relaxed);
-    dir[s].drained.store(windows[s].start, std::memory_order_relaxed);
-    total += len;
+constexpr usize kHeaderAt = sizeof(ChunkFrame);
+constexpr usize kDirAt = kHeaderAt + sizeof(LogHeader);
+
+}  // namespace
+
+char* ChunkBuilder::grow(usize n) {
+  // resize() zero-fills only bytes past the largest chunk built so far.
+  if (buf_.size() < size_ + n) buf_.resize(size_ + n);
+  char* at = buf_.data() + size_;
+  size_ += n;
+  return at;
+}
+
+void ChunkBuilder::set_session(const LogHeader& session) {
+  header_.magic = session.magic;
+  header_.shm_base = session.shm_base;
+  header_.pid = session.pid;
+  header_.profiler_anchor = session.profiler_anchor;
+  header_.counter_mode = session.counter_mode;
+  header_.counter_replicas = session.counter_replicas;
+  header_.ns_per_tick = session.ns_per_tick;
+}
+
+void ChunkBuilder::begin(u64 flags, u32 nshards) {
+  header_.version = kLogVersionSharded;
+  header_.shard_count = nshards;
+  header_.flags.store(flags & ~(log_flags::kActive | log_flags::kRingBuffer |
+                                log_flags::kSpillDrain),
+                      std::memory_order_relaxed);
+  // tail, counter and dropped stay 0. Drop accounting lives in the
+  // session's final residue dump, not in the chunks — a loader summing
+  // both would double count.
+  size_ = 0;
+  added_ = 0;
+  entries_ = 0;
+  grow(kDirAt + static_cast<usize>(nshards) * sizeof(LogShard));
+}
+
+void ChunkBuilder::add_window(u64 start, const LogEntry* a, u64 na,
+                              const LogEntry* b, u64 nb) {
+  u64 len = na + nb;
+  LogShard d;
+  d.entry_offset = entries_;
+  d.capacity = len;
+  d.tail.store(len, std::memory_order_relaxed);
+  d.drained.store(start, std::memory_order_relaxed);
+  std::memcpy(buf_.data() + kDirAt + static_cast<usize>(added_) * sizeof(LogShard),
+              static_cast<const void*>(&d), sizeof(LogShard));
+  ++added_;
+  entries_ += len;
+  char* at = grow(static_cast<usize>(len) * sizeof(LogEntry));
+  if (na > 0) std::memcpy(at, static_cast<const void*>(a), na * sizeof(LogEntry));
+  if (nb > 0) {
+    std::memcpy(at + na * sizeof(LogEntry), static_cast<const void*>(b),
+                nb * sizeof(LogEntry));
   }
-  h.max_entries = total;
+}
 
-  std::string payload;
-  payload.reserve(sizeof(LogHeader) +
-                  static_cast<usize>(nshards) * sizeof(LogShard) +
-                  static_cast<usize>(total) * sizeof(LogEntry));
-  payload.assign(reinterpret_cast<const char*>(&h), sizeof(LogHeader));
-  payload.append(reinterpret_cast<const char*>(dir.data()),
-                 static_cast<usize>(nshards) * sizeof(LogShard));
-  for (u32 s = 0; s < nshards; ++s) {
-    payload.append(reinterpret_cast<const char*>(windows[s].entries.data()),
-                   windows[s].entries.size() * sizeof(LogEntry));
-  }
-
+std::string_view ChunkBuilder::finish(u32 seq) {
+  while (added_ < header_.shard_count) add_window(0, nullptr, 0);
+  header_.max_entries = entries_;
+  std::memcpy(buf_.data() + kHeaderAt, static_cast<const void*>(&header_),
+              sizeof(LogHeader));
   ChunkFrame frame;
   frame.magic = kChunkMagic;
   frame.seq = seq;
-  frame.payload_bytes = payload.size();
-  frame.payload_crc = crc32c_mask(crc32c(payload.data(), payload.size()));
+  frame.payload_bytes = size_ - sizeof(ChunkFrame);
+  frame.payload_crc =
+      crc32c_mask(crc32c(buf_.data() + kHeaderAt, size_ - sizeof(ChunkFrame)));
   frame.header_crc = crc32c_mask(
       crc32c(&frame, sizeof(ChunkFrame) - 2 * sizeof(u32)));
+  std::memcpy(buf_.data(), &frame, sizeof(ChunkFrame));
+  return std::string_view(buf_.data(), size_);
+}
 
-  std::string out;
-  out.reserve(sizeof(ChunkFrame) + payload.size());
-  out.assign(reinterpret_cast<const char*>(&frame), sizeof(ChunkFrame));
-  out.append(payload);
-  return out;
+std::string serialize_chunk(const LogHeader& session,
+                            const std::vector<ShardWindow>& windows, u32 seq) {
+  ChunkBuilder b;
+  b.set_session(session);
+  b.begin(session.flags.load(std::memory_order_relaxed),
+          static_cast<u32>(windows.size()));
+  for (const ShardWindow& w : windows) {
+    b.add_window(w.start, w.entries.data(), w.entries.size());
+  }
+  return std::string(b.finish(seq));
 }
 
 bool parse_chunk(std::string_view bytes, u32* seq, std::string_view* payload,
@@ -102,20 +134,31 @@ std::string chunk_path(const std::string& prefix, u32 seq) {
   return prefix + suffix;
 }
 
+ChunkRead read_chunk(const std::string& prefix, u32 seq, std::string* bytes) {
+  if (!read_file(chunk_path(prefix, seq), bytes)) return ChunkRead::kEnd;
+  if (parse_chunk(*bytes, nullptr, nullptr, nullptr)) return ChunkRead::kOk;
+  // Tolerate only a torn *trailing* chunk; a bad chunk followed by good
+  // ones cannot come from the persist-before-advance protocol.
+  if (file_exists(chunk_path(prefix, seq + 1))) return ChunkRead::kCorrupt;
+  return ChunkRead::kEnd;
+}
+
 ChunkScan for_each_chunk(
     const std::string& prefix,
     const std::function<bool(u32 seq, std::string_view payload)>& fn) {
   for (u32 seq = 0;; ++seq) {
-    auto raw = read_file(chunk_path(prefix, seq));
-    if (!raw) return ChunkScan::kDone;
-    std::string_view payload;
-    if (!parse_chunk(*raw, nullptr, &payload, nullptr)) {
-      // Tolerate only a torn *trailing* chunk; a bad chunk followed by good
-      // ones cannot come from the persist-before-advance protocol.
-      if (file_exists(chunk_path(prefix, seq + 1))) return ChunkScan::kCorrupt;
-      return ChunkScan::kDone;
+    std::string bytes;  // one chunk in memory: the previous one is gone
+    switch (read_chunk(prefix, seq, &bytes)) {
+      case ChunkRead::kEnd:
+        return ChunkScan::kDone;
+      case ChunkRead::kCorrupt:
+        return ChunkScan::kCorrupt;
+      case ChunkRead::kOk:
+        break;
     }
-    if (!fn(seq, payload)) return ChunkScan::kStopped;
+    if (!fn(seq, std::string_view(bytes).substr(sizeof(ChunkFrame)))) {
+      return ChunkScan::kStopped;
+    }
   }
 }
 

@@ -47,9 +47,48 @@ struct ShardWindow {
   std::vector<LogEntry> entries;
 };
 
-// Serializes one drain round as a framed chunk. `session` supplies the
-// immutable header fields (pid, counter_mode, ...); ring/spill/active flags
-// are cleared so the payload reads as a plain bounded compact dump.
+// Builds one framed chunk in a buffer that lives across chunks, so a drain
+// round copies each window exactly once: from shared memory straight into
+// the bytes that are checksummed and written. Usage:
+//
+//   set_session(header) once; then per chunk: begin(flags, nshards);
+//   add_window(...) once per shard, in shard order; finish(seq) -> the
+//   chunk's bytes, valid until the next begin().
+//
+// Ring/spill/active flags are cleared so the payload reads as a plain
+// bounded compact dump. The live `counter`, `tail` and `dropped` words are
+// written as 0: other threads store to them while a session runs, and no
+// loader reads them from a chunk.
+class ChunkBuilder {
+ public:
+  // Takes the header fields every chunk carries (magic, pid, counter_mode,
+  // ns_per_tick, ...) from `session`. These are plain fields that only the
+  // session's owner writes, so call this from the owner's thread, before
+  // the chunks that should carry them.
+  void set_session(const LogHeader& session);
+  // Starts a chunk. `flags` is an atomic load of the live header's flags.
+  void begin(u64 flags, u32 nshards);
+  // Appends the next shard's window: `start` is its absolute cursor, and
+  // its entries are [a, a + na) followed by [b, b + nb) — two spans, so a
+  // window that wraps the shard ring copies without staging.
+  void add_window(u64 start, const LogEntry* a, u64 na,
+                  const LogEntry* b = nullptr, u64 nb = 0);
+  // Writes the header and the frame, with both CRCs over the finished
+  // buffer. Shards never added read as empty windows.
+  std::string_view finish(u32 seq);
+
+ private:
+  char* grow(usize n);  // appends n bytes of room, returns their start
+
+  LogHeader header_;       // copied into the buffer by finish()
+  std::vector<char> buf_;  // grows to the largest chunk seen, never shrinks
+  usize size_ = 0;
+  u32 added_ = 0;
+  u64 entries_ = 0;
+};
+
+// Serializes one drain round as a framed chunk through ChunkBuilder: the
+// same bytes the drainer writes for the same windows.
 std::string serialize_chunk(const LogHeader& session,
                             const std::vector<ShardWindow>& windows, u32 seq);
 
@@ -70,6 +109,17 @@ enum class ChunkScan {
              // disk — that sequence cannot come from the protocol
   kStopped,  // the callback returned false
 };
+
+// One step of a sequential chunk scan: reads "<prefix>.seg.<seq>" into
+// *bytes (reusing its capacity) and verifies it. On kOk the payload is
+// bytes->substr(sizeof(ChunkFrame)). The torn-versus-corrupt policy of
+// ChunkScan lives here, once, for every reader of a chunk sequence.
+enum class ChunkRead {
+  kOk,
+  kEnd,      // no such chunk, or a torn trailing one: the sequence is over
+  kCorrupt,  // failed verification, yet a later chunk exists on disk
+};
+ChunkRead read_chunk(const std::string& prefix, u32 seq, std::string* bytes);
 
 // Visits "<prefix>.seg.NNNN" files in sequence order, reading ONE file into
 // memory at a time — the bounded-memory primitive under both the in-memory

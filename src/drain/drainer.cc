@@ -1,8 +1,8 @@
 #include "drain/drainer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <vector>
 
 #include "common/fileutil.h"
 #include "faultsim/fault.h"
@@ -17,6 +17,10 @@ Drainer::~Drainer() { stop(); }
 
 bool Drainer::start() {
   if (!log_ || !log_->spill()) return false;
+  // Snapshot the header fields the chunks carry here, on the owner's
+  // thread: the drain thread then never reads a header word that another
+  // thread writes, except `flags` through an atomic load.
+  chunk_.set_session(*log_->header());
   // Resume scan: continue the chunk sequence where the previous incarnation
   // stopped. If its last chunk is torn (died mid-write), adopt that number
   // for overwrite — the window it holds was never marked drained, so the
@@ -50,6 +54,10 @@ bool Drainer::restart() {
 bool Drainer::final_drain() {
   stop();
   if (!log_ || !log_->spill()) return false;
+  // The drain thread is joined and this is the owner's thread: refresh the
+  // header snapshot so the last chunks carry what the owner set since
+  // start() (pid, ns_per_tick).
+  chunk_.set_session(*log_->header());
   for (;;) {
     bool idle = false;
     if (!round(&idle)) {
@@ -83,41 +91,44 @@ bool Drainer::round(bool* idle) {
   // supervisor restarts us — the protocol must lose nothing either way.
   if (fault::fires(fault_points::kDrainDie)) return false;
 
+  // Snapshot every shard's consumable window first, so the chunk holds one
+  // consistent cut; then copy each window once, straight from shm into the
+  // reused chunk buffer, and checksum that copy. A writer force-advancing
+  // over a window mid-round changes shm, never the bytes being summed.
   u32 nshards = log_->shard_count();
-  std::vector<ShardWindow> windows(nshards);
-  std::vector<u64> lens(nshards, 0);
+  starts_.assign(nshards, 0);
+  lens_.assign(nshards, 0);
   u64 total = 0;
   for (u32 s = 0; s < nshards; ++s) {
     const LogShard* sh = log_->shard(s);
     u64 p = sh->published.load(std::memory_order_acquire);
     u64 d = sh->drained.load(std::memory_order_acquire);
     if (p <= d) continue;
-    u64 len = p - d;
-    if (len > opts_.chunk_entries) len = opts_.chunk_entries;
-    u64 cap = sh->capacity;
-    const LogEntry* seg = log_->entries() + sh->entry_offset;
-    u64 start = d % cap;
-    u64 head = cap - start < len ? cap - start : len;
-    windows[s].start = d;
-    windows[s].entries.reserve(len);
-    windows[s].entries.insert(windows[s].entries.end(), seg + start,
-                              seg + start + head);
-    windows[s].entries.insert(windows[s].entries.end(), seg,
-                              seg + (len - head));
-    lens[s] = len;
-    total += len;
+    starts_[s] = d;
+    lens_[s] = std::min(p - d, opts_.chunk_entries);
+    total += lens_[s];
   }
   if (total == 0) return true;
   *idle = false;
 
-  std::string chunk = serialize_chunk(*log_->header(), windows, seq_);
+  chunk_.begin(log_->header()->flags.load(std::memory_order_relaxed), nshards);
+  for (u32 s = 0; s < nshards; ++s) {
+    const LogShard* sh = log_->shard(s);
+    const LogEntry* seg = log_->entries() + sh->entry_offset;
+    u64 at = lens_[s] == 0 ? 0 : starts_[s] % sh->capacity;
+    u64 head = std::min(sh->capacity - at, lens_[s]);
+    chunk_.add_window(starts_[s], seg + at, head, seg, lens_[s] - head);
+  }
+  std::string_view chunk = chunk_.finish(seq_);
   // Fault point: dying mid-write, leaving a torn chunk on disk. The cursors
   // are not advanced and seq_ is not bumped, so a resumed drainer rewrites
   // the same chunk number and the window drains again — the loader never
-  // has to trust a torn file that is followed by good ones.
+  // has to trust a torn file that is followed by good ones. Only a prefix
+  // is written; the buffer itself stays whole.
   bool torn = fault::fires(fault_points::kDrainChunkTorn);
-  if (torn && chunk.size() > sizeof(ChunkFrame)) {
-    chunk.resize(sizeof(ChunkFrame) + (chunk.size() - sizeof(ChunkFrame)) / 2);
+  if (torn) {
+    chunk = chunk.substr(
+        0, sizeof(ChunkFrame) + (chunk.size() - sizeof(ChunkFrame)) / 2);
   }
   if (!write_file(chunk_path(opts_.prefix, seq_), chunk)) return false;
   if (torn) return false;
@@ -128,10 +139,10 @@ bool Drainer::round(bool* idle) {
   // tolerates a concurrent writer force-advance (dead-drainer overflow
   // path): a cursor already at or past our target is never moved back.
   for (u32 s = 0; s < nshards; ++s) {
-    if (lens[s] == 0) continue;
+    if (lens_[s] == 0) continue;
     LogShard* sh = log_->shard(s);
-    u64 d = windows[s].start;
-    u64 len = lens[s];
+    u64 d = starts_[s];
+    u64 len = lens_[s];
     u64 cap = sh->capacity;
     LogEntry* seg = log_->entries() + sh->entry_offset;
     u64 start = d % cap;

@@ -2,8 +2,9 @@
 //
 // Runs inside teeperf_record while the application executes. Each round it
 // snapshots every shard's published cursor, copies the consumable window
-// [drained, published) out of shared memory, persists it as a CRC-framed
-// chunk file, zeroes the consumed slots (restoring the tombstone invariant
+// [drained, published) out of shared memory once, into a chunk buffer it
+// reuses across rounds, checksums that copy, persists it as a CRC-framed
+// chunk file (write(2) into the page cache, no fsync), zeroes the consumed slots (restoring the tombstone invariant
 // for the next lap) and only then advances the shm-resident drain cursor —
 // which is what lets writers reclaim the space. Crash safety comes from the
 // persist-before-advance order: a drainer death at any point loses no
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/log_format.h"
 #include "drain/chunk_format.h"
@@ -86,6 +88,12 @@ class Drainer {
   std::atomic<u64> chunks_{0};
   u32 seq_ = 0;  // next chunk number; owned by the drain thread between
                  // start/join boundaries
+  // Per-round scratch, owned the same way: the chunk buffer every round
+  // copies its windows into (reused, so a round allocates nothing once the
+  // buffer has grown), and each shard's window cut.
+  ChunkBuilder chunk_;
+  std::vector<u64> starts_;
+  std::vector<u64> lens_;
 };
 
 }  // namespace teeperf::drain

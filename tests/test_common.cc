@@ -2,9 +2,13 @@
 // spin calibration, file helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/crc32c.h"
+#include "common/crc32c_internal.h"
 #include "common/fileutil.h"
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -47,6 +51,79 @@ TEST(Crc32c, MaskRoundTrip) {
 }
 
 TEST(Crc32c, EmptyInput) { EXPECT_EQ(crc32c(nullptr, 0), 0u); }
+
+// crc32c_extend runs the SSE4.2 instruction where the CPU has it and the
+// byte table elsewhere; every stored checksum (chunks, .mprof, WAL,
+// SSTables) depends on the two agreeing bit for bit.
+using Extend = u32 (*)(u32, const void*, usize);
+
+std::vector<std::pair<const char*, Extend>> crc_paths() {
+  std::vector<std::pair<const char*, Extend>> paths = {
+      {"portable", crc32c_impl::extend_portable}};
+  if (crc32c_impl::hardware_available()) {
+    paths.push_back({"hardware", crc32c_impl::extend_hardware});
+  }
+  return paths;
+}
+
+std::vector<u8> crc_test_bytes(usize n) {
+  std::vector<u8> buf(n);
+  Xorshift64 rng(0xc5c32c);
+  for (u8& b : buf) b = static_cast<u8>(rng.next());
+  return buf;
+}
+
+TEST(Crc32c, KnownVectorsOnEveryPath) {
+  u8 zeros[32] = {};
+  u8 ones[32];
+  std::fill(std::begin(ones), std::end(ones), 0xff);
+  u8 inc[32], dec[32];
+  for (int i = 0; i < 32; ++i) {
+    inc[i] = static_cast<u8>(i);
+    dec[i] = static_cast<u8>(31 - i);
+  }
+  for (auto [name, extend] : crc_paths()) {
+    EXPECT_EQ(extend(0, zeros, 32), 0x8a9136aau) << name;
+    EXPECT_EQ(extend(0, ones, 32), 0x62a8ab43u) << name;
+    EXPECT_EQ(extend(0, inc, 32), 0x46dd794eu) << name;
+    EXPECT_EQ(extend(0, dec, 32), 0x113fdb5cu) << name;
+    EXPECT_EQ(extend(0, "123456789", 9), 0xe3069283u) << name;
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableAtEveryLengthAndAlignment) {
+  if (!crc32c_impl::hardware_available()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  std::vector<u8> buf = crc_test_bytes(1024 + 8);
+  for (usize off = 0; off < 8; ++off) {
+    for (usize n = 0; n <= 1024; ++n) {
+      const u8* p = buf.data() + off;
+      ASSERT_EQ(crc32c_impl::extend_hardware(0, p, n),
+                crc32c_impl::extend_portable(0, p, n))
+          << "offset " << off << " length " << n;
+      // A nonzero running crc, as crc32c_extend continues one.
+      ASSERT_EQ(crc32c_impl::extend_hardware(0x9e3779b9u, p, n),
+                crc32c_impl::extend_portable(0x9e3779b9u, p, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32c, ExtendAgreesAtEverySplitPoint) {
+  std::vector<u8> buf = crc_test_bytes(1024 + 8);
+  for (auto [name, extend] : crc_paths()) {
+    for (usize off = 0; off < 8; ++off) {
+      const u8* p = buf.data() + off;
+      u32 whole = extend(0, p, 1024);
+      EXPECT_EQ(whole, crc32c(p, 1024)) << name << " offset " << off;
+      for (usize k = 0; k <= 1024; ++k) {
+        ASSERT_EQ(extend(extend(0, p, k), p + k, 1024 - k), whole)
+            << name << " offset " << off << " split " << k;
+      }
+    }
+  }
+}
 
 // --- rng ---------------------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "analyzer/profile.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
+#include "core/counter.h"
 #include "core/log_format.h"
 #include "drain/chunk_format.h"
 #include "drain/drainer.h"
@@ -429,6 +431,172 @@ TEST(Drain, ChunkFrameRejectsCorruption) {
   bad = chunk;
   bad[8] ^= 0x01;
   EXPECT_FALSE(drain::parse_chunk(bad, &seq, &payload, &err));
+}
+
+// The windows a drain round of `log` would consume right now, as the
+// serialize_chunk input: every shard's published-but-undrained window, read
+// out of shm with its absolute start cursor (0 for an empty shard).
+std::vector<drain::ShardWindow> pending_windows(const ProfileLog& log) {
+  std::vector<drain::ShardWindow> windows(log.shard_count());
+  for (u32 sh = 0; sh < log.shard_count(); ++sh) {
+    log.shard_snapshot(sh, &windows[sh].entries);
+    if (!windows[sh].entries.empty()) {
+      windows[sh].start = log.shard(sh)->drained.load();
+    }
+  }
+  return windows;
+}
+
+void record_calls(ProfileLog& log, u64 tid, u64 n, u64* counter) {
+  LogBatch batch;
+  for (u64 i = 0; i < n; ++i) {
+    batch.record(log, i % 2 ? EventKind::kReturn : EventKind::kCall, 0x5000,
+                 tid, ++*counter);
+  }
+  batch.flush(log);
+}
+
+TEST(Drain, DrainerChunkIsSerializeChunkOfTheSameWindows) {
+  // The drainer copies windows from shm straight into its reused chunk
+  // buffer; serialize_chunk builds from vectors. Both go through the one
+  // ChunkBuilder, so the bytes must agree — for a window that wraps the
+  // shard ring and for a shard with nothing to drain.
+  std::string prefix = tmp_prefix("bytes");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/128, /*shards=*/2);  // 64 entries per shard
+  ASSERT_EQ(s.log.shard(0)->capacity, 64u);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  drain::Drainer drainer(&s.log, dopts);
+  u64 counter = 0;
+
+  // tid 2 lands in shard 0; shard 1 stays empty throughout.
+  record_calls(s.log, /*tid=*/2, 40, &counter);
+  std::vector<drain::ShardWindow> first = pending_windows(s.log);
+  ASSERT_TRUE(drainer.final_drain());
+  auto chunk0 = read_file(drain::chunk_path(prefix, 0));
+  ASSERT_TRUE(chunk0.has_value());
+  EXPECT_EQ(*chunk0, drain::serialize_chunk(*s.log.header(), first, 0));
+
+  // [40, 90) in a 64-slot ring: 24 entries up to the end, 26 from slot 0.
+  record_calls(s.log, /*tid=*/2, 50, &counter);
+  std::vector<drain::ShardWindow> wrapped = pending_windows(s.log);
+  ASSERT_EQ(wrapped[0].start, 40u);
+  ASSERT_EQ(wrapped[0].entries.size(), 50u);
+  ASSERT_TRUE(wrapped[1].entries.empty());
+  ASSERT_TRUE(drainer.final_drain());
+  auto chunk1 = read_file(drain::chunk_path(prefix, 1));
+  ASSERT_TRUE(chunk1.has_value());
+  EXPECT_EQ(*chunk1, drain::serialize_chunk(*s.log.header(), wrapped, 1));
+  EXPECT_FALSE(file_exists(drain::chunk_path(prefix, 2)));
+
+  auto p = Profile::load_spill(prefix);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->recon_stats().entries, 90u);
+  remove_session(prefix);
+}
+
+TEST(Drain, TornChunkRewriteIsCleanAndNextChunkIsWhole) {
+  // drain.chunk.torn writes half a chunk and kills the round. The resumed
+  // drainer must rewrite the same seq with the clean bytes, and — since
+  // only a prefix of the reused buffer was written — the chunk after it
+  // must come out full-length.
+  std::string prefix = tmp_prefix("tornbytes");
+  remove_session(prefix);
+  SpillLog s(/*capacity=*/256, /*shards=*/2);
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  drain::Drainer drainer(&s.log, dopts);
+  u64 counter = 0;
+
+  record_calls(s.log, /*tid=*/3, 60, &counter);
+  std::vector<drain::ShardWindow> first = pending_windows(s.log);
+  std::string clean0 = drain::serialize_chunk(*s.log.header(), first, 0);
+  {
+    fault::ScopedFault torn("drain.chunk.torn");
+    EXPECT_FALSE(drainer.final_drain());
+  }
+  auto torn0 = read_file(drain::chunk_path(prefix, 0));
+  ASSERT_TRUE(torn0.has_value());
+  EXPECT_LT(torn0->size(), clean0.size());
+  EXPECT_FALSE(drain::parse_chunk(*torn0, nullptr, nullptr, nullptr));
+  EXPECT_EQ(*torn0, clean0.substr(0, torn0->size()));
+
+  ASSERT_TRUE(drainer.final_drain());  // resumes: same seq, clean bytes
+  auto rewritten0 = read_file(drain::chunk_path(prefix, 0));
+  ASSERT_TRUE(rewritten0.has_value());
+  EXPECT_EQ(*rewritten0, clean0);
+
+  record_calls(s.log, /*tid=*/3, 100, &counter);
+  record_calls(s.log, /*tid=*/4, 20, &counter);
+  std::vector<drain::ShardWindow> second = pending_windows(s.log);
+  std::string clean1 = drain::serialize_chunk(*s.log.header(), second, 1);
+  ASSERT_TRUE(drainer.final_drain());
+  auto chunk1 = read_file(drain::chunk_path(prefix, 1));
+  ASSERT_TRUE(chunk1.has_value());
+  EXPECT_EQ(*chunk1, clean1);
+  EXPECT_TRUE(drain::parse_chunk(*chunk1, nullptr, nullptr, nullptr));
+  EXPECT_EQ(drainer.stats().chunks, 2u);
+  EXPECT_EQ(drainer.stats().drained_entries, 180u);
+  remove_session(prefix);
+}
+
+TEST(Drain, SoftwareCounterSessionWritesDeterministicChunkHeaders) {
+  // A software-counter session stores header->counter continuously while
+  // writers touch flags and tails. The drainer must not copy those live
+  // words: every chunk header carries the snapshot taken at start(), with
+  // counter, tail and dropped written as 0. (Under TSan this is also the
+  // race regression for the old memcpy of the live header.)
+  PatientWriters patient;
+  std::string prefix = tmp_prefix("swcounter");
+  remove_session(prefix);
+  SpillLog s;
+  s.log.header()->counter_mode = static_cast<u32>(CounterMode::kSoftware);
+  SoftwareCounter counter(s.log.header());
+  counter.start();
+  drain::DrainerOptions dopts;
+  dopts.prefix = prefix;
+  dopts.chunk_entries = 384;
+  dopts.poll_interval_us = 100;
+  drain::Drainer drainer(&s.log, dopts);
+  ASSERT_TRUE(drainer.start());
+  std::thread toggler([&] {
+    for (int i = 0; i < 200; ++i) {
+      s.log.set_active(i % 2 == 0);
+      usleep(50);
+    }
+    s.log.set_active(true);
+  });
+  run_workload(s.log);
+  toggler.join();
+  ASSERT_TRUE(drainer.final_drain());
+  counter.stop();
+  ASSERT_GT(s.log.header()->counter.load(), 0u);
+
+  EXPECT_EQ(drainer.stats().drained_entries, kTotalEntries);
+  ASSERT_GT(drainer.stats().chunks, 1u);
+  for (u32 seq = 0; seq < drainer.stats().chunks; ++seq) {
+    auto raw = read_file(drain::chunk_path(prefix, seq));
+    ASSERT_TRUE(raw.has_value());
+    std::string_view payload;
+    ASSERT_TRUE(drain::parse_chunk(*raw, nullptr, &payload, nullptr));
+    LogHeader h;
+    std::memcpy(static_cast<void*>(&h), payload.data(), sizeof(LogHeader));
+    EXPECT_EQ(h.magic, kLogMagic) << seq;
+    EXPECT_EQ(h.pid, 1u) << seq;
+    EXPECT_EQ(h.counter_mode, static_cast<u32>(CounterMode::kSoftware)) << seq;
+    EXPECT_EQ(h.counter.load(), 0u) << seq;
+    EXPECT_EQ(h.tail.load(), 0u) << seq;
+    EXPECT_EQ(h.dropped.load(), 0u) << seq;
+    EXPECT_EQ(h.flags.load() & (log_flags::kActive | log_flags::kSpillDrain), 0u)
+        << seq;
+  }
+  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  std::string err;
+  auto streamed = analyzer::StreamAnalyzer::analyze(prefix, &err);
+  ASSERT_TRUE(streamed.has_value()) << err;
+  EXPECT_EQ(streamed->stats.entries, kTotalEntries);
+  remove_session(prefix);
 }
 
 TEST(Drain, ChunkPathFormat) {
