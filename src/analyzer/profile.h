@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -191,7 +192,7 @@ class Profile {
   // indices only — method ids and tids are shared across shards, unlike
   // load_many's cross-process rekeying — so the result is deterministic
   // regardless of worker scheduling.
-  static Profile build_sharded(const std::vector<std::vector<LogEntry>>& shards,
+  static Profile build_sharded(std::span<const std::span<const LogEntry>> shards,
                                std::unordered_map<u64, std::string> symbols,
                                double ns_per_tick);
 
