@@ -144,11 +144,11 @@ CounterRow run_replicated(u32 replicas, u64 reads, int reps) {
   row.replicas = replicas;
   SharedMemoryRegion shm;
   if (!shm.create_anonymous(
-          ProfileLog::bytes_for_replicated(1024, 0, replicas))) {
+          ProfileLog::bytes_for_replicated(1024, 1, replicas))) {
     return row;
   }
   ProfileLog log;
-  if (!log.init(shm.data(), shm.size(), 42, log_flags::kActive, 0, replicas)) {
+  if (!log.init(shm.data(), shm.size(), 42, log_flags::kActive, 1, replicas)) {
     return row;
   }
   ReplicatedCounter counter(log.header(), log.replica_directory(),

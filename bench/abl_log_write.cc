@@ -8,11 +8,13 @@
 //
 // Besides the google-benchmark registrations, `--sweep` runs the format-v2
 // regression harness (TESTING.md "Bench regression"): a 1/2/4/8-writer
-// contention sweep of sharded+batched v2 against single-tail v1, emitted as
-// machine-readable JSON. `--check <baseline.json>` compares the measured
-// v1/v2 speedup ratios against the checked-in baseline and exits non-zero
-// on a >25% regression — ratios, not absolute ns, so the gate is stable
-// across machine speeds.
+// contention sweep of a single shared tail (one shard, per-event append —
+// the paper's Figure 2 log) against sharded + batched publication, emitted
+// as machine-readable JSON. The JSON keeps its historical key names: "v1"
+// is the single shared tail, "v2" the sharded + batched log.
+// `--check <baseline.json>` compares the measured speedup ratios against
+// the checked-in baseline and exits non-zero on a >25% regression —
+// ratios, not absolute ns, so the gate is stable across machine speeds.
 //
 // The sweep also measures each config on a pre-wrapped ring (shard tails
 // advanced one full lap before the run), gating the wrap penalty: a flush
@@ -42,7 +44,7 @@ namespace {
 
 using namespace teeperf;
 
-// The rejected alternative: same layout, tail guarded by a mutex.
+// The rejected alternative: same one-shard layout, tail guarded by a mutex.
 class MutexLog {
  public:
   explicit MutexLog(u64 capacity) : buf_(ProfileLog::bytes_for(capacity)) {
@@ -51,18 +53,18 @@ class MutexLog {
 
   bool append(EventKind kind, u64 addr, u64 tid, u64 counter) {
     std::lock_guard<std::mutex> lock(mu_);
-    LogHeader* h = log_.header();
-    u64 slot = h->tail.load(std::memory_order_relaxed);
-    if (slot >= h->max_entries) return false;
-    h->tail.store(slot + 1, std::memory_order_relaxed);
-    LogEntry& e = log_.entries()[slot];
+    LogShard* sh = log_.shard(0);
+    u64 slot = sh->tail.load(std::memory_order_relaxed);
+    if (slot >= sh->capacity) return false;
+    sh->tail.store(slot + 1, std::memory_order_relaxed);
+    LogEntry& e = log_.segment(0)[slot];
     e.kind_and_counter = LogEntry::pack(kind, counter);
     e.addr = addr;
     e.tid = tid;
     return true;
   }
 
-  void reset() { log_.header()->tail.store(0, std::memory_order_relaxed); }
+  void reset() { log_.shard(0)->tail.store(0, std::memory_order_relaxed); }
 
  private:
   std::vector<u8> buf_;
@@ -79,11 +81,11 @@ void BM_LockFreeAppend(benchmark::State& state) {
     l->init(buf->data(), buf->size(), 1, log_flags::kActive);
     return l;
   }();
-  if (state.thread_index() == 0) log->header()->tail.store(0, std::memory_order_relaxed);
+  if (state.thread_index() == 0) log->shard(0)->tail.store(0, std::memory_order_relaxed);
   u64 i = 0;
   for (auto _ : state) {
     if (!log->append(EventKind::kCall, 0x1000 + i, 0, i)) {
-      log->header()->tail.store(0, std::memory_order_relaxed);
+      log->shard(0)->tail.store(0, std::memory_order_relaxed);
     }
     ++i;
   }
@@ -154,16 +156,17 @@ BENCHMARK(BM_ScopeDetached);
 // ------------------------------------------------------------- sweep mode
 
 // One timed contention run: `writers` threads each push `ops` events into a
-// shared log. v1 uses the classic single-tail append; v2 routes through the
-// per-thread LogBatch into an 8-shard log — the same path the runtime probes
-// take. Ring mode so the measurement never stalls on a full log.
+// shared log. Unsharded runs append event by event to a one-shard log, so
+// every writer contends on the one shared tail; sharded runs route through
+// the per-thread LogBatch into an 8-shard log — the same path the runtime
+// probes take. Ring mode so the measurement never stalls on a full log.
 // `prewrap` starts every shard's tail one full lap in, so every flush of the
 // run reserves past capacity and exercises the wrapped publication path —
 // the regression being gated is that path falling off the two-span memcpy
 // onto the per-entry modulo loop.
 double run_config(int writers, u64 ops, bool sharded, bool prewrap = false) {
   constexpr u64 kEntries = 1u << 20;
-  const u32 shards = sharded ? 8 : 0;
+  const u32 shards = sharded ? 8 : 1;
   std::vector<u8> buf(ProfileLog::bytes_for(kEntries, shards));
   ProfileLog log;
   if (!log.init(buf.data(), buf.size(), 1,
@@ -214,8 +217,8 @@ double run_config(int writers, u64 ops, bool sharded, bool prewrap = false) {
 
 struct SweepRow {
   int writers;
-  double v1_ns;
-  double v2_ns;
+  double v1_ns;        // single shared tail: one shard, per-event append
+  double v2_ns;        // sharded + batched
   double v2_wrap_ns;  // v2 on a pre-wrapped ring: every flush publishes wrapped
   double speedup() const { return v2_ns > 0 ? v1_ns / v2_ns : 0.0; }
   double wrap_penalty() const { return v2_ns > 0 ? v2_wrap_ns / v2_ns : 0.0; }

@@ -87,24 +87,16 @@ Profile Profile::from_log(const ProfileLog& log,
                           double ns_per_tick) {
   if (!log.valid()) return Profile{};
   if (ns_per_tick == 0.0) ns_per_tick = log.header()->ns_per_tick;
-  if (log.sharded()) {
-    std::vector<std::vector<LogEntry>> shards(log.shard_count());
-    for (u32 s = 0; s < log.shard_count(); ++s) log.shard_snapshot(s, &shards[s]);
-    if (shards.size() == 1) {
-      return build(shards[0].data(), shards[0].size(), std::move(symbols),
-                   ns_per_tick);
-    }
-    std::vector<std::span<const LogEntry>> windows(shards.begin(), shards.end());
-    return build_sharded(windows, std::move(symbols), ns_per_tick);
+  // Each shard's window copied out oldest→newest, so a wrapped ring reads
+  // in order and no reader sees segment gaps.
+  std::vector<std::vector<LogEntry>> shards(log.shard_count());
+  for (u32 s = 0; s < log.shard_count(); ++s) log.window(s).append_to(&shards[s]);
+  if (shards.size() == 1) {
+    return build(shards[0].data(), shards[0].size(), std::move(symbols),
+                 ns_per_tick);
   }
-  u64 tail = log.header()->tail.load(std::memory_order_acquire);
-  if ((log.flags() & log_flags::kRingBuffer) && tail > log.capacity()) {
-    // Wrapped ring: rebuild oldest→newest order first.
-    std::vector<LogEntry> ordered;
-    log.snapshot_ordered(&ordered);
-    return build(ordered.data(), ordered.size(), std::move(symbols), ns_per_tick);
-  }
-  return build(&log.entry(0), log.size(), std::move(symbols), ns_per_tick);
+  std::vector<std::span<const LogEntry>> windows(shards.begin(), shards.end());
+  return build_sharded(windows, std::move(symbols), ns_per_tick);
 }
 
 Profile Profile::from_entries(const LogEntry* entries, u64 n,
@@ -428,15 +420,11 @@ std::pair<std::string, u64> Profile::hottest_stack() const {
 }
 
 std::vector<ValidationIssue> Profile::validate(const ProfileLog& log) {
-  if (log.sharded()) {
-    // The raw v2 entry array has per-shard gaps; validate the canonical
-    // per-shard concatenation (per-thread order is what validate checks,
-    // and a thread never spans shards).
-    std::vector<LogEntry> ordered;
-    log.snapshot_ordered(&ordered);
-    return validate(ordered.data(), ordered.size());
-  }
-  return validate(&log.entry(0), log.size());
+  // The per-shard windows concatenated: per-thread order is what validate
+  // checks, and a thread never spans shards.
+  std::vector<LogEntry> ordered;
+  log.snapshot_ordered(&ordered);
+  return validate(ordered.data(), ordered.size());
 }
 
 std::optional<std::vector<ValidationIssue>> Profile::validate_file(

@@ -32,7 +32,7 @@ struct SessionDescriptor {
   std::string obs_shm;  // named obs telemetry segment; "" when telemetry off
   std::string prefix;   // dump prefix (".sym" lives next to it); may be ""
   u64 capacity = 0;     // log capacity in entries
-  u32 shards = 0;       // log shard count (0 = v1 single tail)
+  u32 shards = 0;       // log shard count (>= 1; 0 = not recorded)
   u64 start_ns = 0;     // CLOCK_MONOTONIC at publish time
 };
 

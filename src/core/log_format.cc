@@ -1,5 +1,6 @@
 #include "core/log_format.h"
 
+#include <algorithm>
 #include <csignal>
 #include <new>
 
@@ -35,23 +36,21 @@ u64 ProfileLog::spill_wait_spins() {
 bool ProfileLog::init(void* buffer, usize size, u64 pid, u64 initial_flags,
                       u32 shard_count, u32 counter_replicas) {
   if (!buffer) return false;
-  if (shard_count > kMaxLogShards) return false;
+  if (shard_count == 0 || shard_count > kMaxLogShards) return false;
   if (counter_replicas > kMaxCounterReplicas) return false;
-  // Spill-drain is a v2 protocol (the cursors live in the shard directory)
-  // and supersedes ring wrap: the two reclaim policies cannot coexist.
+  // Spill-drain supersedes ring wrap: the two reclaim policies cannot
+  // coexist.
   if ((initial_flags & log_flags::kSpillDrain) &&
-      (shard_count == 0 || (initial_flags & log_flags::kRingBuffer))) {
+      (initial_flags & log_flags::kRingBuffer)) {
     return false;
   }
   usize overhead =
       sizeof(LogHeader) + static_cast<usize>(shard_count) * sizeof(LogShard);
-  if (size < overhead + sizeof(LogEntry) * (shard_count ? shard_count : 1)) {
-    return false;
-  }
+  if (size < overhead + sizeof(LogEntry) * shard_count) return false;
   // Fault point: the shard directory failing to come up (e.g. the shm grant
   // shrank under us between sizing and formatting). Modeled as init failure
   // so callers exercise their no-log degradation path.
-  if (shard_count > 0 && fault::fires(fault_points::kLogShardAllocFail)) return false;
+  if (fault::fires(fault_points::kLogShardAllocFail)) return false;
 
   // The trailing replica block (plus its alignment pad) comes off the entry
   // budget; shrink until the aligned layout fits (the pad depends on the
@@ -67,33 +66,28 @@ bool ProfileLog::init(void* buffer, usize size, u64 pid, u64 initial_flags,
          bytes_for_replicated(total, shard_count, counter_replicas) > size) {
     --total;
   }
-  if (shard_count) total -= total % shard_count;  // equal segments
-  if (total < (shard_count ? shard_count : 1)) return false;
+  total -= total % shard_count;  // equal segments
+  if (total < shard_count) return false;
 
   auto* h = new (buffer) LogHeader();
   h->magic = kLogMagic;
-  h->version = shard_count ? kLogVersionSharded : kLogVersion;
+  h->version = kLogVersionSharded;
   h->shard_count = shard_count;
   h->shm_base = reinterpret_cast<u64>(buffer);
   h->pid = pid;
   h->counter_replicas = counter_replicas;
   h->max_entries = total;
-  h->tail.store(0, std::memory_order_relaxed);
   h->counter.store(0, std::memory_order_relaxed);
   h->profiler_anchor = reinterpret_cast<u64>(&kLogMagic);
   h->flags.store(initial_flags, std::memory_order_release);
   header_ = h;
   u8* base = static_cast<u8*>(buffer);
-  if (shard_count) {
-    shards_ = reinterpret_cast<LogShard*>(base + sizeof(LogHeader));
-    u64 per_shard = total / shard_count;
-    for (u32 s = 0; s < shard_count; ++s) {
-      auto* sh = new (&shards_[s]) LogShard();
-      sh->entry_offset = static_cast<u64>(s) * per_shard;
-      sh->capacity = per_shard;
-    }
-  } else {
-    shards_ = nullptr;
+  shards_ = reinterpret_cast<LogShard*>(base + sizeof(LogHeader));
+  u64 per_shard = total / shard_count;
+  for (u32 s = 0; s < shard_count; ++s) {
+    auto* sh = new (&shards_[s]) LogShard();
+    sh->entry_offset = static_cast<u64>(s) * per_shard;
+    sh->capacity = per_shard;
   }
   entries_ = reinterpret_cast<LogEntry*>(base + overhead);
   if (counter_replicas) {
@@ -117,16 +111,8 @@ bool ProfileLog::init(void* buffer, usize size, u64 pid, u64 initial_flags,
 bool ProfileLog::adopt(void* buffer, usize size) {
   if (!buffer || size < sizeof(LogHeader)) return false;
   auto* h = reinterpret_cast<LogHeader*>(buffer);
-  if (h->magic != kLogMagic) return false;
-  if (h->version != kLogVersion && h->version != kLogVersionSharded) {
-    return false;
-  }
-  bool v2 = h->version == kLogVersionSharded;
-  // v1 headers must not smuggle in a directory; v2 must have a sane one.
-  if (!v2 && h->shard_count != 0) return false;
-  if (v2 && (h->shard_count == 0 || h->shard_count > kMaxLogShards)) {
-    return false;
-  }
+  if (h->magic != kLogMagic || h->version != kLogVersionSharded) return false;
+  if (h->shard_count == 0 || h->shard_count > kMaxLogShards) return false;
   usize overhead = sizeof(LogHeader) +
                    static_cast<usize>(h->shard_count) * sizeof(LogShard);
   if (size < overhead) return false;
@@ -137,20 +123,16 @@ bool ProfileLog::adopt(void* buffer, usize size) {
     return false;
   }
   u8* base = static_cast<u8*>(buffer);
-  if (v2) {
-    auto* dir = reinterpret_cast<LogShard*>(base + sizeof(LogHeader));
-    for (u32 s = 0; s < h->shard_count; ++s) {
-      // Subtraction-form bounds check: offset + capacity computed directly
-      // could wrap u64 and pass.
-      if (dir[s].entry_offset > h->max_entries ||
-          dir[s].capacity > h->max_entries - dir[s].entry_offset) {
-        return false;
-      }
+  auto* dir = reinterpret_cast<LogShard*>(base + sizeof(LogHeader));
+  for (u32 s = 0; s < h->shard_count; ++s) {
+    // Subtraction-form bounds check: offset + capacity computed directly
+    // could wrap u64 and pass.
+    if (dir[s].entry_offset > h->max_entries ||
+        dir[s].capacity > h->max_entries - dir[s].entry_offset) {
+      return false;
     }
-    shards_ = dir;
-  } else {
-    shards_ = nullptr;
   }
+  shards_ = dir;
   header_ = h;
   entries_ = reinterpret_cast<LogEntry*>(base + overhead);
   // Replica block: live shm regions carry it after the entry array; loaded
@@ -181,25 +163,24 @@ bool ProfileLog::adopt(void* buffer, usize size) {
 }
 
 bool ProfileLog::append(EventKind kind, u64 addr, u64 tid, u64 counter) {
-  if (shards_) {
-    LogEntry e;
-    e.kind_and_counter = LogEntry::pack(kind, counter);
-    e.addr = addr;
-    e.tid = tid;
-    e.reserved = 0;
-    return append_one(e, tid);
-  }
-  // v1: reserve first, then write: each slot is written exactly once even
-  // under contention. Unfair access to the tail is harmless because only
+  LogEntry e;
+  e.kind_and_counter = LogEntry::pack(kind, counter);
+  e.addr = addr;
+  e.tid = tid;
+  LogShard& sh = shards_[tid % header_->shard_count];
+  u64 f = header_->flags.load(std::memory_order_relaxed);
+  if (f & log_flags::kSpillDrain) return spill_store(sh, &e, 1);
+  // Reserve first, then write: each slot is written exactly once even under
+  // contention. Unfair access to the tail is harmless because only
   // per-thread ordering matters to the analyzer (§II-B).
-  u64 slot = header_->tail.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= header_->max_entries) {
-    if (header_->flags.load(std::memory_order_relaxed) & log_flags::kRingBuffer) {
-      slot %= header_->max_entries;  // overwrite the oldest window
+  u64 slot = sh.tail.fetch_add(1, std::memory_order_relaxed);
+  if (slot >= sh.capacity) {
+    if (f & log_flags::kRingBuffer) {
+      slot %= sh.capacity;  // overwrite the oldest window
     } else {
-      // Counted in the shared header, not a process-local member, so a
-      // reader attached from another process sees the app's drops.
-      header_->dropped.fetch_add(1, std::memory_order_relaxed);
+      // Counted in the shared shard record, not a process-local member, so
+      // a reader attached from another process sees the app's drops.
+      sh.dropped.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
   }
@@ -209,46 +190,12 @@ bool ProfileLog::append(EventKind kind, u64 addr, u64 tid, u64 counter) {
   // is produced by the real production code path.
   if (fault::fires(fault_points::kLogAppendDie))
     raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
-  LogEntry& e = entries_[slot];
-  e.kind_and_counter = LogEntry::pack(kind, counter);
-  e.addr = addr;
-  e.tid = tid;
-  e.reserved = 0;
-  return true;
-}
-
-bool ProfileLog::append_one(const LogEntry& e, u64 tid) {
-  LogShard& sh = shards_[tid % header_->shard_count];
-  if (header_->flags.load(std::memory_order_relaxed) & log_flags::kSpillDrain) {
-    return spill_store(sh, &e, 1);
-  }
-  u64 slot = sh.tail.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= sh.capacity) {
-    if (header_->flags.load(std::memory_order_relaxed) & log_flags::kRingBuffer) {
-      slot %= sh.capacity;
-    } else {
-      sh.dropped.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-  }
-  if (fault::fires(fault_points::kLogAppendDie))
-    raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
   entries_[sh.entry_offset + slot] = e;
   return true;
 }
 
 bool ProfileLog::append_batch(const LogEntry* batch, u32 n, u64 tid) {
   if (n == 0) return true;
-  if (!shards_) {
-    // v1 has one shared tail; there is nothing a batch can amortize without
-    // breaking interleaved reservation, so publish entry by entry.
-    bool ok = true;
-    for (u32 i = 0; i < n; ++i) {
-      const LogEntry& e = batch[i];
-      ok &= append(e.kind(), e.addr, e.tid, e.counter());
-    }
-    return ok;
-  }
   LogShard& sh = shards_[tid % header_->shard_count];
   u64 f = header_->flags.load(std::memory_order_relaxed);
   if (f & log_flags::kSpillDrain) return spill_store(sh, batch, n);
@@ -380,70 +327,40 @@ bool ProfileLog::spill_store(LogShard& sh, const LogEntry* batch, u32 n) {
   return true;
 }
 
-void ProfileLog::shard_snapshot(u32 s, std::vector<LogEntry>* out) const {
-  out->clear();
-  if (!shards_ || s >= header_->shard_count) return;
+LogWindow ProfileLog::window(u32 s) const {
+  LogWindow w;
+  if (!header_ || s >= header_->shard_count) return w;
   const LogShard& sh = shards_[s];
-  u64 tail = sh.tail.load(std::memory_order_acquire);
   u64 cap = sh.capacity;
-  const LogEntry* seg = entries_ + sh.entry_offset;
-  if (cap == 0) return;
+  if (cap == 0) return w;
   u64 f = header_->flags.load(std::memory_order_relaxed);
+  u64 lo = 0;
+  u64 hi = sh.tail.load(std::memory_order_acquire);
   if (f & log_flags::kSpillDrain) {
-    // Residue window: everything the drainer has not consumed,
-    // [drained, min(tail, drained + capacity)), addressed modulo capacity.
-    u64 d = sh.drained.load(std::memory_order_acquire);
-    u64 hi = tail < d + cap ? tail : d + cap;
-    if (hi <= d) return;
-    u64 len = hi - d;
-    u64 start = d % cap;
-    u64 head = cap - start < len ? cap - start : len;
-    out->reserve(len);
-    out->insert(out->end(), seg + start, seg + start + head);
-    out->insert(out->end(), seg, seg + (len - head));
-    return;
+    // Residue: everything the drainer has not consumed. Spilled entries
+    // live in chunk files.
+    lo = sh.drained.load(std::memory_order_acquire);
+    hi = std::min(hi, lo + cap);
+  } else if (f & log_flags::kRingBuffer) {
+    if (hi > cap) lo = hi - cap;
+  } else {
+    hi = std::min(hi, cap);
   }
-  bool ring = (f & log_flags::kRingBuffer) != 0;
-  if (!ring || tail <= cap) {
-    u64 n = tail < cap ? tail : cap;
-    out->assign(seg, seg + n);
-    return;
-  }
-  u64 start = tail % cap;
-  out->reserve(cap);
-  out->insert(out->end(), seg + start, seg + cap);
-  out->insert(out->end(), seg, seg + start);
+  w.begin = lo;
+  w.end = std::max(hi, lo);
+  const LogEntry* seg = entries_ + sh.entry_offset;
+  u64 len = w.size();
+  u64 start = lo % cap;
+  u64 head = std::min(cap - start, len);
+  w.spans[0] = {seg + start, static_cast<usize>(head)};
+  w.spans[1] = {seg, static_cast<usize>(len - head)};
+  return w;
 }
 
 void ProfileLog::snapshot_ordered(std::vector<LogEntry>* out) const {
   out->clear();
-  if (!header_) return;
-  if (shards_) {
-    // Per-shard windows concatenated in directory order. Cross-shard order
-    // is arbitrary — as is cross-thread order in v1 — but each thread's
-    // entries land in one shard in program order, which is the invariant
-    // the analyzer depends on.
-    out->reserve(size());
-    std::vector<LogEntry> one;
-    for (u32 s = 0; s < header_->shard_count; ++s) {
-      shard_snapshot(s, &one);
-      out->insert(out->end(), one.begin(), one.end());
-    }
-    return;
-  }
-  u64 tail = header_->tail.load(std::memory_order_acquire);
-  u64 cap = header_->max_entries;
-  bool ring = header_->flags.load(std::memory_order_relaxed) & log_flags::kRingBuffer;
-  if (!ring || tail <= cap) {
-    u64 n = tail < cap ? tail : cap;
-    out->assign(entries_, entries_ + n);
-    return;
-  }
-  // Wrapped: the oldest surviving entry sits at tail % cap.
-  u64 start = tail % cap;
-  out->reserve(cap);
-  out->insert(out->end(), entries_ + start, entries_ + cap);
-  out->insert(out->end(), entries_, entries_ + start);
+  out->reserve(size());
+  for (u32 s = 0; s < shard_count(); ++s) window(s).append_to(out);
 }
 
 std::string ProfileLog::serialize_compact() const {
@@ -458,108 +375,63 @@ std::string ProfileLog::serialize_compact() const {
   // header field is zeroed for byte-deterministic output (and so loaders
   // don't go looking for a block that is not there).
   header_copy.counter_replicas = 0;
-  if (!shards_) {
-    std::vector<LogEntry> ordered;
-    snapshot_ordered(&ordered);
-    header_copy.tail.store(ordered.size(), std::memory_order_relaxed);
-    out.assign(reinterpret_cast<const char*>(&header_copy), sizeof(LogHeader));
-    out.append(reinterpret_cast<const char*>(ordered.data()),
-               ordered.size() * sizeof(LogEntry));
-    return out;
-  }
-  // v2: pack the written windows back-to-back and rewrite the directory so
+  // Pack the written windows back-to-back and rewrite the directory so
   // offsets are cumulative, capacity == tail == the written count, and no
   // wrap/gap logic survives into the file.
   u32 nshards = header_->shard_count;
-  std::vector<std::vector<LogEntry>> windows(nshards);
+  std::vector<LogWindow> windows(nshards);
   std::vector<LogShard> dir(nshards);
   u64 total = 0;
   for (u32 s = 0; s < nshards; ++s) {
-    shard_snapshot(s, &windows[s]);
+    windows[s] = window(s);
+    u64 n = windows[s].size();
     dir[s].entry_offset = total;
-    dir[s].capacity = windows[s].size();
-    dir[s].tail.store(windows[s].size(), std::memory_order_relaxed);
+    dir[s].capacity = n;
+    dir[s].tail.store(n, std::memory_order_relaxed);
     dir[s].dropped.store(shards_[s].dropped.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
     // On disk `drained` carries the window's absolute start cursor (0 for
     // logs that never drained/wrapped, so plain dumps stay byte-identical).
     // The spill loader uses it to stitch chunk files and the final residue
     // into one stream and to skip overlap after a drainer crash/resume.
-    dir[s].drained.store(shard_window_start(s), std::memory_order_relaxed);
-    total += windows[s].size();
+    dir[s].drained.store(windows[s].begin, std::memory_order_relaxed);
+    total += n;
   }
   header_copy.max_entries = total;
-  header_copy.tail.store(0, std::memory_order_relaxed);
+  out.reserve(sizeof(LogHeader) + nshards * sizeof(LogShard) +
+              static_cast<usize>(total) * sizeof(LogEntry));
   out.assign(reinterpret_cast<const char*>(&header_copy), sizeof(LogHeader));
   out.append(reinterpret_cast<const char*>(dir.data()),
              static_cast<usize>(nshards) * sizeof(LogShard));
-  for (u32 s = 0; s < nshards; ++s) {
-    out.append(reinterpret_cast<const char*>(windows[s].data()),
-               windows[s].size() * sizeof(LogEntry));
+  for (const LogWindow& w : windows) {
+    for (std::span<const LogEntry> sp : w.spans) {
+      out.append(reinterpret_cast<const char*>(sp.data()),
+                 sp.size() * sizeof(LogEntry));
+    }
   }
   return out;
 }
 
-u64 ProfileLog::shard_window_start(u32 s) const {
-  if (!shards_ || s >= header_->shard_count) return 0;
-  const LogShard& sh = shards_[s];
-  u64 f = header_->flags.load(std::memory_order_relaxed);
-  if (f & log_flags::kSpillDrain) {
-    return sh.drained.load(std::memory_order_acquire);
-  }
-  if (f & log_flags::kRingBuffer) {
-    u64 t = sh.tail.load(std::memory_order_acquire);
-    if (t > sh.capacity) return t - sh.capacity;
-  }
-  return 0;
-}
-
 u64 ProfileLog::size() const {
-  if (!header_) return 0;
-  if (shards_) {
-    u64 spill =
-        header_->flags.load(std::memory_order_relaxed) & log_flags::kSpillDrain;
-    u64 n = 0;
-    for (u32 s = 0; s < header_->shard_count; ++s) {
-      u64 t = shards_[s].tail.load(std::memory_order_acquire);
-      u64 cap = shards_[s].capacity;
-      if (spill) {
-        // Undrained residue only; spilled entries live in chunk files.
-        u64 d = shards_[s].drained.load(std::memory_order_acquire);
-        u64 hi = t < d + cap ? t : d + cap;
-        n += hi > d ? hi - d : 0;
-      } else {
-        n += t < cap ? t : cap;
-      }
-    }
-    return n;
-  }
-  u64 t = header_->tail.load(std::memory_order_acquire);
-  return t < header_->max_entries ? t : header_->max_entries;
+  u64 n = 0;
+  for (u32 s = 0; s < shard_count(); ++s) n += window(s).size();
+  return n;
 }
 
 u64 ProfileLog::attempted() const {
-  if (!header_) return 0;
-  if (shards_) {
-    u64 n = 0;
-    for (u32 s = 0; s < header_->shard_count; ++s) {
-      n += shards_[s].tail.load(std::memory_order_acquire);
-    }
-    return n;
+  u64 n = 0;
+  for (u32 s = 0; s < shard_count(); ++s) {
+    n += shards_[s].tail.load(std::memory_order_acquire);
   }
-  return header_->tail.load(std::memory_order_acquire);
+  return n;
 }
 
 u64 ProfileLog::dropped() const {
-  if (!header_) return 0;
-  if (shards_) {
-    u64 n = 0;
-    for (u32 s = 0; s < header_->shard_count; ++s) {
-      n += shards_[s].dropped.load(std::memory_order_relaxed);
-    }
-    return n;
+  u64 n = 0;
+  for (u32 s = 0; s < shard_count(); ++s) {
+    n += shards_[s].dropped.load(std::memory_order_relaxed);
   }
-  return header_->dropped.load(std::memory_order_relaxed);
+  return n;
 }
 
 void ProfileLog::set_active(bool on) {
@@ -577,73 +449,35 @@ void ProfileLog::set_flags(u64 set_mask, u64 clear_mask) {
   }
 }
 
-u64 ProfileLog::shard_torn_tail(u32 s, u64 window) const {
-  if (!header_) return 0;
-  const LogEntry* seg = entries_;
-  u64 t = 0;
-  u64 cap = 0;
-  u64 f = header_->flags.load(std::memory_order_relaxed);
-  if (shards_) {
-    if (s >= header_->shard_count) return 0;
-    const LogShard& sh = shards_[s];
-    t = sh.tail.load(std::memory_order_acquire);
-    cap = sh.capacity;
-    seg = entries_ + sh.entry_offset;
-  } else {
-    if (s != 0) return 0;
-    t = header_->tail.load(std::memory_order_acquire);
-    cap = header_->max_entries;
-  }
-  if (cap == 0) return 0;
-  // The written window in absolute slot numbers. Bounded logs hold
-  // [0, min(tail, cap)); a wrapped ring holds the newest capacity-sized
-  // window [tail - cap, tail); a spill log holds the undrained residue
-  // [drained, min(tail, drained + cap)). Slot a lives at seg[a % cap] —
-  // indexing the scan from the clamped tail (the old code) walked the
-  // wrong slots once a ring tail passed capacity: the newest entry sits
-  // at (tail - 1) % cap, not at cap - 1.
-  u64 lo = 0;
-  u64 hi = t;
-  if (shards_ && (f & log_flags::kSpillDrain)) {
-    lo = shards_[s].drained.load(std::memory_order_acquire);
-    u64 end = lo + cap;
-    if (hi > end) hi = end;
-  } else if (f & log_flags::kRingBuffer) {
-    if (t > cap) lo = t - cap;
-  } else if (hi > cap) {
-    hi = cap;
-  }
-  if (hi <= lo) return 0;
-  u64 from = hi > window ? hi - window : 0;
-  if (from < lo) from = lo;
+u64 ProfileLog::shard_torn_tail(u32 s, u64 window_entries) const {
+  // Walk the newest entries of the written window in cursor order: once a
+  // ring tail passes capacity, the newest entry sits at (tail - 1) % cap,
+  // not at the top of the segment.
+  LogWindow w = window(s);
+  u64 n = w.size();
   u64 torn = 0;
-  for (u64 a = from; a < hi; ++a) {
-    if (is_tombstone(seg[a % cap])) ++torn;
+  for (u64 i = n > window_entries ? n - window_entries : 0; i < n; ++i) {
+    if (is_tombstone(w[i])) ++torn;
   }
   return torn;
 }
 
-u64 ProfileLog::count_torn_tail(u64 window) const {
-  if (!header_) return 0;
-  if (!shards_) return shard_torn_tail(0, window);
+u64 ProfileLog::count_torn_tail(u64 window_entries) const {
   u64 torn = 0;
-  for (u32 s = 0; s < header_->shard_count; ++s) {
-    torn += shard_torn_tail(s, window);
+  for (u32 s = 0; s < shard_count(); ++s) {
+    torn += shard_torn_tail(s, window_entries);
   }
   return torn;
 }
 
 bool LogBatch::record_and_publish(ProfileLog& log, EventKind kind, u64 addr,
                                   u64 tid, u64 counter) {
-  if (!log.sharded()) {
-    ++published_;
-    return log.append(kind, addr, tid, counter);
-  }
   bool ok = true;
   if (count_ > 0 && tid_ != tid) ok = flush(log);
   push(kind, addr, tid, counter);
   // Every event reaches the log through a flush, so a full shard counts
-  // each one in its tail and its dropped counter, exactly like v1.
+  // each one in its tail and its dropped counter, exactly like a per-event
+  // append.
   if (count_ == kCapacity) ok = flush(log) && ok;
   return ok;
 }

@@ -1,32 +1,31 @@
 // The TEE-Perf log format (paper §II-B, Figure 2).
 //
 // The log lives in shared memory mapped between the profiled application
-// (inside the TEE) and the recorder wrapper (outside). Two on-disk/in-shm
-// layouts exist:
+// (inside the TEE) and the recorder wrapper (outside): a fixed-size header,
+// a shard directory of N cache-line-padded LogShard records, then the entry
+// array split into N contiguous per-shard segments (DESIGN.md "Log format
+// v2"). Appending is lock-free: a writer reserves slots with a
+// fetch-and-add on its shard's tail and then fills them in. A thread's
+// events go to shard `tid % N`, so with enough shards each thread owns its
+// tail and the hot path never bounces a cache line between cores. Writers
+// normally publish through a small thread-local batch (LogBatch): one tail
+// fetch-and-add per flush instead of per event.
 //
-//   v1 (the paper's Figure 2): a fixed-size header followed by one
-//   append-only array of fixed-size entries. Appending is lock-free: a
-//   writer reserves a slot with a fetch-and-add on the single shared tail
-//   and then fills it in. Every probe from every thread contends on that
-//   one tail cache line.
+// One shard is the paper's Figure 2 exactly: one append-only array behind
+// one shared fetch-and-add tail, with the same drop arithmetic. The older
+// v1 layout (no directory, the header's own tail) is no longer written; it
+// survives only as a read-only dump format that the analyzer's parse_dump
+// lifts into a one-window view.
 //
-//   v2 (sharded, DESIGN.md "Log format v2"): the header is followed by a
-//   shard directory of N cache-line-padded LogShard records and then the
-//   entry array, split into N contiguous per-shard segments. A thread's
-//   events go to shard `tid % N`, so with enough shards each thread owns
-//   its tail and the hot path never bounces a cache line between cores.
-//   Writers normally publish through a small thread-local batch (LogBatch):
-//   one tail fetch-and-add per flush instead of per event.
-//
-// Entry order across threads is not globally consistent in either version,
-// but per-thread order is — which is all the analyzer needs (§II-C,
-// multithreading support). In v2 a thread's entries additionally all live
-// in one shard, which is what lets the analyzer reconstruct shards in
-// parallel.
+// Entry order across threads is not globally consistent, but per-thread
+// order is — which is all the analyzer needs (§II-C, multithreading
+// support). A thread's entries additionally all live in one shard, which is
+// what lets the analyzer reconstruct shards in parallel.
 #pragma once
 
 #include <atomic>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +44,10 @@ inline constexpr u64 kMultithread = 1ull << 16;   // entries carry thread ids
 inline constexpr u64 kRingBuffer = 1ull << 17;    // wrap instead of dropping
 inline constexpr u64 kSpillDrain = 1ull << 18;    // a host-side drainer reclaims
                                                   // consumed windows (src/drain);
-                                                  // v2 only, excludes kRingBuffer
+                                                  // excludes kRingBuffer
 }  // namespace log_flags
 
-inline constexpr u32 kLogVersion = 1;         // single shared tail
+inline constexpr u32 kLogVersion = 1;         // read-only: old single-tail dumps
 inline constexpr u32 kLogVersionSharded = 2;  // per-thread shard segments
 inline constexpr u64 kLogMagic = 0x5445455045524631ull;  // "TEEPERF1"
 
@@ -80,20 +79,22 @@ struct LogEntry {
 };
 static_assert(sizeof(LogEntry) == 32);
 
-// Log header (Figure 2a). `flags`, `tail` and `counter` are the only fields
-// mutated after initialisation; `version` and the rest are written once and
-// never changed (§II-B: the version "is static after it is written once").
-// In v2 the global `tail` is unused (each shard has its own); `shard_count`
-// is nonzero and a LogShard directory follows the header.
+// Log header (Figure 2a). `flags` and `counter` are the only fields mutated
+// after initialisation; `version` and the rest are written once and never
+// changed (§II-B: the version "is static after it is written once").
+// `shard_count` is nonzero and a LogShard directory follows the header. The
+// global `tail` and `dropped` words are never written (each shard has its
+// own); they keep the shm layout stable, and `tail` is how old v1 dumps
+// record their length.
 struct LogHeader {
   u64 magic = 0;
   std::atomic<u64> flags{0};
   u32 version = 0;
-  u32 shard_count = 0;  // v2: directory size; 0 in v1 logs
+  u32 shard_count = 0;  // directory size; 0 only in old v1 dumps
   u64 shm_base = 0;    // address the shared memory is mapped at in the app
   u64 pid = 0;         // process id of the profiled application
   u64 max_entries = 0; // immutable capacity; writers past this drop entries
-  std::atomic<u64> tail{0};       // v1: index of the next entry to write
+  std::atomic<u64> tail{0};       // v1 dumps: entry count; unused otherwise
   u64 profiler_anchor = 0;        // address of a well-known function, used to
                                   // compute the load offset of relocatable code
   std::atomic<u64> counter{0};    // the software counter lives here so the
@@ -106,19 +107,14 @@ struct LogHeader {
   double ns_per_tick = 0.0;       // measured at dump time; lets the analyzer
                                   // report human time (relative profiles do
                                   // not depend on its accuracy)
-  std::atomic<u64> dropped{0};    // v1: appends refused when full. Lives in
-                                  // the shared header (not the writer
-                                  // process) so cross-process readers — the
-                                  // watchdog, teeperf_stats, dump-time
-                                  // health — see app-side drops. v2 logs
-                                  // keep it 0 and count per shard instead.
+  std::atomic<u64> dropped{0};    // unused: drops are counted per shard
   u8 reserved1[128 - 12 * 8] = {};  // pad so entries start cache-aligned;
                                     // zeroed so serialized headers are
                                     // byte-deterministic (corpus --gen)
 };
 static_assert(sizeof(LogHeader) == 128);
 
-// One v2 shard directory record: a contiguous segment of the entry array
+// One shard directory record: a contiguous segment of the entry array
 // owned by the threads with `tid % shard_count == index`. Cache-line sized
 // and aligned so two shards' tails never share a line — the whole point.
 struct alignas(64) LogShard {
@@ -174,91 +170,120 @@ struct alignas(64) CounterReplicaSlot {
 };
 static_assert(sizeof(CounterReplicaSlot) == 64);
 
-// A view over a header + (directory +) entry array placed in a caller-
+// One shard's written window (ProfileLog::window): the absolute cursors
+// [begin, end) and the at most two segment spans holding those entries,
+// oldest first. A bounded shard holds [0, min(tail, capacity)); a wrapped
+// ring holds the newest capacity-sized window [tail - capacity, tail); a
+// spill shard holds the undrained residue [drained, min(tail, drained +
+// capacity)). Absolute cursor a lives at segment slot a % capacity, so only
+// a window that crosses the segment end needs the second span. The spans
+// view the live log: a writer still running can change what they hold.
+// teeperf-lint: allow(r3): process-local view over the region, not shm-resident
+struct LogWindow {
+  u64 begin = 0;
+  u64 end = 0;
+  std::span<const LogEntry> spans[2];
+
+  u64 size() const { return end - begin; }
+  // The i-th entry of the window, oldest first (i < size()).
+  const LogEntry& operator[](u64 i) const {
+    u64 head = spans[0].size();
+    return i < head ? spans[0][i] : spans[1][i - head];
+  }
+  // Appends entries [from, size()) to `out`, oldest first.
+  void append_to(std::vector<LogEntry>* out, u64 from = 0) const {
+    for (std::span<const LogEntry> sp : spans) {
+      u64 skip = from < sp.size() ? from : sp.size();
+      from -= skip;
+      out->insert(out->end(), sp.begin() + static_cast<isize>(skip), sp.end());
+    }
+  }
+};
+
+// A view over a header + shard directory + entry array placed in a caller-
 // provided region. Does not own the memory (the shared-memory region or
 // file buffer does).
 class ProfileLog {
  public:
   ProfileLog() = default;
 
-  // Formats `buffer` (of `size` bytes) as an empty log. `shard_count` 0
-  // formats the classic v1 single-tail layout; 1..kMaxLogShards formats v2
-  // with that many equally sized shard segments (capacity rounds down to a
-  // multiple of shard_count). Returns false if the buffer cannot hold the
-  // header (plus directory) plus at least one entry per shard.
-  // `counter_replicas` > 0 additionally formats the trailing replica block
-  // (the buffer must be sized with bytes_for_replicated).
+  // Formats `buffer` (of `size` bytes) as an empty log with `shard_count`
+  // (1..kMaxLogShards) equally sized shard segments; capacity rounds down
+  // to a multiple of shard_count. Returns false for 0 shards or if the
+  // buffer cannot hold the header plus directory plus at least one entry
+  // per shard. `counter_replicas` > 0 additionally formats the trailing
+  // replica block (the buffer must be sized with bytes_for_replicated).
   bool init(void* buffer, usize size, u64 pid, u64 initial_flags,
-            u32 shard_count = 0, u32 counter_replicas = 0);
+            u32 shard_count = 1, u32 counter_replicas = 0);
 
   // Adopts an already-formatted log (the analyzer side / reopened shm).
   // Returns false if the magic or version does not match, sizes disagree,
-  // or a v2 shard directory points outside the region.
+  // or the shard directory points outside the region.
   bool adopt(void* buffer, usize size);
 
-  // Lock-free append (§II-B stage #2): reserves a slot via fetch-and-add —
-  // on the global tail (v1) or on the tid's shard tail (v2) — then writes
-  // the entry. Returns false (and counts a drop) when full — unless
-  // kRingBuffer is set, in which case the slot wraps and the oldest entry
-  // is overwritten (long-running sessions keep the newest window).
+  // Lock-free append (§II-B stage #2): reserves one slot via fetch-and-add
+  // on the tid's shard tail, then writes the entry. Returns false (and
+  // counts a drop) when full — unless kRingBuffer is set, in which case the
+  // slot wraps and the oldest entry is overwritten (long-running sessions
+  // keep the newest window).
   bool append(EventKind kind, u64 addr, u64 tid, u64 counter);
 
-  // Batched publication (v2): reserves `n` slots in the tid's shard with a
+  // Batched publication: reserves `n` slots in the tid's shard with a
   // single fetch-and-add, then stores all entries (memcpy when the run does
-  // not wrap). All entries must carry the same tid. On a v1 log this
-  // degrades to n individual appends. Returns false if any entry dropped.
+  // not wrap). All entries must carry the same tid. Returns false if any
+  // entry dropped.
   bool append_batch(const LogEntry* batch, u32 n, u64 tid);
 
-  // Copies the entries in a canonical order into `out`: v1 oldest→newest
-  // (handling ring wrap-around); v2 shard 0's window, then shard 1's, ...,
-  // each window oldest→newest. Per-thread order — the analyzer's only
-  // ordering requirement — is preserved in both.
+  // Shard `s`'s written window, oldest first (LogWindow). The one place the
+  // bounded, ring and spill windows are computed; every reader of written
+  // entries goes through it. Empty for an invalid log or shard index.
+  LogWindow window(u32 s) const;
+
+  // Copies every shard's window into `out` in directory order. Cross-shard
+  // order is arbitrary, but each thread's entries land in one shard in
+  // program order — the analyzer's only ordering requirement.
   void snapshot_ordered(std::vector<LogEntry>* out) const;
 
-  // Copies one v2 shard's written window, oldest→newest (ring-aware).
-  void shard_snapshot(u32 s, std::vector<LogEntry>* out) const;
-
-  // Serializes header + (directory +) written entries as a compact dump:
-  // ring logs are normalized to plain order (the ring flag is cleared) and
-  // v2 segments are packed back-to-back with the directory rewritten, so
-  // the offline loader needs neither wrap logic nor segment gaps.
+  // Serializes header + directory + written entries as a compact dump: the
+  // windows are packed back-to-back in plain order (the ring and spill
+  // flags are cleared) and the directory rewritten, so the offline loader
+  // needs neither wrap logic nor segment gaps.
   std::string serialize_compact() const;
 
   bool valid() const { return header_ != nullptr; }
-  bool sharded() const { return shards_ != nullptr; }
   LogHeader* header() { return header_; }
   const LogHeader* header() const { return header_; }
 
   u32 shard_count() const { return header_ ? header_->shard_count : 0; }
   u32 shard_of(u64 tid) const {
-    return shards_ ? static_cast<u32>(tid % header_->shard_count) : 0;
+    return static_cast<u32>(tid % header_->shard_count);
   }
-  LogShard* shard(u32 s) { return shards_ ? &shards_[s] : nullptr; }
-  const LogShard* shard(u32 s) const { return shards_ ? &shards_[s] : nullptr; }
+  LogShard* shard(u32 s) { return &shards_[s]; }
+  const LogShard* shard(u32 s) const { return &shards_[s]; }
+  // Shard `s`'s physical segment (capacity slots), for the drainer's
+  // in-place copy and reclaim.
+  LogEntry* segment(u32 s) { return entries_ + shards_[s].entry_offset; }
 
-  // Number of complete entries: min(tail, max_entries) for v1, the sum of
-  // per-shard clamped tails for v2. Entries past capacity were dropped;
-  // entries at the very tail may be torn if the application was killed
-  // mid-write, which the analyzer tolerates.
+  // Number of complete entries: the summed window sizes. Entries past
+  // capacity were dropped; entries at the very tail may be torn if the
+  // application was killed mid-write, which the analyzer tolerates.
   u64 size() const;
   u64 capacity() const { return header_ ? header_->max_entries : 0; }
 
-  // Appends attempted, including dropped/wrapped ones: the raw tail (v1) or
-  // the sum of shard tails (v2).
+  // Appends attempted, including dropped/wrapped ones: the sum of shard
+  // tails.
   u64 attempted() const;
 
-  // Appends refused because the log was full: the shm-resident header word
-  // for v1, the (equally shm-resident) shard counters summed for v2. Either
-  // way the count is visible to cross-process readers attached to the same
-  // region — the watchdog's log.dropped gauge depends on that.
+  // Appends refused because the log was full: the shard counters, summed.
+  // They live in shared memory, so the count is visible to cross-process
+  // readers attached to the same region — the watchdog's log.dropped gauge
+  // depends on that.
   u64 dropped() const;
 
   // True when this log runs the spill-drain protocol (kSpillDrain set): a
   // host-side drainer consumes published windows and writers reclaim the
   // space (DESIGN.md §10).
-  bool spill() const {
-    return shards_ != nullptr && (flags() & log_flags::kSpillDrain) != 0;
-  }
+  bool spill() const { return (flags() & log_flags::kSpillDrain) != 0; }
 
   // Spill mode: how many times a writer re-reads the drain cursor waiting
   // for reclaimed space before it force-advances the cursor and sacrifices
@@ -268,12 +293,9 @@ class ProfileLog {
   static void set_spill_wait_spins(u64 n);
   static u64 spill_wait_spins();
 
-  const LogEntry& entry(u64 i) const { return entries_[i]; }
-  LogEntry* entries() { return entries_; }
-
   // Bytes needed for a log with `max_entries` entries across `shard_count`
-  // shards (0 = v1 layout).
-  static usize bytes_for(u64 max_entries, u32 shard_count = 0) {
+  // shards.
+  static usize bytes_for(u64 max_entries, u32 shard_count = 1) {
     return sizeof(LogHeader) +
            static_cast<usize>(shard_count) * sizeof(LogShard) +
            static_cast<usize>(max_entries) * sizeof(LogEntry);
@@ -317,53 +339,46 @@ class ProfileLog {
 
   // Counts torn entries at the tail: slots that were reserved (a tail moved
   // past them) but never filled in — all-zero words — because a writer died
-  // between the fetch-and-add and the stores. A batched v2 writer can leave
-  // up to a whole batch of them. Scans at most the last `window` written
-  // entries per shard; run at dump time, after writers stopped.
-  u64 count_torn_tail(u64 window = 64) const;
+  // between the fetch-and-add and the stores. A batched writer can leave up
+  // to a whole batch of them. Scans at most the newest `window_entries`
+  // entries of each shard's window; run at dump time, after writers
+  // stopped.
+  u64 count_torn_tail(u64 window_entries = 64) const;
 
-  // The per-shard torn-tail count (v2; shard 0 == the whole log for v1).
-  u64 shard_torn_tail(u32 s, u64 window = 64) const;
+  // The per-shard torn-tail count.
+  u64 shard_torn_tail(u32 s, u64 window_entries = 64) const;
 
  private:
-  bool append_one(const LogEntry& e, u64 tid);
-
   // Spill-mode store: reserves `n` slots in `sh`, waits for the drainer to
   // reclaim enough space, stores the run modulo capacity (at most two
   // spans), then publishes it in reservation order via `sh.published`.
   bool spill_store(LogShard& sh, const LogEntry* batch, u32 n);
 
-  // Absolute cursor of the first entry shard_snapshot(s) would return:
-  // `drained` for spill logs, `tail - capacity` for a wrapped ring, else 0.
-  u64 shard_window_start(u32 s) const;
-
   LogHeader* header_ = nullptr;
-  LogShard* shards_ = nullptr;  // null for v1 logs
+  LogShard* shards_ = nullptr;
   LogEntry* entries_ = nullptr;
   CounterReplicaDirectory* replica_dir_ = nullptr;  // null unless the region
   CounterReplicaSlot* replica_slots_ = nullptr;     // carries a replica block
 };
 
-// Thread-local batching front-end for the hot path (§II-B stage #2, v2):
+// Thread-local batching front-end for the hot path (§II-B stage #2):
 // events accumulate in a small local buffer and publish with one shard-tail
 // reservation per flush, so the per-probe cost is a handful of L1 stores
 // plus 1/kCapacity of an atomic RMW. The batch publishes itself the moment
 // it fills; the runtime also flushes on a function exit that returns the
 // thread to depth 0, on observing deactivation, and at thread exit
-// (DESIGN.md "Batching rules"). On a v1 log record() appends directly — v1
-// semantics are exactly the old ones.
+// (DESIGN.md "Batching rules").
 class LogBatch {
  public:
   static constexpr u32 kCapacity = 32;
 
   // Buffers one event and publishes the batch once it is full, so a batch
   // never sits full; a changed tid publishes the old tid's entries first.
-  // On a v1 log the event is appended directly. Returns false if a publish
-  // made by this call dropped entries. The common case (sharded log, room
-  // left, same tid) is inline; every publishing branch is out of line.
+  // Returns false if a publish made by this call dropped entries. The
+  // common case (room left, same tid) is inline; every publishing branch is
+  // out of line.
   bool record(ProfileLog& log, EventKind kind, u64 addr, u64 tid, u64 counter) {
-    if (count_ + 1 < kCapacity && (tid_ == tid || count_ == 0) &&
-        log.sharded()) {
+    if (count_ + 1 < kCapacity && (tid_ == tid || count_ == 0)) {
       push(kind, addr, tid, counter);
       return true;
     }
@@ -375,9 +390,9 @@ class LogBatch {
 
   u32 pending() const { return count_; }
 
-  // Entries handed to the log (by flushes and direct v1 appends) since the
-  // last call. The runtime adds them to its per-thread telemetry counter,
-  // which therefore moves once per publish rather than once per event.
+  // Entries handed to the log by flushes since the last call. The runtime
+  // adds them to its per-thread telemetry counter, which therefore moves
+  // once per publish rather than once per event.
   u64 take_published() {
     u64 n = published_;
     published_ = 0;

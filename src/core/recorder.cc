@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,29 +20,27 @@
 
 namespace teeperf {
 
-// Auto shard count for v2 logs: a power of two covering the hardware
-// concurrency (so tid % N spreads threads evenly), clamped to [1, 64] and
-// then reduced until each shard keeps >= 1024 entries — small test logs
-// collapse to one shard, whose drop arithmetic is exactly v1's.
-static u32 pick_shard_count(const RecorderOptions& options) {
-  if (options.shards == 0) return 0;
-  if (options.shards > 0) {
-    u32 n = static_cast<u32>(options.shards);
-    return n > kMaxLogShards ? kMaxLogShards : n;
+u32 pick_shard_count(i64 requested, u64 max_entries) {
+  if (requested == 0) return 1;
+  if (requested > 0) {
+    return requested > kMaxLogShards ? kMaxLogShards
+                                     : static_cast<u32>(requested);
   }
+  // Auto: a power of two covering the hardware concurrency (so tid % N
+  // spreads threads evenly), clamped to [1, 64] and then reduced until each
+  // shard keeps >= 1024 entries — small test logs collapse to one shard.
   u32 hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   u32 n = 1;
   while (n < hw && n < 64) n <<= 1;
-  while (n > 1 && options.max_entries / n < 1024) n >>= 1;
+  while (n > 1 && max_entries / n < 1024) n >>= 1;
   return n;
 }
 
 std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
   auto rec = std::unique_ptr<Recorder>(new Recorder());
   rec->options_ = options;
-  u32 shards = pick_shard_count(options);
-  if (options.spill_drain && shards == 0) return nullptr;  // spill needs v2
+  u32 shards = pick_shard_count(options.shards, options.max_entries);
   // Replicated trusted time applies only to the software counter; TSC and
   // the steady clock are per-core hardware sources with nothing to replicate.
   u32 replicas = options.counter_mode == CounterMode::kSoftware
@@ -315,30 +312,13 @@ bool Recorder::dump(const std::string& prefix) {
   // Fault point: the dump failing outright (disk full, signal mid-exit).
   if (fault::fires(fault_points::kDumpFail)) return false;
 
-  u64 tail = log_.header()->tail.load(std::memory_order_acquire);
-  bool wrapped = (log_.flags() & log_flags::kRingBuffer) &&
-                 (log_.sharded() || tail > log_.capacity());
-  if (log_.sharded() || wrapped) {
-    // Sharded (v2) or wrapped-ring logs persist in compact form: windows
-    // packed back-to-back, ring order normalized, directory rewritten — so
-    // the analyzer's offline loader needs no wrap or gap logic. The faults
-    // mangle the serialized copy, never the live log.
-    std::string out = log_.serialize_compact();
-    fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
-    if (!write_file(prefix + ".log", out)) return false;
-  } else {
-    u64 n = log_.size();
-    usize bytes = sizeof(LogHeader) + static_cast<usize>(n) * sizeof(LogEntry);
-    std::string_view raw(static_cast<const char*>(shm_.data()), bytes);
-    if (fault::Registry::instance().any_armed()) {
-      // Copy so the torn/bit-flip faults mangle the file, not the live log.
-      std::string out(raw);
-      fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
-      if (!write_file(prefix + ".log", out)) return false;
-    } else if (!write_file(prefix + ".log", raw)) {
-      return false;
-    }
-  }
+  // The log persists in compact form: windows packed back-to-back, ring
+  // order normalized, directory rewritten — so the analyzer's offline
+  // loader needs no wrap or gap logic. The faults mangle the serialized
+  // copy, never the live log.
+  std::string out = log_.serialize_compact();
+  fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
+  if (!write_file(prefix + ".log", out)) return false;
 
   // Self-telemetry sidecars: the health snapshot embedded in analyzer
   // reports, and the event journal as JSON-lines. A dying writer is the

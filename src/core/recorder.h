@@ -22,11 +22,11 @@ struct RecorderOptions {
   // Log capacity. 1M entries = 32 MiB of untrusted host memory.
   u64 max_entries = 1ull << 20;
 
-  // Shard layout (log format v2, DESIGN.md): -1 picks a power of two near
-  // the hardware concurrency (clamped to [1, 64], and reduced until every
-  // shard holds at least 1024 entries, so tiny test logs degrade to one
-  // shard and keep exact v1 drop arithmetic). 0 forces the classic v1
-  // single-tail layout. 1..kMaxLogShards forces an explicit v2 directory.
+  // Shard count (DESIGN.md §8), resolved by pick_shard_count: -1 picks a
+  // power of two near the hardware concurrency (clamped to [1, 64], and
+  // reduced until every shard holds at least 1024 entries, so tiny test
+  // logs degrade to one shard). 0 means one shard: the paper's single
+  // shared tail. 1..kMaxLogShards forces that many shards.
   i32 shards = -1;
 
   // Time source. kTsc by default: on the single-core CI machine a software
@@ -57,9 +57,8 @@ struct RecorderOptions {
   // Spill-drain mode (DESIGN.md §10): a host-side drainer (drain::Drainer,
   // owned by the embedding tool — teeperf_record — not by the Recorder)
   // continuously consumes published windows and writers reclaim the space,
-  // so sessions are unbounded without ring-mode data loss. Requires a v2
-  // layout (shards >= 1) and excludes ring_buffer; create() fails on a
-  // conflicting combination.
+  // so sessions are unbounded without ring-mode data loss. Excludes
+  // ring_buffer; create() fails on the conflicting combination.
   bool spill_drain = false;
   bool record_calls = true;
   bool record_returns = true;
@@ -91,6 +90,12 @@ struct RecorderOptions {
   bool telemetry = true;
   u64 watchdog_interval_ms = 50;
 };
+
+// The shard count a log of `max_entries` gets for a requested count: -1
+// auto-sizes (RecorderOptions::shards), 0 means 1, larger values clamp to
+// kMaxLogShards. The one policy for the in-process Recorder and the
+// teeperf_record wrapper.
+u32 pick_shard_count(i64 requested, u64 max_entries);
 
 class Recorder {
  public:
@@ -134,7 +139,7 @@ class Recorder {
     u64 capacity = 0;
     u64 attempted = 0;       // appends tried, including dropped/wrapped
     u64 torn_tail = 0;       // tombstone slots found at the written tail
-    u32 shards = 0;          // shard directory size (0 = v1 single tail)
+    u32 shards = 0;          // shard directory size (>= 1 once created)
     bool counter_stalled = false;  // watchdog's live verdict (false when
                                    // telemetry is off or not attached)
     u32 counter_replicas = 0;      // replica block size (0 = single counter)

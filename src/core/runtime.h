@@ -46,9 +46,9 @@ struct ThreadState {
   std::atomic<u64>* obs_entries = nullptr;
   u64 obs_epoch = 0;
   ShadowStack stack;
-  // Thread-local batch for v2 sharded logs (pass-through on v1). Published
-  // when it fills, on returning to call depth 0, on observing deactivation,
-  // at thread exit, and by detach() for the detaching thread.
+  // Thread-local batch: every recorded event reaches the log through it.
+  // Published when it fills, on returning to call depth 0, on observing
+  // deactivation, at thread exit, and by detach() for the detaching thread.
   LogBatch batch;
 };
 

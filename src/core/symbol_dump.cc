@@ -13,8 +13,8 @@ namespace teeperf {
 std::string build_symbol_file(const ProfileLog& log) {
   std::string sym = SymbolRegistry::instance().serialize();
   std::unordered_set<u64> raw_addrs;
-  // snapshot_ordered rather than raw indices: a sharded (v2) log's entry
-  // array has per-shard gaps, so index 0..size() is not the written set.
+  // The written windows only: the entry array has per-shard gaps, so its
+  // raw slots are not the written set.
   std::vector<LogEntry> entries;
   log.snapshot_ordered(&entries);
   for (const LogEntry& e : entries) {

@@ -114,7 +114,7 @@ bool Drainer::round(bool* idle) {
   chunk_.begin(log_->header()->flags.load(std::memory_order_relaxed), nshards);
   for (u32 s = 0; s < nshards; ++s) {
     const LogShard* sh = log_->shard(s);
-    const LogEntry* seg = log_->entries() + sh->entry_offset;
+    const LogEntry* seg = log_->segment(s);
     u64 at = lens_[s] == 0 ? 0 : starts_[s] % sh->capacity;
     u64 head = std::min(sh->capacity - at, lens_[s]);
     chunk_.add_window(starts_[s], seg + at, head, seg, lens_[s] - head);
@@ -144,7 +144,7 @@ bool Drainer::round(bool* idle) {
     u64 d = starts_[s];
     u64 len = lens_[s];
     u64 cap = sh->capacity;
-    LogEntry* seg = log_->entries() + sh->entry_offset;
+    LogEntry* seg = log_->segment(s);
     u64 start = d % cap;
     u64 head = cap - start < len ? cap - start : len;
     std::memset(static_cast<void*>(seg + start), 0,
@@ -171,13 +171,11 @@ Drainer::Stats Drainer::stats() const {
   st.spilled_bytes = spilled_bytes_.load(std::memory_order_relaxed);
   st.chunks = chunks_.load(std::memory_order_relaxed);
   st.dead = dead_.load(std::memory_order_acquire);
-  if (log_ && log_->sharded()) {
-    for (u32 s = 0; s < log_->shard_count(); ++s) {
-      const LogShard* sh = log_->shard(s);
-      u64 p = sh->published.load(std::memory_order_acquire);
-      u64 d = sh->drained.load(std::memory_order_acquire);
-      if (p > d) st.lag_entries += p - d;
-    }
+  for (u32 s = 0; log_ && s < log_->shard_count(); ++s) {
+    const LogShard* sh = log_->shard(s);
+    u64 p = sh->published.load(std::memory_order_acquire);
+    u64 d = sh->drained.load(std::memory_order_acquire);
+    if (p > d) st.lag_entries += p - d;
   }
   return st;
 }

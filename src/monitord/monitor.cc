@@ -147,26 +147,12 @@ void Monitord::build_flame_locked(Session* s, u64 now_ns) {
   // thread mid-stack; reconstruction tolerates the resulting strays.
   std::vector<LogEntry> entries;
   const ProfileLog& log = s->log;
-  u64 budget = options_.flame_window_entries;
-  if (log.sharded()) {
-    u32 n = log.shard_count();
-    u64 per = n ? budget / n : budget;
-    if (per == 0) per = 1;
-    std::vector<LogEntry> shard;
-    for (u32 i = 0; i < n; ++i) {
-      shard.clear();
-      log.shard_snapshot(i, &shard);
-      usize start = shard.size() > per ? shard.size() - per : 0;
-      entries.insert(entries.end(), shard.begin() + static_cast<isize>(start),
-                     shard.end());
-    }
-  } else {
-    std::vector<LogEntry> ordered;
-    log.snapshot_ordered(&ordered);
-    usize start = ordered.size() > budget
-                      ? ordered.size() - static_cast<usize>(budget)
-                      : 0;
-    entries.assign(ordered.begin() + static_cast<isize>(start), ordered.end());
+  u32 n = log.shard_count();
+  u64 per = n ? options_.flame_window_entries / n : 0;
+  if (per == 0) per = 1;
+  for (u32 i = 0; i < n; ++i) {
+    LogWindow w = log.window(i);
+    w.append_to(&entries, w.size() > per ? w.size() - per : 0);
   }
 
   auto profile = analyzer::Profile::from_entries(

@@ -190,9 +190,9 @@ void Watchdog::observe_log() {
           .set(s.shard_tails[i]);
     }
   }
-  // Both layouts keep their drop counter in the shared region (the v1
-  // header word, the v2 shard counters), so the gauge reflects app-side
-  // drops even when the watchdog runs in the recorder process.
+  // The shard drop counters live in the shared region, so the gauge
+  // reflects app-side drops even when the watchdog runs in the recorder
+  // process.
   if (s.dropped > 0) g_dropped_.set(s.dropped);
 
   if (now > last_tail_ns_ && s.tail >= last_tail_) {
@@ -250,9 +250,8 @@ void Watchdog::observe_log() {
       journal_->record(EventType::kRingWrap, wraps);
     }
   } else if (!saturation_reported_) {
-    // The drop gauge above already carries the precise count (shm-resident
-    // for v1 too, since the counter moved into the header); the journal
-    // event marks the first moment of saturation.
+    // The drop gauge above already carries the precise (shm-resident)
+    // count; the journal event marks the first moment of saturation.
     saturation_reported_ = true;
     journal_->record(EventType::kLogSaturated, s.tail, s.capacity);
   }

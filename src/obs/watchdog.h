@@ -39,13 +39,12 @@ struct WatchdogOptions {
 
 // Occupancy/rate sample of the profiling log, provided by the owner.
 struct LogSample {
-  u64 tail = 0;      // entries attempted (monotonic; summed over shards in v2)
+  u64 tail = 0;      // entries attempted (monotonic; summed over shards)
   u64 capacity = 0;  // max entries
   bool active = false;
   bool ring = false;
-  u64 dropped = 0;   // appends refused (v1 reads the shm header word, v2
-                     // sums the per-shard counters — either way visible
-                     // cross-process)
+  u64 dropped = 0;   // appends refused: the per-shard shm counters summed,
+                     // so visible cross-process
   // Spill-drain sessions (log_flags::kSpillDrain): drainer health, filled
   // from drain::Drainer::stats() by the owner. `drained_entries` is
   // monotonic — the watchdog flags a stall when it stops advancing while
@@ -54,8 +53,8 @@ struct LogSample {
   u64 drain_lag = 0;            // published-but-unconsumed entries
   u64 drain_spilled_bytes = 0;  // chunk bytes persisted so far
   u64 drained_entries = 0;      // entries consumed so far
-  // v2 sharded logs: each shard's raw tail, in directory order (empty for
-  // v1). Published as log.shard.<i>.tail gauges so a scraper can spot one
+  // Each shard's raw tail, in directory order. Published as
+  // log.shard.<i>.tail gauges so a scraper can spot one
   // hot thread saturating its shard while the log as a whole looks empty.
   std::vector<u64> shard_tails;
 };

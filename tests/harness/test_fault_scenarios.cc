@@ -64,9 +64,11 @@ std::vector<ScriptEntry> make_script() {
 // --- kill mid-append --------------------------------------------------------
 
 // A writer SIGKILLed between the tail fetch-and-add and the entry stores —
-// by the production append path itself, at a seeded point — leaves exactly
-// one reserved-but-empty slot. The analyzer must recover the full prefix
-// and account for the tombstone. Deterministic per seed.
+// by the production per-event append path itself, at a seeded point —
+// leaves exactly one reserved-but-empty slot. The analyzer must recover the
+// full prefix and account for the tombstone. The log has one shard, so
+// every thread's appends share one tail, as in the paper's Figure 2.
+// Deterministic per seed.
 class KillMidAppendTest : public FaultScenarioTest,
                           public ::testing::WithParamInterface<u64> {};
 
@@ -78,11 +80,13 @@ TEST_P(KillMidAppendTest, AnalyzerRecoversValidPrefix) {
   const u64 fatal = 2 + (seed * 17) % (script.size() - 4);
 
   SharedMemoryRegion shm;
-  ASSERT_TRUE(shm.create_anonymous(ProfileLog::bytes_for(script.size() + 8)));
+  ASSERT_TRUE(
+      shm.create_anonymous(ProfileLog::bytes_for(script.size() + 8, 1)));
   ProfileLog log;
   ASSERT_TRUE(log.init(shm.data(), shm.size(), 1234,
                        log_flags::kActive | log_flags::kRecordCalls |
-                           log_flags::kRecordReturns | log_flags::kMultithread));
+                           log_flags::kRecordReturns | log_flags::kMultithread,
+                       1));
 
   pid_t child = fork();
   ASSERT_GE(child, 0);
@@ -106,19 +110,21 @@ TEST_P(KillMidAppendTest, AnalyzerRecoversValidPrefix) {
   ASSERT_TRUE(WIFSIGNALED(status)) << "child should die at append " << fatal;
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The slot was reserved but never filled: tail == fatal, last slot zero.
-  u64 tail = log.header()->tail.load(std::memory_order_acquire);
-  ASSERT_EQ(tail, fatal);
-  const LogEntry& torn = log.entry(fatal - 1);
+  // The slot was reserved but never filled: the window is [0, fatal) and
+  // its last slot is zero.
+  LogWindow w = log.window(0);
+  ASSERT_EQ(w.begin, 0u);
+  ASSERT_EQ(w.end, fatal);
+  const LogEntry& torn = w[fatal - 1];
   EXPECT_EQ(torn.kind_and_counter, 0u);
   EXPECT_EQ(torn.addr, 0u);
   EXPECT_EQ(log.count_torn_tail(), 1u);
 
   // The complete prefix is byte-identical to the script.
   for (u64 i = 0; i + 1 < fatal; ++i) {
-    EXPECT_EQ(log.entry(i).addr, script[i].addr) << "entry " << i;
-    EXPECT_EQ(log.entry(i).tid, script[i].tid) << "entry " << i;
-    EXPECT_EQ(log.entry(i).counter(), script[i].counter) << "entry " << i;
+    EXPECT_EQ(w[i].addr, script[i].addr) << "entry " << i;
+    EXPECT_EQ(w[i].tid, script[i].tid) << "entry " << i;
+    EXPECT_EQ(w[i].counter(), script[i].counter) << "entry " << i;
   }
 
   // The analyzer consumes the prefix and reports the tombstone instead of
@@ -130,10 +136,11 @@ TEST_P(KillMidAppendTest, AnalyzerRecoversValidPrefix) {
   // Reference replay: the same prefix appended by a healthy writer yields
   // an identical reconstruction.
   SharedMemoryRegion ref_shm;
-  ASSERT_TRUE(ref_shm.create_anonymous(ProfileLog::bytes_for(script.size() + 8)));
+  ASSERT_TRUE(
+      ref_shm.create_anonymous(ProfileLog::bytes_for(script.size() + 8, 1)));
   ProfileLog ref_log;
-  ASSERT_TRUE(ref_log.init(ref_shm.data(), ref_shm.size(), 1234,
-                           log.flags()));
+  ASSERT_TRUE(ref_log.init(ref_shm.data(), ref_shm.size(), 1234, log.flags(),
+                           1));
   for (u64 i = 0; i + 1 < fatal; ++i) {
     ref_log.append(script[i].kind, script[i].addr, script[i].tid,
                    script[i].counter);
@@ -219,9 +226,10 @@ TEST_P(KillMidBatchFlushTest, PerShardTornTailAccountsWholeBatch) {
   // Reference replay of the surviving thread's events (balanced calls and
   // returns, so reconstruction is exact).
   SharedMemoryRegion ref_shm;
-  ASSERT_TRUE(ref_shm.create_anonymous(ProfileLog::bytes_for(256)));
+  ASSERT_TRUE(ref_shm.create_anonymous(ProfileLog::bytes_for(256, 1)));
   ProfileLog ref_log;
-  ASSERT_TRUE(ref_log.init(ref_shm.data(), ref_shm.size(), 1234, log.flags()));
+  ASSERT_TRUE(
+      ref_log.init(ref_shm.data(), ref_shm.size(), 1234, log.flags(), 1));
   for (const ScriptEntry& e : script) {
     if (fatal_flush == 2 && e.tid != dying_tid) {
       ref_log.append(e.kind, e.addr, e.tid, e.counter);
@@ -311,14 +319,17 @@ TEST_P(RingWrapTornTailTest, WrappedWindowScansPhysicalSlots) {
   // and reported 32 phantom tombstones.
   EXPECT_EQ(log.shard_torn_tail(0, 32), 0u);
 
-  // The wrapped span really landed at the low physical slots: the ordered
-  // window starts with the torn zeros and ends with the survivor's batch.
-  std::vector<LogEntry> window;
-  log.shard_snapshot(0, &window);
-  ASSERT_EQ(window.size(), kCap);
+  // The wrapped span really landed at the low physical slots: the window
+  // [32, 96) starts with the torn zeros at slots [32, 64) and ends with
+  // the survivor's batch at slots [0, 32).
+  LogWindow w = log.window(0);
+  ASSERT_EQ(w.begin, 32u);
+  ASSERT_EQ(w.end, kCap + 32);
+  ASSERT_EQ(w.spans[0].size(), 32u);
+  ASSERT_EQ(w.spans[1].size(), 32u);
   for (u64 i = 0; i < 32; ++i) {
-    EXPECT_EQ(window[i].kind_and_counter, 0u) << "slot " << i;
-    EXPECT_EQ(window[i + 32].addr, 0xD000u) << "slot " << (i + 32);
+    EXPECT_EQ(w[i].kind_and_counter, 0u) << "slot " << i;
+    EXPECT_EQ(w[i + 32].addr, 0xD000u) << "slot " << (i + 32);
   }
 
   // The analyzer sees exactly the torn batch as tombstones.
@@ -330,7 +341,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RingWrapTornTailTest, ::testing::Values(1, 2, 3)
 
 // --- cross-process drop visibility ------------------------------------------
 
-// The v1 drop counter lives in the shared header, not in a process-local
+// The drop counter lives in the shared shard record, not in a process-local
 // member: an app process overrunning a bounded log must surface its drops to
 // the recorder process attached to the same region — and from there to the
 // watchdog's log.dropped gauge.
@@ -338,10 +349,10 @@ TEST_F(FaultScenarioTest, DroppedCountIsVisibleAcrossProcesses) {
   constexpr u64 kCap = 8;
   constexpr u64 kAttempts = 20;
   SharedMemoryRegion shm;
-  ASSERT_TRUE(shm.create_anonymous(ProfileLog::bytes_for(kCap)));
+  ASSERT_TRUE(shm.create_anonymous(ProfileLog::bytes_for(kCap, 1)));
   ProfileLog log;
   ASSERT_TRUE(log.init(shm.data(), shm.size(), 1234,
-                       log_flags::kActive | log_flags::kRecordCalls));
+                       log_flags::kActive | log_flags::kRecordCalls, 1));
   ASSERT_EQ(log.dropped(), 0u);
 
   pid_t child = fork();
@@ -358,11 +369,10 @@ TEST_F(FaultScenarioTest, DroppedCountIsVisibleAcrossProcesses) {
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 0);
 
-  // Recorder side: the same mapping reads the header word the child bumped.
-  // Before the counter moved into shared memory this read 0 here.
+  // Recorder side: the same mapping reads the shard word the child bumped.
+  // A process-local counter would read 0 here.
   EXPECT_EQ(log.dropped(), kAttempts - kCap);
-  EXPECT_EQ(log.header()->dropped.load(std::memory_order_relaxed),
-            kAttempts - kCap);
+  EXPECT_EQ(log.window(0).size(), kCap);
 
   // And the watchdog publishes it: one observe tick turns the sample into
   // the log.dropped gauge the exporters scrape.
@@ -392,19 +402,22 @@ TEST_F(FaultScenarioTest, DroppedCountIsVisibleAcrossProcesses) {
 
 TEST_F(FaultScenarioTest, ShardAllocFailMakesShardedInitFail) {
   std::vector<u8> buf(ProfileLog::bytes_for(1024, 4));
-  {
-    // The v2 directory carve-out fails: init reports it, nothing is adopted.
+  for (u32 shards : {4u, 1u}) {
+    // The directory carve-out fails: init reports it, nothing is adopted.
+    // Every log has a directory, down to the single shared tail.
     fault::ScopedFault f("log.shard.alloc.fail:nth=1");
     ProfileLog log;
     EXPECT_FALSE(log.init(buf.data(), buf.size(), 42,
-                          log_flags::kActive | log_flags::kMultithread, 4));
+                          log_flags::kActive | log_flags::kMultithread, shards))
+        << shards;
+    EXPECT_FALSE(log.valid());
   }
   {
-    // v1 never allocates a directory, so the same armed fault is a no-op.
+    // Only the armed hit fails: the next init formats normally.
     fault::ScopedFault f("log.shard.alloc.fail:nth=1");
     ProfileLog log;
-    EXPECT_TRUE(log.init(buf.data(), buf.size(), 42,
-                         log_flags::kActive | log_flags::kMultithread));
+    EXPECT_FALSE(log.init(buf.data(), buf.size(), 42, log_flags::kActive, 4));
+    EXPECT_TRUE(log.init(buf.data(), buf.size(), 42, log_flags::kActive, 4));
   }
   // And the recorder surfaces the failure as a failed create.
   fault::ScopedFault f("log.shard.alloc.fail:nth=1");

@@ -307,7 +307,7 @@ TEST(Drain, LoaderSkipsOverlapFromCrashBetweenPersistAndAdvance) {
   std::vector<drain::ShardWindow> windows(s.log.shard_count());
   for (u32 sh = 0; sh < s.log.shard_count(); ++sh) {
     windows[sh].start = 0;
-    s.log.shard_snapshot(sh, &windows[sh].entries);
+    s.log.window(sh).append_to(&windows[sh].entries);
   }
   ASSERT_TRUE(write_file(drain::chunk_path(prefix, 0),
                          drain::serialize_chunk(*s.log.header(), windows, 0)));
@@ -439,7 +439,7 @@ TEST(Drain, ChunkFrameRejectsCorruption) {
 std::vector<drain::ShardWindow> pending_windows(const ProfileLog& log) {
   std::vector<drain::ShardWindow> windows(log.shard_count());
   for (u32 sh = 0; sh < log.shard_count(); ++sh) {
-    log.shard_snapshot(sh, &windows[sh].entries);
+    log.window(sh).append_to(&windows[sh].entries);
     if (!windows[sh].entries.empty()) {
       windows[sh].start = log.shard(sh)->drained.load();
     }
@@ -611,11 +611,12 @@ TEST(Drain, InitRejectsIllegalSpillCombos) {
   // Spill excludes ring (two incompatible reclaim policies)...
   EXPECT_FALSE(log.init(buf.data(), buf.size(), 1,
                         log_flags::kSpillDrain | log_flags::kRingBuffer, 2));
-  // ...and requires the sharded layout (v1 has no publish/drain cursors).
-  std::vector<u8> v1(ProfileLog::bytes_for(1024, 0));
-  EXPECT_FALSE(log.init(v1.data(), v1.size(), 1, log_flags::kSpillDrain, 0));
-  // The legal combination still initializes.
+  // ...and a log always has a shard directory, where the drain cursors live.
+  EXPECT_FALSE(log.init(buf.data(), buf.size(), 1, log_flags::kSpillDrain, 0));
+  // The legal combinations initialize, down to the single shared tail.
   EXPECT_TRUE(log.init(buf.data(), buf.size(), 1, log_flags::kSpillDrain, 2));
+  EXPECT_TRUE(log.spill());
+  EXPECT_TRUE(log.init(buf.data(), buf.size(), 1, log_flags::kSpillDrain, 1));
   EXPECT_TRUE(log.spill());
   // A drainer refuses a non-spill log.
   std::vector<u8> plain(ProfileLog::bytes_for(1024, 2));

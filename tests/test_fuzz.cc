@@ -103,9 +103,9 @@ TEST_P(AdversarialEvents, TruncatedValidStreamOnlyIncomplete) {
     }
   }
 
-  // Truncate at a random point by rewinding the tail.
+  // Truncate at a random point by rewinding the (single) shard's tail.
   u64 keep = rng.next_below(fuzz.log().size() + 1);
-  fuzz.log().header()->tail.store(keep, std::memory_order_relaxed);
+  fuzz.log().shard(0)->tail.store(keep, std::memory_order_relaxed);
 
   Profile p = Profile::from_log(fuzz.log(), {}, 1.0);
   check_invariants(p);
@@ -214,10 +214,7 @@ class LoadManyTest : public ::testing::Test {
     fuzz.log().append(EventKind::kReturn, 1, 0, 100 + ticks);
     fuzz.log().header()->ns_per_tick = 1.0;
     std::string prefix = dir_ + "/" + stem;
-    usize bytes = sizeof(LogHeader) + 2 * sizeof(LogEntry);
-    write_file(prefix + ".log",
-               std::string_view(reinterpret_cast<const char*>(fuzz.log().header()),
-                                bytes));
+    write_file(prefix + ".log", fuzz.log().serialize_compact());
     write_file(prefix + ".sym", "1\t" + name + "\n");
     return prefix;
   }

@@ -4,10 +4,11 @@
 // stay bit-identical to it. Any intentional analyzer change regenerates the
 // references with TEEPERF_UPDATE_GOLDEN=1 and reviews the diff.
 //
-// Plus the v1-vs-v2 differential: the same scripted workload recorded
-// through the single-tail v1 path and the sharded/batched v2 path must
-// produce identical method stats — the shard layout is a performance
-// change, never a semantic one.
+// Plus the shard-layout differential: the same scripted workload recorded
+// through per-event appends on one shard (the paper's single shared tail)
+// and through per-thread batches into four shards must produce identical
+// method stats — the shard layout is a performance change, never a
+// semantic one.
 #include <dirent.h>
 
 #include <algorithm>
@@ -120,7 +121,7 @@ TEST(GoldenCorpus, FoldedStacksAndMethodStatsBitIdentical) {
   }
 }
 
-// ------------------------------------------------------- v1/v2 differential
+// ----------------------------------------------- shard-layout differential
 
 // A deterministic multi-thread workload scripted as (kind, addr, tid,
 // counter) tuples: nested calls, a stray return, interleaved threads.
@@ -149,60 +150,56 @@ std::vector<Step> scripted_workload() {
   return steps;
 }
 
-std::string stats_signature(const analyzer::Profile& p) {
-  return render_stats_json(p);
-}
-
-TEST(V1V2Differential, SameWorkloadIdenticalMethodStats) {
-  std::vector<Step> steps = scripted_workload();
-
-  // v1: every step through the classic single-tail append.
-  std::vector<u8> v1_buf(ProfileLog::bytes_for(4096));
-  ProfileLog v1;
-  ASSERT_TRUE(v1.init(v1_buf.data(), v1_buf.size(), 1,
-                      log_flags::kActive | log_flags::kMultithread));
-  for (const Step& s : steps) {
-    ASSERT_TRUE(v1.append(s.kind, s.addr, s.tid, s.counter));
-  }
-
-  // v2: the same steps through per-thread batches into a sharded log, with
-  // deliberately unflushed remainders published at the end (as the runtime
-  // does at thread exit / detach).
-  std::vector<u8> v2_buf(ProfileLog::bytes_for(4096, 4));
-  ProfileLog v2;
-  ASSERT_TRUE(v2.init(v2_buf.data(), v2_buf.size(), 1,
-                      log_flags::kActive | log_flags::kMultithread, 4));
-  LogBatch batches[4];
-  for (const Step& s : steps) {
-    ASSERT_TRUE(batches[s.tid].record(v2, s.kind, s.addr, s.tid, s.counter));
-  }
-  for (LogBatch& b : batches) ASSERT_TRUE(b.flush(v2));
-
-  ASSERT_EQ(v1.size(), v2.size());
-  auto p1 = analyzer::Profile::from_log(v1, {}, 1.0);
-  auto p2 = analyzer::Profile::from_log(v2, {}, 1.0);
-  EXPECT_EQ(p1.thread_count(), p2.thread_count());
-  EXPECT_EQ(stats_signature(p1), stats_signature(p2));
-  EXPECT_EQ(render_folded(p1), render_folded(p2));
-}
-
-TEST(V1V2Differential, DumpRoundTripIdenticalMethodStats) {
-  // The serialized compact form must analyze identically to the live log.
-  std::vector<Step> steps = scripted_workload();
-  std::vector<u8> buf(ProfileLog::bytes_for(4096, 4));
-  ProfileLog log;
-  ASSERT_TRUE(log.init(buf.data(), buf.size(), 1,
-                       log_flags::kActive | log_flags::kMultithread, 4));
+// The workload through per-thread batches into a 4-shard log, with
+// deliberately unflushed remainders published at the end (as the runtime
+// does at thread exit / detach).
+void record_batched(ProfileLog& log, const std::vector<Step>& steps) {
   LogBatch batches[4];
   for (const Step& s : steps) {
     ASSERT_TRUE(batches[s.tid].record(log, s.kind, s.addr, s.tid, s.counter));
   }
   for (LogBatch& b : batches) ASSERT_TRUE(b.flush(log));
+}
+
+constexpr u64 kFlags = log_flags::kActive | log_flags::kMultithread;
+
+TEST(ShardLayoutDifferential, SameWorkloadIdenticalMethodStats) {
+  std::vector<Step> steps = scripted_workload();
+
+  // One shard: every step through a per-event append on the shared tail.
+  std::vector<u8> one_buf(ProfileLog::bytes_for(4096, 1));
+  ProfileLog one;
+  ASSERT_TRUE(one.init(one_buf.data(), one_buf.size(), 1, kFlags, 1));
+  for (const Step& s : steps) {
+    ASSERT_TRUE(one.append(s.kind, s.addr, s.tid, s.counter));
+  }
+
+  std::vector<u8> four_buf(ProfileLog::bytes_for(4096, 4));
+  ProfileLog four;
+  ASSERT_TRUE(four.init(four_buf.data(), four_buf.size(), 1, kFlags, 4));
+  record_batched(four, steps);
+
+  ASSERT_EQ(one.size(), four.size());
+  EXPECT_EQ(one.attempted(), four.attempted());
+  EXPECT_EQ(one.dropped(), four.dropped());
+  auto p1 = analyzer::Profile::from_log(one, {}, 1.0);
+  auto p4 = analyzer::Profile::from_log(four, {}, 1.0);
+  EXPECT_EQ(p1.thread_count(), p4.thread_count());
+  EXPECT_EQ(render_stats_json(p1), render_stats_json(p4));
+  EXPECT_EQ(render_folded(p1), render_folded(p4));
+}
+
+TEST(ShardLayoutDifferential, DumpRoundTripIdenticalMethodStats) {
+  // The serialized compact form must analyze identically to the live log.
+  std::vector<u8> buf(ProfileLog::bytes_for(4096, 4));
+  ProfileLog log;
+  ASSERT_TRUE(log.init(buf.data(), buf.size(), 1, kFlags, 4));
+  record_batched(log, scripted_workload());
 
   auto live = analyzer::Profile::from_log(log, {}, 1.0);
   auto loaded = analyzer::Profile::load_bytes(log.serialize_compact());
   ASSERT_TRUE(loaded);
-  EXPECT_EQ(stats_signature(live), stats_signature(*loaded));
+  EXPECT_EQ(render_stats_json(live), render_stats_json(*loaded));
   EXPECT_EQ(render_folded(live), render_folded(*loaded));
 }
 

@@ -1,6 +1,8 @@
 // Tests for the TEE-Perf log format (§II-B, Figure 2): layout invariants,
-// lock-free append, flag atomics, overflow behaviour, and the concurrent
-// reservation property (every slot written exactly once).
+// lock-free append, flag atomics, overflow behaviour, the per-shard window
+// accessor, and the concurrent reservation property (every slot written
+// exactly once). The fixture's log has one shard: the paper's single
+// append-only array behind one shared tail.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -44,10 +46,12 @@ class ProfileLogTest : public ::testing::Test {
 TEST_F(ProfileLogTest, InitSetsHeader) {
   const LogHeader* h = log_.header();
   EXPECT_EQ(h->magic, kLogMagic);
-  EXPECT_EQ(h->version, kLogVersion);
+  EXPECT_EQ(h->version, kLogVersionSharded);
   EXPECT_EQ(h->pid, 1234u);
   EXPECT_EQ(h->max_entries, 64u);
-  EXPECT_EQ(h->tail.load(), 0u);
+  ASSERT_EQ(log_.shard_count(), 1u);
+  EXPECT_EQ(log_.shard(0)->capacity, 64u);
+  EXPECT_EQ(log_.shard(0)->tail.load(), 0u);
   EXPECT_NE(h->profiler_anchor, 0u);
   EXPECT_TRUE(log_.active());
 }
@@ -59,10 +63,16 @@ TEST_F(ProfileLogTest, InitRejectsTinyBuffer) {
   EXPECT_FALSE(small.valid());
 }
 
+TEST_F(ProfileLogTest, InitRejectsZeroShards) {
+  ProfileLog other;
+  EXPECT_FALSE(other.init(buf_.data(), buf_.size(), 1, 0, /*shard_count=*/0));
+  EXPECT_FALSE(other.valid());
+}
+
 TEST_F(ProfileLogTest, AppendWritesEntry) {
   ASSERT_TRUE(log_.append(EventKind::kCall, 0xabc, 7, 100));
   ASSERT_EQ(log_.size(), 1u);
-  const LogEntry& e = log_.entry(0);
+  const LogEntry& e = log_.window(0)[0];
   EXPECT_EQ(e.kind(), EventKind::kCall);
   EXPECT_EQ(e.addr, 0xabcu);
   EXPECT_EQ(e.tid, 7u);
@@ -102,7 +112,7 @@ TEST_F(ProfileLogTest, AdoptExistingLog) {
   ProfileLog other;
   ASSERT_TRUE(other.adopt(buf_.data(), buf_.size()));
   EXPECT_EQ(other.size(), 2u);
-  EXPECT_EQ(other.entry(1).kind(), EventKind::kReturn);
+  EXPECT_EQ(other.window(0)[1].kind(), EventKind::kReturn);
   EXPECT_EQ(other.header()->pid, 1234u);
 }
 
@@ -113,9 +123,13 @@ TEST_F(ProfileLogTest, AdoptRejectsBadMagic) {
 }
 
 TEST_F(ProfileLogTest, AdoptRejectsBadVersion) {
-  log_.header()->version = 99;
-  ProfileLog other;
-  EXPECT_FALSE(other.adopt(buf_.data(), buf_.size()));
+  // 1 is the old single-tail layout: a read-only dump format now, never a
+  // live region.
+  for (u32 version : {1u, 99u}) {
+    log_.header()->version = version;
+    ProfileLog other;
+    EXPECT_FALSE(other.adopt(buf_.data(), buf_.size())) << version;
+  }
 }
 
 TEST_F(ProfileLogTest, AdoptRejectsTruncatedBuffer) {
@@ -146,6 +160,24 @@ TEST(RingLog, WrapsInsteadOfDropping) {
     EXPECT_EQ(ordered[i].addr, 100 + 12 + i);
     EXPECT_EQ(ordered[i].counter(), 12 + i);
   }
+
+  // The window is [tail - capacity, tail) = [12, 20): cursors 12..15 sit at
+  // slots 4..7, and 16..19 wrapped to slots 0..3.
+  LogWindow w = log.window(0);
+  EXPECT_EQ(w.begin, 12u);
+  EXPECT_EQ(w.end, 20u);
+  ASSERT_EQ(w.spans[0].size(), 4u);
+  ASSERT_EQ(w.spans[1].size(), 4u);
+  EXPECT_EQ(w.spans[0][0].addr, 112u);
+  EXPECT_EQ(w.spans[1][0].addr, 116u);
+  for (u64 i = 0; i < w.size(); ++i) EXPECT_EQ(w[i].addr, ordered[i].addr);
+
+  // A suffix copy skips into the second span when the first is used up.
+  std::vector<LogEntry> newest;
+  w.append_to(&newest, 6);
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0].addr, 118u);
+  EXPECT_EQ(newest[1].addr, 119u);
 }
 
 TEST(RingLog, SnapshotBeforeWrapIsPlainOrder) {
@@ -171,6 +203,28 @@ TEST(RingLog, NonRingSnapshotMatchesEntries) {
   log.snapshot_ordered(&ordered);
   EXPECT_EQ(ordered.size(), 8u);
   EXPECT_EQ(ordered[7].addr, 7u);
+
+  // A bounded window is one span, [0, capacity), however far the tail ran.
+  LogWindow w = log.window(0);
+  EXPECT_EQ(w.begin, 0u);
+  EXPECT_EQ(w.end, 8u);
+  EXPECT_TRUE(w.spans[1].empty());
+}
+
+TEST(LogWindowTest, ShardsKeepTheirOwnWindows) {
+  // Two shards of 4 slots each; tid 1 writes shard 1 only. The windows do
+  // not see each other's slots, and out-of-range shards read as empty.
+  std::vector<u8> buf(ProfileLog::bytes_for(8, 2));
+  ProfileLog log;
+  ASSERT_TRUE(log.init(buf.data(), buf.size(), 1, log_flags::kActive, 2));
+  for (u64 i = 0; i < 3; ++i) log.append(EventKind::kCall, 0x10 + i, 1, i);
+  EXPECT_EQ(log.window(0).size(), 0u);
+  LogWindow w = log.window(1);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w[0].addr, 0x10u);
+  EXPECT_EQ(w[2].addr, 0x12u);
+  EXPECT_EQ(log.window(2).size(), 0u);
+  EXPECT_EQ(log.size(), 3u);
 }
 
 // Property: under concurrent appends, every slot 0..capacity-1 is written
@@ -199,9 +253,11 @@ TEST(ProfileLogConcurrency, EverySlotWrittenOnce) {
   ASSERT_EQ(log.size(), kCapacity);
   // Per-writer sequence numbers must appear in order when filtered by tid
   // (per-thread ordering is the log's contract).
+  LogWindow w = log.window(0);
+  ASSERT_EQ(w.size(), kCapacity);
   u64 next_seq[kThreads] = {};
   for (u64 s = 0; s < kCapacity; ++s) {
-    const LogEntry& e = log.entry(s);
+    const LogEntry& e = w[s];
     u64 writer = e.addr >> 32;
     u64 seq = e.addr & 0xffffffffull;
     ASSERT_LT(writer, static_cast<u64>(kThreads));

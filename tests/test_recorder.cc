@@ -22,6 +22,13 @@
 namespace teeperf {
 namespace {
 
+// The recorded entries: every shard's window, in directory order.
+std::vector<LogEntry> recorded(const Recorder& rec) {
+  std::vector<LogEntry> out;
+  rec.log().snapshot_ordered(&out);
+  return out;
+}
+
 // RAII: every test leaves the global runtime detached.
 class RecorderTest : public ::testing::Test {
  protected:
@@ -54,12 +61,13 @@ TEST_F(RecorderTest, ScopeEmitsCallAndReturn) {
     Scope s(id);
   }
   rec->detach();
-  ASSERT_EQ(rec->log().size(), 2u);
-  EXPECT_EQ(rec->log().entry(0).kind(), EventKind::kCall);
-  EXPECT_EQ(rec->log().entry(0).addr, id);
-  EXPECT_EQ(rec->log().entry(1).kind(), EventKind::kReturn);
-  EXPECT_EQ(rec->log().entry(1).addr, id);
-  EXPECT_GE(rec->log().entry(1).counter(), rec->log().entry(0).counter());
+  std::vector<LogEntry> e = recorded(*rec);
+  ASSERT_EQ(e.size(), 2u);
+  EXPECT_EQ(e[0].kind(), EventKind::kCall);
+  EXPECT_EQ(e[0].addr, id);
+  EXPECT_EQ(e[1].kind(), EventKind::kReturn);
+  EXPECT_EQ(e[1].addr, id);
+  EXPECT_GE(e[1].counter(), e[0].counter());
 }
 
 TEST_F(RecorderTest, NoEventsWhenDetached) {
@@ -105,8 +113,9 @@ TEST_F(RecorderTest, RecordMaskSelectsEventKinds) {
   ASSERT_TRUE(rec->attach());
   u64 id = SymbolRegistry::instance().intern("unit::calls_only");
   { Scope s(id); }
-  ASSERT_EQ(rec->log().size(), 1u);
-  EXPECT_EQ(rec->log().entry(0).kind(), EventKind::kCall);
+  std::vector<LogEntry> e = recorded(*rec);
+  ASSERT_EQ(e.size(), 1u);
+  EXPECT_EQ(e[0].kind(), EventKind::kCall);
 }
 
 TEST_F(RecorderTest, FilterAllowlist) {
@@ -123,9 +132,10 @@ TEST_F(RecorderTest, FilterAllowlist) {
     Scope b(unwanted);
   }
   rec->detach();
-  ASSERT_EQ(rec->log().size(), 2u);
-  EXPECT_EQ(rec->log().entry(0).addr, wanted);
-  EXPECT_EQ(rec->log().entry(1).addr, wanted);
+  std::vector<LogEntry> e = recorded(*rec);
+  ASSERT_EQ(e.size(), 2u);
+  EXPECT_EQ(e[0].addr, wanted);
+  EXPECT_EQ(e[1].addr, wanted);
 }
 
 TEST_F(RecorderTest, FilterDenylist) {
@@ -142,8 +152,9 @@ TEST_F(RecorderTest, FilterDenylist) {
     Scope b(kept);
   }
   rec->detach();
-  ASSERT_EQ(rec->log().size(), 2u);
-  EXPECT_EQ(rec->log().entry(0).addr, kept);
+  std::vector<LogEntry> e = recorded(*rec);
+  ASSERT_EQ(e.size(), 2u);
+  EXPECT_EQ(e[0].addr, kept);
 }
 
 TEST_F(RecorderTest, TeeperfScopeMacroRegistersName) {
@@ -153,15 +164,16 @@ TEST_F(RecorderTest, TeeperfScopeMacroRegistersName) {
     TEEPERF_SCOPE("unit::macro_scope");
   }
   rec->detach();
-  ASSERT_EQ(rec->log().size(), 2u);
-  EXPECT_EQ(SymbolRegistry::instance().name_of(rec->log().entry(0).addr),
-            "unit::macro_scope");
+  std::vector<LogEntry> e = recorded(*rec);
+  ASSERT_EQ(e.size(), 2u);
+  EXPECT_EQ(SymbolRegistry::instance().name_of(e[0].addr), "unit::macro_scope");
 }
 
-TEST_F(RecorderTest, MultithreadedRecordingKeepsPerThreadOrder) {
-  RecorderOptions opts;
-  opts.max_entries = 1u << 16;
-  auto rec = make(opts);
+// Four threads of perfectly nested scopes, checked per thread by walking
+// every shard's written window. Reading the raw entry array instead walks
+// unwritten slots between shard segments as tid-0 calls.
+void check_multithreaded_order(std::unique_ptr<Recorder> rec) {
+  ASSERT_NE(rec, nullptr);
   ASSERT_TRUE(rec->attach());
 
   u64 outer = SymbolRegistry::instance().intern("mt::outer");
@@ -184,21 +196,69 @@ TEST_F(RecorderTest, MultithreadedRecordingKeepsPerThreadOrder) {
   // Per thread: perfectly nested call/return sequences.
   std::map<u64, int> depth;
   std::map<u64, u64> events;
-  for (u64 i = 0; i < rec->log().size(); ++i) {
-    const LogEntry& e = rec->log().entry(i);
-    int& d = depth[e.tid];
-    if (e.kind() == EventKind::kCall) {
-      ++d;
-      EXPECT_LE(d, 2);
-    } else {
-      --d;
-      EXPECT_GE(d, 0);
+  const ProfileLog& log = rec->log();
+  for (u32 s = 0; s < log.shard_count(); ++s) {
+    LogWindow w = log.window(s);
+    for (u64 i = 0; i < w.size(); ++i) {
+      const LogEntry& e = w[i];
+      EXPECT_EQ(log.shard_of(e.tid), s) << "entry landed in a foreign shard";
+      int& d = depth[e.tid];
+      if (e.kind() == EventKind::kCall) {
+        ++d;
+        EXPECT_LE(d, 2);
+      } else {
+        --d;
+        EXPECT_GE(d, 0);
+      }
+      ++events[e.tid];
     }
-    ++events[e.tid];
   }
   for (auto& [tid, d] : depth) EXPECT_EQ(d, 0) << "tid " << tid;
   EXPECT_EQ(events.size(), static_cast<usize>(kThreads));
   for (auto& [tid, n] : events) EXPECT_EQ(n, kIters * 4u) << "tid " << tid;
+}
+
+TEST_F(RecorderTest, MultithreadedRecordingKeepsPerThreadOrder) {
+  RecorderOptions opts;
+  opts.max_entries = 1u << 16;  // auto shards: as many as the host suggests
+  check_multithreaded_order(make(opts));
+}
+
+// The same check at fixed shard counts, so the result does not depend on
+// how many cores the host has.
+class RecorderShardsTest : public RecorderTest,
+                           public ::testing::WithParamInterface<i32> {};
+
+TEST_P(RecorderShardsTest, MultithreadedRecordingKeepsPerThreadOrder) {
+  RecorderOptions opts;
+  opts.max_entries = 1u << 16;
+  opts.shards = GetParam();
+  auto rec = make(opts);
+  ASSERT_EQ(rec->log().shard_count(), static_cast<u32>(GetParam()));
+  check_multithreaded_order(std::move(rec));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RecorderShardsTest, ::testing::Values(1, 4));
+
+TEST(PickShardCount, ZeroMeansOneAndExplicitCountsClamp) {
+  EXPECT_EQ(pick_shard_count(0, 1u << 20), 1u);
+  EXPECT_EQ(pick_shard_count(1, 1u << 20), 1u);
+  EXPECT_EQ(pick_shard_count(5, 1u << 20), 5u);
+  EXPECT_EQ(pick_shard_count(1 << 20, 1u << 20), kMaxLogShards);
+  // Auto keeps >= 1024 entries per shard, so a tiny log gets one shard.
+  EXPECT_EQ(pick_shard_count(-1, 1024), 1u);
+  u32 n = pick_shard_count(-1, 1u << 20);
+  EXPECT_GE(n, 1u);
+  EXPECT_LE(n, 64u);
+  EXPECT_EQ(n & (n - 1), 0u) << "auto picks a power of two";
+}
+
+TEST_F(RecorderTest, ShardsZeroFormatsOneShard) {
+  RecorderOptions opts;
+  opts.shards = 0;
+  auto rec = make(opts);
+  EXPECT_EQ(rec->log().shard_count(), 1u);
+  EXPECT_EQ(rec->stats().shards, 1u);
 }
 
 TEST_F(RecorderTest, StatsCountDrops) {
@@ -271,9 +331,10 @@ TEST_F(RecorderTest, SoftwareCounterSessionRecords) {
     std::this_thread::yield();
   }
   rec->detach();
-  ASSERT_EQ(rec->log().size(), 100u);
+  std::vector<LogEntry> e = recorded(*rec);
+  ASSERT_EQ(e.size(), 100u);
   // The counter must have advanced across the run (monotone overall).
-  EXPECT_GE(rec->log().entry(99).counter(), rec->log().entry(0).counter());
+  EXPECT_GE(e[99].counter(), e[0].counter());
 }
 
 TEST_F(RecorderTest, DumpAfterDetachKeepsSoftwareCounterCalibration) {
@@ -319,7 +380,6 @@ TEST_F(RecorderTest, TelemetryCountsEntriesHandedToTheLog) {
   opts.max_entries = 1u << 16;
   auto rec = make(opts);
   ASSERT_TRUE(rec->attach());
-  ASSERT_TRUE(rec->log().sharded());
   obs::MetricsRegistry& reg = rec->telemetry()->registry();
 
   u64 outer = SymbolRegistry::instance().intern("telemetry::outer");

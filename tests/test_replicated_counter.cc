@@ -104,9 +104,9 @@ TEST(CounterLifecycle, RestartAfterStopResumesCounting) {
 // --- replica shm block layout -----------------------------------------------
 
 TEST(ReplicatedCounterLayout, BytesForReplicatedAddsAlignedBlock) {
-  usize base = ProfileLog::bytes_for(1024, 0);
-  usize with = ProfileLog::bytes_for_replicated(1024, 0, 3);
-  EXPECT_EQ(ProfileLog::bytes_for_replicated(1024, 0, 0), base);
+  usize base = ProfileLog::bytes_for(1024, 1);
+  usize with = ProfileLog::bytes_for_replicated(1024, 1, 3);
+  EXPECT_EQ(ProfileLog::bytes_for_replicated(1024, 1, 0), base);
   // Directory + three 64-byte slots, plus at most one alignment pad.
   EXPECT_GE(with, base + sizeof(CounterReplicaDirectory) +
                       3 * sizeof(CounterReplicaSlot));
@@ -117,10 +117,10 @@ TEST(ReplicatedCounterLayout, BytesForReplicatedAddsAlignedBlock) {
 TEST(ReplicatedCounterLayout, InitAndAdoptRoundTripReplicaBlock) {
   SharedMemoryRegion shm;
   ASSERT_TRUE(
-      shm.create_anonymous(ProfileLog::bytes_for_replicated(4096, 0, 3)));
+      shm.create_anonymous(ProfileLog::bytes_for_replicated(4096, 1, 3)));
   ProfileLog log;
   ASSERT_TRUE(log.init(shm.data(), shm.size(), 42,
-                       log_flags::kActive | log_flags::kMultithread, 0, 3));
+                       log_flags::kActive | log_flags::kMultithread, 1, 3));
   ASSERT_EQ(log.counter_replica_count(), 3u);
   ASSERT_NE(log.replica_directory(), nullptr);
   EXPECT_EQ(log.replica_directory()->replica_count, 3u);
@@ -143,22 +143,24 @@ TEST(ReplicatedCounterLayout, AdoptWithoutBlockDegradesToZeroReplicas) {
   // bare serialized bytes must degrade, not reject or read out of bounds.
   SharedMemoryRegion shm;
   ASSERT_TRUE(
-      shm.create_anonymous(ProfileLog::bytes_for_replicated(1024, 0, 2)));
+      shm.create_anonymous(ProfileLog::bytes_for_replicated(1024, 1, 2)));
   ProfileLog log;
   ASSERT_TRUE(log.init(shm.data(), shm.size(), 42,
-                       log_flags::kActive | log_flags::kMultithread, 0, 2));
+                       log_flags::kActive | log_flags::kMultithread, 1, 2));
   for (int i = 0; i < 4; ++i) {
     log.append(i % 2 ? EventKind::kReturn : EventKind::kCall, 0xA000, 0,
                100 + static_cast<u64>(i));
   }
-  usize truncated = sizeof(LogHeader) + 4 * sizeof(LogEntry);
+  usize truncated = ProfileLog::bytes_for(4, 1);
   std::vector<u8> file(static_cast<u8*>(shm.data()),
                        static_cast<u8*>(shm.data()) + truncated);
-  // Dump-shaped: the written header covers exactly the entries present (as
-  // serialize_compact() arranges) but still claims two replicas — e.g. a
-  // stale tool that copied the live header verbatim. No block follows.
+  // Dump-shaped: the written header and directory cover exactly the entries
+  // present (as serialize_compact() arranges) but the header still claims
+  // two replicas — e.g. a stale tool that copied the live header verbatim.
+  // No block follows.
   auto* fh = reinterpret_cast<LogHeader*>(file.data());
   fh->max_entries = 4;
+  reinterpret_cast<LogShard*>(file.data() + sizeof(LogHeader))->capacity = 4;
   ProfileLog loaded;
   ASSERT_TRUE(loaded.adopt(file.data(), file.size()));
   EXPECT_EQ(loaded.counter_replica_count(), 0u);
@@ -191,9 +193,9 @@ class ReplicatedCounterTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(
-        shm_.create_anonymous(ProfileLog::bytes_for_replicated(4096, 0, 3)));
+        shm_.create_anonymous(ProfileLog::bytes_for_replicated(4096, 1, 3)));
     ASSERT_TRUE(log_.init(shm_.data(), shm_.size(), 42,
-                          log_flags::kActive | log_flags::kMultithread, 0, 3));
+                          log_flags::kActive | log_flags::kMultithread, 1, 3));
   }
   void TearDown() override { fault::Registry::instance().reset(); }
 

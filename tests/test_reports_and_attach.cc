@@ -327,7 +327,7 @@ TEST_F(AutoAttachTest, FilterFromEnvAllowlist) {
   detach_env_session();
 
   ASSERT_EQ(wrapper_log.size(), 2u);
-  EXPECT_EQ(SymbolRegistry::instance().name_of(wrapper_log.entry(0).addr),
+  EXPECT_EQ(SymbolRegistry::instance().name_of(wrapper_log.window(0)[0].addr),
             "aaf::wanted");
 }
 

@@ -72,7 +72,7 @@ TEST(ShardedStress, EightThreadsNoLossBalancedMonotonic) {
     tail_sum += tail;
 
     std::vector<LogEntry> window;
-    log.shard_snapshot(s, &window);
+    log.window(s).append_to(&window);
     ASSERT_EQ(window.size(), tail);
     std::map<u64, u64> last_counter;
     std::map<u64, i64> depth;

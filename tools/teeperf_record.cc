@@ -21,10 +21,10 @@
 //                  stalls or jumps backwards, and continuously calibrates
 //                  ticks→ns so the dump carries wall-clock-accurate time.
 //                  0 (default) keeps the classic single counter thread
-//   --shards N     log format v2 shard count: per-thread shard segments
-//                  with cache-line-private tails (see DESIGN.md "Log format
-//                  v2"). 0 = classic v1 single tail; default auto-sizes to
-//                  the hardware concurrency
+//   --shards N     log shard count: per-thread shard segments with
+//                  cache-line-private tails (see DESIGN.md "Log format
+//                  v2"). 0 or 1 = one shard, the paper's single shared
+//                  tail; default auto-sizes to the hardware concurrency
 //   --inactive     start with measurement off (flip on later via the log
 //                  header flags — dynamic activation)
 //   --calls-only / --returns-only   restrict recorded event kinds
@@ -41,7 +41,7 @@
 //                        and writers reclaim the space — unbounded sessions
 //                        with no ring-mode data loss. Pass the prefix's own
 //                        directory so teeperf_analyze finds the chunks next
-//                        to the .log. Excludes --ring and --shards 0
+//                        to the .log. Excludes --ring
 //   --spill-chunk-entries N   per-shard entries consumed per chunk
 //                        (default: 32768)
 //   --no-telemetry       skip the self-telemetry region / watchdog
@@ -89,6 +89,7 @@
 #include "common/stringutil.h"
 #include "core/counter.h"
 #include "core/log_format.h"
+#include "core/recorder.h"
 #include "core/replicated_counter.h"
 #include "drain/drainer.h"
 #include "obs/export.h"
@@ -103,8 +104,8 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: teeperf_record [-o prefix] [-n entries] [-c tsc|software|"
-               "steady_clock] [--counter-replicas n] [--inactive] "
-               "[--calls-only|--returns-only] "
+               "steady_clock] [--counter-replicas n] [--shards n] [--ring] "
+               "[--spill dir] [--inactive] [--calls-only|--returns-only] "
                "[--faults spec] [--fault-seed n] -- <command> [args...]\n");
 }
 
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
   bool calls = true, returns = true;
   std::string filter_spec;
   long start_after_ms = -1, stop_after_ms = -1;
-  long shards = -1;  // -1 = auto, 0 = v1 single tail, >0 = explicit v2
+  long shards = -1;  // -1 = auto, 0 or 1 = one shard, >1 = explicit
   bool ring = false;
   std::string spill_dir;
   u64 spill_chunk_entries = 1u << 15;
@@ -200,11 +201,6 @@ int main(int argc, char** argv) {
                          "reclaim policies cannot coexist)\n");
     return 2;
   }
-  if (!spill_dir.empty() && shards == 0) {
-    std::fprintf(stderr, "teeperf_record: --spill requires a sharded (v2) "
-                         "log; drop --shards 0\n");
-    return 2;
-  }
 
   // Fault injection (TESTING.md): a bad spec is a usage error — arming the
   // wrong point silently would make a fault run look healthy.
@@ -227,19 +223,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Shard count (log format v2): auto picks a power of two near the core
-  // count, reduced until every shard keeps >= 1024 entries — same policy as
-  // the in-process Recorder.
-  u32 shard_count;
-  if (shards >= 0) {
-    shard_count = static_cast<u32>(shards);
-  } else {
-    u32 hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    shard_count = 1;
-    while (shard_count < hw && shard_count < 64) shard_count <<= 1;
-    while (shard_count > 1 && max_entries / shard_count < 1024) shard_count >>= 1;
-  }
+  u32 shard_count = pick_shard_count(shards, max_entries);
 
   // Stale-session GC on the way in: reclaim descriptors and shm segments
   // orphaned by crashed sessions, so a host that loops crashing recorders
@@ -543,24 +527,12 @@ int main(int argc, char** argv) {
 
   u64 tail = log.attempted();
   u64 n = log.size();
-  if (log.sharded() || (ring && tail > max_entries)) {
-    // Sharded or wrapped logs persist in compact form (windows packed
-    // back-to-back, ring order normalized) so offline loaders see plain
-    // order with no gaps.
-    if (!write_file(prefix + ".log", log.serialize_compact())) {
-      std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
-                   prefix.c_str());
-      return 1;
-    }
-  } else {
-    usize out_bytes = sizeof(LogHeader) + static_cast<usize>(n) * sizeof(LogEntry);
-    if (!write_file(prefix + ".log",
-                    std::string_view(static_cast<const char*>(shm.data()),
-                                     out_bytes))) {
-      std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
-                   prefix.c_str());
-      return 1;
-    }
+  // Compact form (windows packed back-to-back, ring order normalized) so
+  // offline loaders see plain order with no gaps.
+  if (!write_file(prefix + ".log", log.serialize_compact())) {
+    std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
+                 prefix.c_str());
+    return 1;
   }
 
   // Telemetry teardown: final health snapshot + event journal become sidecar
@@ -572,9 +544,8 @@ int main(int argc, char** argv) {
       telem->journal().record(obs::EventType::kTornTail, torn, tail);
     }
     if (watchdog) watchdog->stop();
-    // Both layouts keep their drop counters in shared memory (v1's moved
-    // into a reserved header word), so the child's drops are visible here
-    // directly — no reconstruction from the tail.
+    // The shard drop counters live in shared memory, so the child's drops
+    // are visible here directly — no reconstruction from the tail.
     telem->journal().record(obs::EventType::kDetach, n, log.dropped());
     if (!write_file(prefix + ".health",
                     obs::health_text(reg, telem->journal()))) {
