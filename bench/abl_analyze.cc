@@ -119,10 +119,10 @@ bool measure(const std::string& prefix, u64 total_entries, bool streaming,
       auto m = analyzer::StreamAnalyzer::analyze_spill(prefix);
       if (m) entries = m->stats.entries;
     } else {
-      auto p = analyzer::Profile::load_spill(prefix);
+      auto p = analyzer::Profile::load(prefix);
       if (p) {
-        // The full reference pipeline the streaming pass replaces: load,
-        // reconstruct, then canonicalize to the same mergeable aggregate.
+        // The same fold with the invocation sink: load, materialize every
+        // Invocation, then canonicalize to the same mergeable aggregate.
         analyzer::MergeableProfile m = analyzer::MergeableProfile::from_profile(*p);
         entries = m.stats.entries;
       }

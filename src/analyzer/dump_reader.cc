@@ -86,9 +86,10 @@ std::optional<ParsedDump> parse_dump(std::string_view bytes) {
   return d;
 }
 
-bool SpillStitcher::absorb(const ParsedDump& dump, const WindowFn& fn) {
+bool SpillStitcher::absorb(const ParsedDump& dump, std::vector<ShardSpan>* spans) {
   if (cursors_.empty()) cursors_.assign(dump.shards.size(), 0);
   if (dump.shards.size() != cursors_.size()) return false;
+  spans->clear();
   for (usize s = 0; s < cursors_.size(); ++s) {
     std::span<const LogEntry> win = dump.shards[s];
     u64 start = dump.starts[s];
@@ -97,7 +98,9 @@ bool SpillStitcher::absorb(const ParsedDump& dump, const WindowFn& fn) {
       skip = cursors_[s] - start;
       if (skip >= win.size()) continue;  // fully duplicate window
     }
-    fn(static_cast<u32>(s), win.data() + skip, win.size() - skip);
+    if (win.size() > skip) {
+      spans->push_back({static_cast<u32>(s), win.data() + skip, win.size() - skip});
+    }
     cursors_[s] = start + win.size();
   }
   if (dump.ns_per_tick > 0.0) ns_per_tick_ = dump.ns_per_tick;

@@ -1,15 +1,12 @@
-// Shared dump-parsing layer for the in-memory loader (profile.cc) and the
-// streaming analyzer (stream.cc).
+// The dump-parsing layer under the session walker (fold.h).
 //
 // A serialized compact dump — a recorder dump, a spill chunk payload, or a
 // spill residue — parses into one window of entries per shard plus the
-// absolute start cursor of each window. Both consumers need exactly that
-// view, and both need the same stitch-and-deduplicate policy when a session
-// spans many chunk files; keeping the parser and the stitcher here means a
-// hostile-input hardening fix lands in both pipelines at once.
+// absolute start cursor of each window; SpillStitcher deduplicates those
+// windows when a session spans many chunk files. Every analysis reads
+// through this one parser, so a hostile-input hardening fix lands once.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -50,20 +47,6 @@ struct ParsedDump {
   // misaligned. A move keeps its storage, so the spans stay valid.
   std::vector<LogEntry> owned;
 
-  bool single() const { return shards.size() <= 1; }
-  u64 total() const {
-    u64 n = 0;
-    for (const auto& s : shards) n += s.size();
-    return n;
-  }
-  // Concatenated windows, for consumers that want one flat span (validate).
-  // Per-thread order is preserved: a thread never spans two windows.
-  std::vector<LogEntry> flatten() const {
-    std::vector<LogEntry> out;
-    out.reserve(static_cast<usize>(total()));
-    for (const auto& s : shards) out.insert(out.end(), s.begin(), s.end());
-    return out;
-  }
 };
 
 // Parses one serialized dump. Never trusts the bytes: the header is copied
@@ -74,26 +57,28 @@ struct ParsedDump {
 // The result's windows view `bytes` (see ParsedDump).
 std::optional<ParsedDump> parse_dump(std::string_view bytes);
 
+// One span of one shard's stream, viewing a dump's buffer.
+struct ShardSpan {
+  u32 shard = 0;
+  const LogEntry* entries = nullptr;
+  u64 n = 0;
+};
+
 // Stitches a sequence of parsed dumps (spill chunks in order, residue last)
 // into per-shard streams without materializing them. Windows arrive in
 // cursor order; a window starting below a shard's cursor overlaps what a
 // crashed drainer already persisted and the duplicate prefix is skipped, a
 // window starting above it sits after force-dropped entries (already
-// accounted in the drop counters) and simply appends. Consumers receive the
-// deduplicated spans through the callback — the in-memory loader appends
-// them to vectors, the streaming analyzer feeds them straight into
-// per-shard reconstruction state.
+// accounted in the drop counters) and simply appends. A single dump
+// stitches to its own non-empty windows.
 class SpillStitcher {
  public:
-  using WindowFn =
-      std::function<void(u32 shard, const LogEntry* entries, u64 n)>;
-
-  // Absorbs one dump's windows, invoking `fn` for every non-duplicate span.
-  // The shard count is fixed by the first dump absorbed; false on mismatch.
-  bool absorb(const ParsedDump& dump, const WindowFn& fn);
+  // Absorbs one dump's windows: *spans becomes its non-duplicate, non-empty
+  // spans, at most one per shard, in shard order. The shard count is fixed
+  // by the first dump absorbed; false on mismatch.
+  bool absorb(const ParsedDump& dump, std::vector<ShardSpan>* spans);
 
   bool any() const { return !cursors_.empty(); }
-  usize shard_count() const { return cursors_.size(); }
   // The last nonzero tick rate seen (the residue dump's, normally).
   double ns_per_tick() const { return ns_per_tick_; }
 

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/spin.h"
 #include "core/symbol_registry.h"
@@ -144,20 +144,27 @@ void Monitord::build_flame_locked(Session* s, u64 now_ns) {
 
   // Bounded copy of the newest window: at most flame_window_entries across
   // all shards, newest-first truncation per shard. Truncation can cut a
-  // thread mid-stack; reconstruction tolerates the resulting strays.
+  // thread mid-stack; the fold tolerates the resulting strays. Only the
+  // folded stacks are kept, so the copy folds into path aggregates and no
+  // Invocation is built.
   std::vector<LogEntry> entries;
   const ProfileLog& log = s->log;
   u32 n = log.shard_count();
   u64 per = n ? options_.flame_window_entries / n : 0;
   if (per == 0) per = 1;
+  std::vector<usize> starts(n + 1, 0);
   for (u32 i = 0; i < n; ++i) {
     LogWindow w = log.window(i);
     w.append_to(&entries, w.size() > per ? w.size() - per : 0);
+    starts[i + 1] = entries.size();
   }
 
-  auto profile = analyzer::Profile::from_entries(
-      entries.data(), entries.size(), s->symbols);
-  s->flames.push_back(profile.folded_stacks());
+  analyzer::StreamAnalyzer fold(s->symbols);
+  for (u32 i = 0; i < n; ++i) {
+    fold.feed(i, entries.data() + starts[i], starts[i + 1] - starts[i]);
+  }
+  analyzer::MergeableProfile m = fold.finish();
+  s->flames.emplace_back(m.stacks.begin(), m.stacks.end());
   while (s->flames.size() > options_.flame_keep) s->flames.pop_front();
   self_->registry().counter(names::kMonitordFlameBuilds).inc();
 }

@@ -1,7 +1,7 @@
-// Differential tests for the streaming analyzer (analyzer/stream.h,
-// DESIGN.md §12): StreamAnalyzer must produce the byte-identical
-// MergeableProfile that the in-memory pipeline
-// (Profile::load / load_spill → MergeableProfile::from_profile) produces —
+// Differential tests for the two sinks of the one reconstruction fold
+// (analyzer/fold.h, DESIGN.md §12): the path-tree sink (StreamAnalyzer)
+// must produce the byte-identical MergeableProfile that the invocation sink
+// (Profile::load → MergeableProfile::from_profile) produces —
 // over every corpus seed, over real drainer sessions (healthy, fault-seeded
 // and torn), and over rejection decisions. Plus the golden `.mprof` layer
 // (regenerate with TEEPERF_UPDATE_GOLDEN=1) and the bounded-memory property
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analyzer/fold.h"
 #include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "analyzer/stream.h"
@@ -351,6 +352,121 @@ TEST(AnalyzeStream, RejectionParityWithInMemoryLoader) {
   remove_session(prefix);
 }
 
+// ------------------------------------------- fold state across feed boundaries
+
+// Every corpus seed, each shard window fed in two pieces at every split
+// point (every k-th on large seeds): the open frames, the tid cache and
+// the stats carry across the boundary, so both sinks must land exactly
+// where one piece does — the same `.mprof` bytes through the path-tree
+// sink, the same Invocations and stats through the invocation sink.
+TEST(AnalyzeStream, SplitFeedMatchesOnePieceForBothSinks) {
+  using analyzer::InvocationSink;
+  using analyzer::ShardFold;
+  for (const std::string& name : seed_logs()) {
+    SCOPED_TRACE(name);
+    auto raw = read_file(corpus_dir() + "/" + name + ".log");
+    ASSERT_TRUE(raw.has_value());
+    auto dump = analyzer::parse_dump(*raw);
+    ASSERT_TRUE(dump.has_value());
+    const auto& shards = dump->shards;
+    u64 total = 0;
+    for (const auto& w : shards) total += w.size();
+    u64 step = total > 4096 ? total / 1024 : 1;
+
+    // Shard `split` fed in two pieces at `at`, every other shard in one.
+    auto mprof = [&](usize split, u64 at) {
+      StreamAnalyzer sa;
+      for (usize s = 0; s < shards.size(); ++s) {
+        u32 id = static_cast<u32>(s);
+        u64 head = s == split ? at : shards[s].size();
+        sa.feed(id, shards[s].data(), head);
+        sa.feed(id, shards[s].data() + head, shards[s].size() - head);
+      }
+      sa.set_ns_per_tick(dump->ns_per_tick);
+      return sa.finish().save();
+    };
+    const std::string one_piece = mprof(shards.size(), 0);
+    EXPECT_EQ(one_piece, reference_bytes(corpus_dir() + "/" + name));
+
+    for (usize s = 0; s < shards.size(); ++s) {
+      const LogEntry* w = shards[s].data();
+      u64 n = shards[s].size();
+      ShardFold<InvocationSink> whole;
+      whole.feed(w, n);
+      whole.close_all();
+      for (u64 at = 0; at <= n; at += step) {
+        SCOPED_TRACE("shard " + std::to_string(s) + " split at " + std::to_string(at));
+        EXPECT_EQ(mprof(s, at), one_piece);
+        ShardFold<InvocationSink> split;
+        split.feed(w, at);
+        split.feed(w + at, n - at);
+        split.close_all();
+        EXPECT_EQ(split.sink.invocations, whole.sink.invocations);
+        EXPECT_EQ(split.recon(), whole.recon());
+        EXPECT_EQ(split.thread_count(), whole.thread_count());
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ validation of spill sessions
+
+// validate_file reads every entry load() would: a defect in chunk 0 is
+// reported whether the residue dump is missing or clean.
+TEST(AnalyzeStream, ValidateFileChecksSpillChunks) {
+  std::string prefix = tmp_prefix("validate");
+  remove_session(prefix);
+  LogHeader session{};
+  session.magic = kLogMagic;
+  session.version = kLogVersionSharded;
+  auto entry = [](EventKind kind, u64 addr, u64 tid, u64 counter) {
+    LogEntry e{};
+    e.kind_and_counter = LogEntry::pack(kind, counter);
+    e.addr = addr;
+    e.tid = tid;
+    return e;
+  };
+  // Shard 0, thread 2: a counter that runs backwards, then a call that
+  // never returns. Shard 1, thread 1: balanced and monotonic.
+  std::vector<drain::ShardWindow> chunk(2);
+  chunk[0].entries = {entry(EventKind::kCall, 0x100, 2, 100),
+                      entry(EventKind::kReturn, 0x100, 2, 50),
+                      entry(EventKind::kCall, 0x200, 2, 60)};
+  chunk[1].entries = {entry(EventKind::kCall, 0x300, 1, 10),
+                      entry(EventKind::kReturn, 0x300, 1, 20)};
+  ASSERT_TRUE(write_file(drain::chunk_path(prefix, 0),
+                         drain::serialize_chunk(session, chunk, 0)));
+
+  auto expect_both_issues = [&](u64 entries) {
+    auto issues = Profile::validate_file(prefix);
+    ASSERT_TRUE(issues.has_value()) << "a session killed before dump must validate";
+    ASSERT_EQ(issues->size(), 2u);
+    EXPECT_EQ((*issues)[0].kind, analyzer::ValidationIssue::Kind::kNonMonotonicCounter);
+    EXPECT_EQ((*issues)[0].tid, 2u);
+    EXPECT_EQ((*issues)[0].entry_index, 1u);  // position in feed order
+    EXPECT_EQ((*issues)[1].kind, analyzer::ValidationIssue::Kind::kUnbalancedThread);
+    EXPECT_EQ((*issues)[1].tid, 2u);
+    EXPECT_EQ((*issues)[1].entry_index, entries);
+  };
+  expect_both_issues(5);  // no residue
+
+  // A clean residue continuing both shards: on its own it validates clean.
+  std::vector<drain::ShardWindow> residue(2);
+  residue[0].start = 3;
+  residue[0].entries = {entry(EventKind::kCall, 0x400, 2, 70),
+                        entry(EventKind::kReturn, 0x400, 2, 80)};
+  residue[1].start = 2;
+  std::string residue_chunk = drain::serialize_chunk(session, residue, 1);
+  std::string residue_dump = residue_chunk.substr(sizeof(drain::ChunkFrame));
+  ASSERT_TRUE(write_file(prefix + ".log", residue_dump));
+  auto residue_only = analyzer::parse_dump(residue_dump);
+  ASSERT_TRUE(residue_only.has_value());
+  ASSERT_EQ(residue_only->shards[0].size(), 2u);
+  EXPECT_TRUE(Profile::validate(residue_only->shards[0].data(), 2).empty());
+  expect_both_issues(7);
+  remove_session(prefix);
+}
+
 // --------------------------------------------------------- bounded memory
 
 // Synthesizes a spill session far larger than any shm window directly as
@@ -410,9 +526,9 @@ TEST(AnalyzeStream, BoundedMemoryOverLargeSyntheticSession) {
   EXPECT_EQ(streamed->methods.size(), 3 * 16u);
 
   // The bounded-memory property: streaming one chunk at a time must never
-  // approach the session's size. The in-memory pipeline materializes the
-  // stitched streams plus every Invocation (~40+ MB here); the streaming
-  // pass holds one chunk and the rolling aggregates.
+  // approach the session's size. The in-memory pipeline materializes every
+  // Invocation (~24 MB here); the streaming pass holds one chunk and the
+  // rolling aggregates.
   ASSERT_GT(peak_before, 0u);
   EXPECT_LT(peak_after, peak_before + (24ull << 20))
       << "streaming analysis peaked " << (peak_after - peak_before)
@@ -420,7 +536,7 @@ TEST(AnalyzeStream, BoundedMemoryOverLargeSyntheticSession) {
       << (kSynthTotal * sizeof(LogEntry) >> 20) << " MB session";
 
   // And it is still the exact same aggregate the in-memory loader derives.
-  auto ref = Profile::load_spill(prefix);
+  auto ref = Profile::load(prefix);
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(streamed->save(), MergeableProfile::from_profile(*ref).save());
   remove_session(prefix);
@@ -476,7 +592,7 @@ TEST(AnalyzeStream, ReaderThreadCorruptMiddleChunkFailsAndJoins) {
   EXPECT_FALSE(StreamAnalyzer::analyze_spill(prefix, &err).has_value());
   EXPECT_EQ(err, "corrupt chunk sequence");
   EXPECT_EQ(threads_after_settling(before), before);
-  EXPECT_FALSE(Profile::load_spill(prefix).has_value());
+  EXPECT_FALSE(Profile::load(prefix).has_value());
   remove_session(prefix);
 }
 
@@ -495,7 +611,7 @@ TEST(AnalyzeStream, ReaderThreadToleratesTornTrailingChunk) {
   ASSERT_TRUE(streamed.has_value()) << err;
   EXPECT_EQ(streamed->stats.entries, u64{kReaderChunks - 1} * 2 * kReaderPerShard);
   EXPECT_EQ(threads_after_settling(before), before);
-  auto ref = Profile::load_spill(prefix);
+  auto ref = Profile::load(prefix);
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(streamed->save(), MergeableProfile::from_profile(*ref).save());
   remove_session(prefix);
@@ -524,7 +640,7 @@ TEST(AnalyzeStream, ReaderThreadEarlyStopDoesNotHang) {
   EXPECT_FALSE(StreamAnalyzer::analyze_spill(prefix, &err).has_value());
   EXPECT_EQ(err, "corrupt chunk sequence");
   EXPECT_EQ(threads_after_settling(before), before);
-  EXPECT_FALSE(Profile::load_spill(prefix).has_value());
+  EXPECT_FALSE(Profile::load(prefix).has_value());
 
   // A chunk that verifies but holds no loadable dump (a zero-shard
   // directory) stops the fold the same way.

@@ -5,9 +5,11 @@
 
 #include <vector>
 
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "core/log_format.h"
 
 namespace teeperf::analyzer {
@@ -32,8 +34,24 @@ class LogBuilder {
     return *this;
   }
 
+  LogBuilder& raw(const LogEntry& e) {
+    log_.append_batch(&e, 1, 0);
+    return *this;
+  }
+
   Profile profile(std::unordered_map<u64, std::string> symbols = {}) {
     return Profile::from_log(log_, std::move(symbols), 1.0);
+  }
+
+  // The same log through the streaming (path-tree) sink.
+  MergeableProfile stream() {
+    StreamAnalyzer sa;
+    for (u32 s = 0; s < log_.shard_count(); ++s) {
+      for (std::span<const LogEntry> sp : log_.window(s).spans) {
+        sa.feed(s, sp.data(), sp.size());
+      }
+    }
+    return sa.finish();
   }
 
  private:
@@ -124,42 +142,83 @@ TEST(Analyzer, ThreadsReconstructIndependently) {
 }
 
 TEST(Analyzer, StrayReturnCounted) {
-  Profile p = LogBuilder().ret(A, 0, 10).call(B, 0, 20).ret(B, 0, 30).profile();
+  LogBuilder log;
+  log.ret(A, 0, 10).call(B, 0, 20).ret(B, 0, 30);
+  Profile p = log.profile();
   EXPECT_EQ(p.recon_stats().stray_returns, 1u);
   ASSERT_EQ(p.invocations().size(), 1u);
   EXPECT_EQ(p.invocations()[0].method, B);
+  EXPECT_EQ(log.stream().stats, (MprofStats{3, 1, 0, 0, 0, 0, 1}));
 }
 
 TEST(Analyzer, MismatchedReturnIgnored) {
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .ret(C, 0, 10)  // C was never entered
-                  .ret(A, 0, 20)
-                  .profile();
+  LogBuilder log;
+  log.call(A, 0, 0)
+      .ret(C, 0, 10)  // C was never entered
+      .ret(A, 0, 20);
+  Profile p = log.profile();
   EXPECT_EQ(p.recon_stats().mismatched_returns, 1u);
   ASSERT_EQ(p.invocations().size(), 1u);
   EXPECT_EQ(p.invocations()[0].inclusive(), 20u);
+  EXPECT_EQ(log.stream().stats, (MprofStats{3, 0, 1, 0, 0, 0, 1}));
 }
 
 TEST(Analyzer, MissingReturnUnwoundToMatch) {
   // A calls B; B's return was dropped (filtering/overflow); A returns.
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .call(B, 0, 10)
-                  .ret(A, 0, 50)
-                  .profile();
+  LogBuilder log;
+  log.call(A, 0, 0).call(B, 0, 10).ret(A, 0, 50);
+  Profile p = log.profile();
   ASSERT_EQ(p.invocations().size(), 2u);
   EXPECT_EQ(p.recon_stats().unwound_frames, 1u);
   // B force-closed at A's return counter.
   EXPECT_EQ(p.invocations()[1].end, 50u);
+  EXPECT_EQ(log.stream().stats, (MprofStats{3, 0, 0, 1, 0, 0, 1}));
 }
 
 TEST(Analyzer, TruncatedLogClosesOpenFramesIncomplete) {
-  Profile p = LogBuilder().call(A, 0, 0).call(B, 0, 30).profile();
+  LogBuilder log;
+  log.call(A, 0, 0).call(B, 0, 30);
+  Profile p = log.profile();
   ASSERT_EQ(p.invocations().size(), 2u);
   EXPECT_EQ(p.recon_stats().incomplete, 2u);
   EXPECT_FALSE(p.invocations()[0].complete);
   EXPECT_EQ(p.invocations()[1].end, 30u);  // last observed counter
+  EXPECT_EQ(log.stream().stats, (MprofStats{2, 0, 0, 0, 2, 0, 1}));
+}
+
+TEST(Analyzer, TombstoneSkipped) {
+  // An all-zero slot: reserved by a writer that died before filling it.
+  LogBuilder log;
+  log.call(A, 1, 0).raw(LogEntry{}).ret(A, 1, 10);
+  Profile p = log.profile();
+  EXPECT_EQ(p.recon_stats().tombstones, 1u);
+  ASSERT_EQ(p.invocations().size(), 1u);
+  EXPECT_EQ(p.invocations()[0].inclusive(), 10u);
+  EXPECT_EQ(p.thread_count(), 1u);  // no phantom thread 0
+  MergeableProfile m = log.stream();
+  EXPECT_EQ(m.stats, (MprofStats{3, 0, 0, 0, 0, 1, 1}));
+  EXPECT_EQ(m.methods.size(), 1u);  // no phantom method 0
+}
+
+TEST(Analyzer, BackwardsCounterClampsToZero) {
+  // A broken time source: B returns before it was entered, and A's return
+  // is older still. Durations clamp to zero instead of wrapping.
+  LogBuilder log;
+  log.call(A, 0, 100).call(B, 0, 120).ret(B, 0, 110).ret(A, 0, 90);
+  Profile p = log.profile();
+  ASSERT_EQ(p.invocations().size(), 2u);
+  EXPECT_EQ(p.invocations()[0].end, 100u);
+  EXPECT_EQ(p.invocations()[0].inclusive(), 0u);
+  EXPECT_EQ(p.invocations()[1].inclusive(), 0u);
+  EXPECT_EQ(p.invocations()[0].exclusive(), 0u);
+  MergeableProfile m = log.stream();
+  EXPECT_EQ(m.stats, (MprofStats{4, 0, 0, 0, 0, 0, 1}));
+  ASSERT_EQ(m.methods.size(), 2u);
+  for (const auto& [name, mm] : m.methods) {
+    EXPECT_EQ(mm.count, 1u) << name;
+    EXPECT_EQ(mm.inclusive_total, 0u) << name;
+    EXPECT_EQ(mm.max_inclusive, 0u) << name;
+  }
 }
 
 TEST(Analyzer, MethodStatsAggregatesAndSorts) {

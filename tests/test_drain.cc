@@ -191,7 +191,7 @@ TEST(Drain, LoadsFromChunksAloneWithoutResidueDump) {
   run_workload(s.log);
   ASSERT_TRUE(drainer.final_drain());
 
-  auto p = Profile::load_spill(prefix);  // no .log written
+  auto p = Profile::load(prefix);  // no .log written
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, kTotalEntries);
   remove_session(prefix);
@@ -490,7 +490,7 @@ TEST(Drain, DrainerChunkIsSerializeChunkOfTheSameWindows) {
   EXPECT_EQ(*chunk1, drain::serialize_chunk(*s.log.header(), wrapped, 1));
   EXPECT_FALSE(file_exists(drain::chunk_path(prefix, 2)));
 
-  auto p = Profile::load_spill(prefix);
+  auto p = Profile::load(prefix);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, 90u);
   remove_session(prefix);

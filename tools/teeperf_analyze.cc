@@ -12,7 +12,8 @@
 //     --tree            top-down call tree with percentages
 //     --timeline <file>     per-thread invocation intervals as CSV
 //     --timeline-svg <file> swim-lane SVG trace view
-//     --validate        raw-log consistency check (monotonicity, balance)
+//     --validate        raw-entry consistency check of the whole session,
+//                       spill chunks included (monotonicity, balance)
 //     --merge <p2>...   merge further dumps (multi-process profiling)
 //     --chrome <file>   Chrome trace-event JSON (chrome://tracing)
 //     --gprof           gprof-style flat profile
@@ -221,7 +222,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--validate") {
       auto maybe_issues = Profile::validate_file(prefix);
       if (!maybe_issues) {
-        std::fprintf(stderr, "cannot read %s.log for validation\n",
+        std::fprintf(stderr, "cannot load session %s for validation\n",
                      prefix.c_str());
         return 1;
       }
