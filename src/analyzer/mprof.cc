@@ -1,8 +1,10 @@
 #include "analyzer/mprof.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "analyzer/fold.h"
 #include "common/crc32c.h"
 #include "common/fileutil.h"
 
@@ -85,33 +87,39 @@ bool add_ck(u64& a, u64 b) { return !__builtin_add_overflow(a, b, &a); }
 }  // namespace
 
 MergeableProfile MergeableProfile::from_profile(const Profile& p) {
-  MergeableProfile m;
-  m.sessions = 1;
+  MergeableProfile m = from_tree(p.path_tree(), p.symbols_);
   m.ns_per_tick = p.ns_per_tick();
   const ReconstructionStats& r = p.recon_stats();
   m.stats = {r.entries,    r.stray_returns, r.mismatched_returns,
              r.unwound_frames, r.incomplete, r.tombstones,
              p.thread_count()};
+  return m;
+}
 
+MergeableProfile MergeableProfile::from_tree(
+    const PathTree& tree, const std::unordered_map<u64, std::string>& symbols) {
+  MergeableProfile m;
+  m.sessions = 1;
+  PathRollup r = rollup(tree, &symbols);
   // Two ids can symbolize to the same name (e.g. the same function
   // registered by two libraries); the name key absorbs both.
-  for (const MethodStats& s : p.method_stats()) {
-    MprofMethod& mm = m.methods[p.name(s.method)];
-    mm.id = std::min(mm.id, s.method);
-    mm.count += s.count;
-    mm.inclusive_total += s.inclusive_total;
-    mm.exclusive_total += s.exclusive_total;
-    mm.min_inclusive = std::min(mm.min_inclusive, s.min_inclusive);
-    mm.max_inclusive = std::max(mm.max_inclusive, s.max_inclusive);
+  for (const auto& [id, a] : r.methods) {
+    MprofMethod& mm = m.methods[r.names[id]];
+    mm.id = std::min(mm.id, id);
+    mm.count += a.count;
+    mm.inclusive_total += a.inclusive_total;
+    mm.exclusive_total += a.exclusive_total;
+    mm.min_inclusive = std::min(mm.min_inclusive, a.min_inclusive);
+    mm.max_inclusive = std::max(mm.max_inclusive, a.max_inclusive);
   }
-  for (const CallEdge& e : p.call_edges()) {
-    MprofEdgeKey k{e.from_root ? std::string() : p.name(e.caller),
-                   p.name(e.callee), e.from_root};
-    MprofEdge& me = m.edges[std::move(k)];
-    me.count += e.count;
-    me.inclusive_total += e.inclusive_total;
+  for (const auto& [key, a] : r.edges) {
+    MprofEdge& me = m.edges[MprofEdgeKey{
+        key.from_root ? std::string() : r.names[key.caller], r.names[key.callee],
+        key.from_root}];
+    me.count += a.count;
+    me.inclusive_total += a.inclusive_total;
   }
-  for (const auto& [path, ticks] : p.folded_stacks()) m.stacks[path] += ticks;
+  m.stacks = std::move(r.stacks);
   return m;
 }
 

@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "analyzer/profile.h"
 #include "common/types.h"
@@ -96,6 +97,13 @@ class MergeableProfile {
   // histogram. This is the reference the streaming analyzer is held
   // differentially equal to.
   static MergeableProfile from_profile(const Profile& p);
+
+  // Names a session's path tree (fold.h): its per-method, per-edge and
+  // folded-path rollups, by symbolized name (resolve_name). sessions == 1;
+  // ns_per_tick and stats are the caller's to fill. Both from_profile and
+  // the streaming analyzer name their aggregates here.
+  static MergeableProfile from_tree(
+      const PathTree& tree, const std::unordered_map<u64, std::string>& symbols);
 
   // Canonical serialization (frame + payload). Deterministic: equal
   // profiles serialize to equal bytes.

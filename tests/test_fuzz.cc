@@ -199,6 +199,37 @@ TEST(Validate, DetectsZeroAddress) {
   EXPECT_EQ(issues[0].kind, ValidationIssue::Kind::kZeroAddress);
 }
 
+// On a live ring log, entry_index points into snapshot_ordered(): shard by
+// shard, each window oldest first — also when both windows wrap.
+TEST(Validate, EntryIndexFollowsSnapshotOrderOnWrappedShards) {
+  std::vector<u8> buf(ProfileLog::bytes_for(8, 2));
+  ProfileLog log;
+  ASSERT_TRUE(log.init(buf.data(), buf.size(), 1,
+                       log_flags::kActive | log_flags::kRingBuffer, 2));
+  // Six entries per 4-slot shard: each window wraps and keeps the newest
+  // four. Thread 0's counter goes backwards at its fifth entry, which sits
+  // in shard 0's second span: ahead of shard 1's entries in snapshot order.
+  for (u64 i = 0; i < 6; ++i) {
+    EventKind kind = i % 2 == 0 ? EventKind::kCall : EventKind::kReturn;
+    ASSERT_TRUE(log.append(kind, 0x10, 0, i == 4 ? 1 : 100 + i));
+    ASSERT_TRUE(log.append(kind, 0x20, 1, 200 + i));
+  }
+  ASSERT_FALSE(log.window(0).spans[1].empty());
+  ASSERT_FALSE(log.window(1).spans[1].empty());
+
+  std::vector<LogEntry> ordered;
+  log.snapshot_ordered(&ordered);
+  auto issues = Profile::validate(log);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues[0].kind, ValidationIssue::Kind::kNonMonotonicCounter);
+  EXPECT_EQ(issues[0].tid, 0u);
+  ASSERT_LT(issues[0].entry_index, ordered.size());
+  EXPECT_EQ(ordered[issues[0].entry_index].tid, 0u);
+  EXPECT_EQ(ordered[issues[0].entry_index].counter(), 1u);
+  EXPECT_EQ(Profile::validate(ordered.data(), ordered.size())[0].entry_index,
+            issues[0].entry_index);
+}
+
 // --- load_many (multi-process merge) ------------------------------------------
 
 class LoadManyTest : public ::testing::Test {
