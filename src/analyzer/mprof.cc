@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "analyzer/fold.h"
 #include "common/crc32c.h"
@@ -84,6 +86,61 @@ bool fail(std::string* error, const char* why) {
 // a += b with u64 overflow detection.
 bool add_ck(u64& a, u64 b) { return !__builtin_add_overflow(a, b, &a); }
 
+// Where one of `from`'s records lands in `into`: the node holding the same
+// key, or the node a new key goes in front of (end() past the last).
+template <class Map>
+struct Slot {
+  typename Map::iterator at;
+  bool found;
+};
+
+// One lockstep walk of two maps sorted the same way: at most
+// |into| + |from| key comparisons, no lookup from the root. Fills one slot
+// per record of `from`, and fails (before anything changes) as soon as a
+// matched pair does not `fit`, i.e. a sum would overflow.
+template <class Map, class Fits>
+bool place(Map& into, const Map& from, std::vector<Slot<Map>>& slots,
+           Fits fits) {
+  slots.reserve(from.size());
+  auto it = into.begin();
+  for (const auto& [key, val] : from) {
+    bool found = false;
+    for (; it != into.end(); ++it) {
+      auto c = it->first <=> key;
+      if (c >= 0) {
+        found = c == 0;
+        break;
+      }
+    }
+    if (found && !fits(it->second, val)) return false;
+    slots.push_back({it, found});
+  }
+  return true;
+}
+
+// Applies a walk that `place` accepted: matched records combine in place,
+// new ones are inserted at their slot (a correct hint, so O(1) each). A
+// self-merge only ever matches, so `from` is never changed under the loop.
+template <class Map, class Combine>
+void apply(Map& into, const Map& from, const std::vector<Slot<Map>>& slots,
+           Combine combine) {
+  usize i = 0;
+  for (const auto& [key, val] : from) {
+    const Slot<Map>& s = slots[i++];
+    if (s.found) {
+      combine(s.at->second, val);
+    } else {
+      into.emplace_hint(s.at, key, val);
+    }
+  }
+}
+
+// Whether a + b fits in a u64.
+bool add_fits(u64 a, u64 b) {
+  u64 sum;
+  return !__builtin_add_overflow(a, b, &sum);
+}
+
 }  // namespace
 
 MergeableProfile MergeableProfile::from_profile(const Profile& p) {
@@ -124,53 +181,71 @@ MergeableProfile MergeableProfile::from_tree(
 }
 
 std::string MergeableProfile::save() const {
-  std::string payload;
-  put_u64(payload, methods.size());
-  put_u64(payload, edges.size());
-  put_u64(payload, stacks.size());
-  put_u64(payload, sessions);
-  put_f64(payload, ns_per_tick);
-  put_u64(payload, stats.entries);
-  put_u64(payload, stats.stray_returns);
-  put_u64(payload, stats.mismatched_returns);
-  put_u64(payload, stats.unwound_frames);
-  put_u64(payload, stats.incomplete);
-  put_u64(payload, stats.tombstones);
-  put_u64(payload, stats.thread_count);
-
+  // Size the file first so the frame and the payload go into one buffer
+  // with one allocation; only the two CRCs are patched in afterwards.
+  usize payload_bytes = 12 * sizeof(u64);
   for (const auto& [name, mm] : methods) {
-    put_str(payload, name);
-    put_u64(payload, mm.id);
-    put_u64(payload, mm.count);
-    put_u64(payload, mm.inclusive_total);
-    put_u64(payload, mm.exclusive_total);
-    put_u64(payload, mm.min_inclusive);
-    put_u64(payload, mm.max_inclusive);
+    (void)mm;
+    payload_bytes += sizeof(u32) + name.size() + 6 * sizeof(u64);
   }
   for (const auto& [key, me] : edges) {
-    put_str(payload, key.caller);
-    put_str(payload, key.callee);
-    payload.push_back(key.from_root ? 1 : 0);
-    put_u64(payload, me.count);
-    put_u64(payload, me.inclusive_total);
+    (void)me;
+    payload_bytes += 2 * sizeof(u32) + key.caller.size() + key.callee.size() +
+                     1 + 2 * sizeof(u64);
   }
   for (const auto& [path, ticks] : stacks) {
-    put_str(payload, path);
-    put_u64(payload, ticks);
+    (void)ticks;
+    payload_bytes += sizeof(u32) + path.size() + sizeof(u64);
   }
 
   MprofFrame frame;
   frame.magic = kMprofMagic;
   frame.version = kMprofVersion;
-  frame.payload_bytes = payload.size();
-  frame.payload_crc = crc32c_mask(crc32c(payload.data(), payload.size()));
+  frame.payload_bytes = payload_bytes;
+  std::string out;
+  out.reserve(sizeof(MprofFrame) + payload_bytes);
+  out.append(reinterpret_cast<const char*>(&frame), sizeof(MprofFrame));
+
+  put_u64(out, methods.size());
+  put_u64(out, edges.size());
+  put_u64(out, stacks.size());
+  put_u64(out, sessions);
+  put_f64(out, ns_per_tick);
+  put_u64(out, stats.entries);
+  put_u64(out, stats.stray_returns);
+  put_u64(out, stats.mismatched_returns);
+  put_u64(out, stats.unwound_frames);
+  put_u64(out, stats.incomplete);
+  put_u64(out, stats.tombstones);
+  put_u64(out, stats.thread_count);
+
+  for (const auto& [name, mm] : methods) {
+    put_str(out, name);
+    put_u64(out, mm.id);
+    put_u64(out, mm.count);
+    put_u64(out, mm.inclusive_total);
+    put_u64(out, mm.exclusive_total);
+    put_u64(out, mm.min_inclusive);
+    put_u64(out, mm.max_inclusive);
+  }
+  for (const auto& [key, me] : edges) {
+    put_str(out, key.caller);
+    put_str(out, key.callee);
+    out.push_back(key.from_root ? 1 : 0);
+    put_u64(out, me.count);
+    put_u64(out, me.inclusive_total);
+  }
+  for (const auto& [path, ticks] : stacks) {
+    put_str(out, path);
+    put_u64(out, ticks);
+  }
+
+  frame.payload_crc =
+      crc32c_mask(crc32c(out.data() + sizeof(MprofFrame), payload_bytes));
   frame.header_crc =
       crc32c_mask(crc32c(&frame, sizeof(MprofFrame) - 2 * sizeof(u32)));
-
-  std::string out;
-  out.reserve(sizeof(MprofFrame) + payload.size());
-  out.assign(reinterpret_cast<const char*>(&frame), sizeof(MprofFrame));
-  out.append(payload);
+  std::memcpy(out.data() + offsetof(MprofFrame, payload_crc),
+              &frame.payload_crc, 2 * sizeof(u32));
   return out;
 }
 
@@ -225,7 +300,11 @@ std::optional<MergeableProfile> MergeableProfile::load_bytes(
     return reject("record count exceeds payload");
   }
 
-  std::string prev;
+  // Records arrive strictly sorted (checked against the last key stored),
+  // so each one is appended at end() with the key moved in: O(1) per
+  // record, and every key string is built exactly once. The strict check
+  // is the only duplicate guard — a hinted insert keeps the first of two
+  // equal keys without a word.
   for (u64 i = 0; i < method_count; ++i) {
     std::string name = r.str();
     MprofMethod mm;
@@ -237,7 +316,9 @@ std::optional<MergeableProfile> MergeableProfile::load_bytes(
     mm.max_inclusive = r.u64v();
     if (!r.ok) return reject("truncated method record");
     if (name.empty()) return reject("empty method name");
-    if (i > 0 && name <= prev) return reject("methods not strictly sorted");
+    if (i > 0 && name <= m.methods.rbegin()->first) {
+      return reject("methods not strictly sorted");
+    }
     if (mm.count == 0) return reject("method with zero count");
     if (mm.exclusive_total > mm.inclusive_total) {
       return reject("exclusive exceeds inclusive");
@@ -246,11 +327,9 @@ std::optional<MergeableProfile> MergeableProfile::load_bytes(
     if (mm.max_inclusive > mm.inclusive_total) {
       return reject("max exceeds inclusive total");
     }
-    prev = std::move(name);
-    m.methods.emplace(prev, mm);
+    m.methods.emplace_hint(m.methods.end(), std::move(name), mm);
   }
 
-  MprofEdgeKey prev_key;
   for (u64 i = 0; i < edge_count; ++i) {
     MprofEdgeKey k;
     k.caller = r.str();
@@ -267,22 +346,23 @@ std::optional<MergeableProfile> MergeableProfile::load_bytes(
       return reject("root flag disagrees with caller");
     }
     if (k.callee.empty()) return reject("empty callee name");
-    if (i > 0 && !(prev_key < k)) return reject("edges not strictly sorted");
+    if (i > 0 && !(m.edges.rbegin()->first < k)) {
+      return reject("edges not strictly sorted");
+    }
     if (me.count == 0) return reject("edge with zero count");
-    prev_key = k;
-    m.edges.emplace(std::move(k), me);
+    m.edges.emplace_hint(m.edges.end(), std::move(k), me);
   }
 
-  prev.clear();
   for (u64 i = 0; i < stack_count; ++i) {
     std::string path = r.str();
     u64 ticks = r.u64v();
     if (!r.ok) return reject("truncated stack record");
     if (path.empty()) return reject("empty stack path");
-    if (i > 0 && path <= prev) return reject("stacks not strictly sorted");
+    if (i > 0 && path <= m.stacks.rbegin()->first) {
+      return reject("stacks not strictly sorted");
+    }
     if (ticks == 0) return reject("stack with zero ticks");
-    prev = std::move(path);
-    m.stacks.emplace(prev, ticks);
+    m.stacks.emplace_hint(m.stacks.end(), std::move(path), ticks);
   }
 
   if (!r.done()) return reject("trailing bytes after records");
@@ -300,46 +380,61 @@ std::optional<MergeableProfile> MergeableProfile::load(const std::string& path,
 }
 
 bool MergeableProfile::merge(const MergeableProfile& other) {
-  // Merge into a copy so a mid-merge overflow leaves *this untouched —
-  // half-applied merges would silently corrupt fleet rollups.
-  MergeableProfile out = *this;
-  if (!add_ck(out.sessions, other.sessions)) return false;
-  if (other.ns_per_tick > 0.0) {
-    out.ns_per_tick = ns_per_tick > 0.0
-                          ? std::max(ns_per_tick, other.ns_per_tick)
-                          : other.ns_per_tick;
-  }
-  if (!add_ck(out.stats.entries, other.stats.entries) ||
-      !add_ck(out.stats.stray_returns, other.stats.stray_returns) ||
-      !add_ck(out.stats.mismatched_returns, other.stats.mismatched_returns) ||
-      !add_ck(out.stats.unwound_frames, other.stats.unwound_frames) ||
-      !add_ck(out.stats.incomplete, other.stats.incomplete) ||
-      !add_ck(out.stats.tombstones, other.stats.tombstones) ||
-      !add_ck(out.stats.thread_count, other.stats.thread_count)) {
+  // Check every addition before changing anything: a half-applied merge
+  // would silently corrupt fleet rollups, so a refused one leaves *this
+  // byte-identical.
+  u64 merged_sessions = sessions;
+  MprofStats merged_stats = stats;
+  if (!add_ck(merged_sessions, other.sessions) ||
+      !add_ck(merged_stats.entries, other.stats.entries) ||
+      !add_ck(merged_stats.stray_returns, other.stats.stray_returns) ||
+      !add_ck(merged_stats.mismatched_returns,
+              other.stats.mismatched_returns) ||
+      !add_ck(merged_stats.unwound_frames, other.stats.unwound_frames) ||
+      !add_ck(merged_stats.incomplete, other.stats.incomplete) ||
+      !add_ck(merged_stats.tombstones, other.stats.tombstones) ||
+      !add_ck(merged_stats.thread_count, other.stats.thread_count)) {
     return false;
   }
-  for (const auto& [name, om] : other.methods) {
-    MprofMethod& mm = out.methods[name];
-    mm.id = std::min(mm.id, om.id);
-    if (!add_ck(mm.count, om.count) ||
-        !add_ck(mm.inclusive_total, om.inclusive_total) ||
-        !add_ck(mm.exclusive_total, om.exclusive_total)) {
-      return false;
-    }
-    mm.min_inclusive = std::min(mm.min_inclusive, om.min_inclusive);
-    mm.max_inclusive = std::max(mm.max_inclusive, om.max_inclusive);
+  std::vector<Slot<decltype(methods)>> method_slots;
+  std::vector<Slot<decltype(edges)>> edge_slots;
+  std::vector<Slot<decltype(stacks)>> stack_slots;
+  if (!place(methods, other.methods, method_slots,
+             [](const MprofMethod& a, const MprofMethod& b) {
+               return add_fits(a.count, b.count) &&
+                      add_fits(a.inclusive_total, b.inclusive_total) &&
+                      add_fits(a.exclusive_total, b.exclusive_total);
+             }) ||
+      !place(edges, other.edges, edge_slots,
+             [](const MprofEdge& a, const MprofEdge& b) {
+               return add_fits(a.count, b.count) &&
+                      add_fits(a.inclusive_total, b.inclusive_total);
+             }) ||
+      !place(stacks, other.stacks, stack_slots, add_fits)) {
+    return false;
   }
-  for (const auto& [key, oe] : other.edges) {
-    MprofEdge& me = out.edges[key];
-    if (!add_ck(me.count, oe.count) ||
-        !add_ck(me.inclusive_total, oe.inclusive_total)) {
-      return false;
-    }
+
+  // Nothing can fail from here on.
+  sessions = merged_sessions;
+  stats = merged_stats;
+  if (other.ns_per_tick > 0.0) {
+    ns_per_tick = ns_per_tick > 0.0 ? std::max(ns_per_tick, other.ns_per_tick)
+                                    : other.ns_per_tick;
   }
-  for (const auto& [path, ticks] : other.stacks) {
-    if (!add_ck(out.stacks[path], ticks)) return false;
-  }
-  *this = std::move(out);
+  apply(methods, other.methods, method_slots,
+        [](MprofMethod& a, const MprofMethod& b) {
+          a.id = std::min(a.id, b.id);
+          a.count += b.count;
+          a.inclusive_total += b.inclusive_total;
+          a.exclusive_total += b.exclusive_total;
+          a.min_inclusive = std::min(a.min_inclusive, b.min_inclusive);
+          a.max_inclusive = std::max(a.max_inclusive, b.max_inclusive);
+        });
+  apply(edges, other.edges, edge_slots, [](MprofEdge& a, const MprofEdge& b) {
+    a.count += b.count;
+    a.inclusive_total += b.inclusive_total;
+  });
+  apply(stacks, other.stacks, stack_slots, [](u64& a, u64 b) { a += b; });
   return true;
 }
 

@@ -106,11 +106,13 @@ class MergeableProfile {
       const PathTree& tree, const std::unordered_map<u64, std::string>& symbols);
 
   // Canonical serialization (frame + payload). Deterministic: equal
-  // profiles serialize to equal bytes.
+  // profiles serialize to equal bytes. Sized up front and written into one
+  // buffer.
   std::string save() const;
   bool save_to(const std::string& path) const;
 
   // Fail-closed deserialization; on nullopt, *error (if given) says why.
+  // Linear: each strictly sorted record is appended at the map's end.
   static std::optional<MergeableProfile> load_bytes(std::string_view bytes,
                                                     std::string* error = nullptr);
   static std::optional<MergeableProfile> load(const std::string& path,
@@ -121,6 +123,11 @@ class MergeableProfile {
   // max). Associative and commutative; MergeableProfile{} is the identity.
   // Returns false — leaving *this unchanged — if any u64 addition would
   // overflow (hostile inputs must not wrap counters into small lies).
+  //
+  // In place and copy-free: one lockstep walk of each pair of maps checks
+  // every addition first (O(|this| + |other|) key comparisons), then the
+  // sums apply and new keys go in at the positions that walk found.
+  // m.merge(m) is allowed and equals merging a copy of m.
   bool merge(const MergeableProfile& other);
 
   bool empty() const {

@@ -1,7 +1,8 @@
 // Golden-file regression tests for the analyzer (TESTING.md "Golden
 // files"): every seed_*.log in tests/corpus has a checked-in reference
-// rendering — folded stacks and method-stat JSON — and analysis output must
-// stay bit-identical to it. Any intentional analyzer change regenerates the
+// rendering — folded stacks, method-stat JSON and the text reports of
+// teeperf_analyze's aggregate commands — and analysis output must stay
+// bit-identical to it. Any intentional analyzer change regenerates the
 // references with TEEPERF_UPDATE_GOLDEN=1 and reviews the diff.
 //
 // Plus the shard-layout differential: the same scripted workload recorded
@@ -15,11 +16,13 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analyzer/profile.h"
+#include "analyzer/report.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
 #include "core/log_format.h"
@@ -118,6 +121,39 @@ TEST(GoldenCorpus, FoldedStacksAndMethodStatsBitIdentical) {
     std::string golden_base = corpus_dir() + "/golden/" + name;
     check_golden(golden_base + ".folded", render_folded(*profile));
     check_golden(golden_base + ".stats.json", render_stats_json(*profile));
+  }
+}
+
+// The text each aggregate command of `teeperf_analyze <prefix>` prints
+// after the session summary, with the command's default arguments (`--top`
+// at its default 30 rows), keyed by the golden file's suffix.
+std::vector<std::pair<std::string, std::string>> text_reports(
+    const analyzer::Profile& p) {
+  auto [path, ticks] = p.hottest_stack();
+  return {
+      {"top", analyzer::method_report(p, 30)},
+      {"callgraph", analyzer::call_graph_report(p)},
+      {"tree", analyzer::call_tree_report(p)},
+      {"bottomup", analyzer::bottom_up_report(p)},
+      {"gprof", analyzer::gprof_flat_report(p)},
+      // teeperf_analyze --hottest formats this line itself.
+      {"hottest", str_format("hottest stack (%.3f ms exclusive):\n  %s\n",
+                             p.ticks_to_ns(ticks) / 1e6, path.c_str())},
+  };
+}
+
+TEST(GoldenCorpus, TextReportsBitIdentical) {
+  for (const std::string& name : seed_logs()) {
+    SCOPED_TRACE(name);
+    auto raw = read_file(corpus_dir() + "/" + name + ".log");
+    ASSERT_TRUE(raw);
+    auto profile = analyzer::Profile::load_bytes(*raw);
+    ASSERT_TRUE(profile) << "loader rejected a trusted seed";
+    for (const auto& [command, text] : text_reports(*profile)) {
+      SCOPED_TRACE(command);
+      check_golden(corpus_dir() + "/golden/" + name + "." + command + ".txt",
+                   text);
+    }
   }
 }
 

@@ -13,8 +13,12 @@
 //    CRC frame (zero counts, unsorted keys, exclusive > inclusive, trailing
 //    bytes, ...) reject; merges that would overflow u64 counters fail
 //    closed and leave the target untouched.
+//  - The in-place merge is held byte-equal to the copy-then-merge it
+//    replaced (kept below as the reference) over seeded random profiles.
+#include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -208,6 +212,149 @@ TEST(Mprof, MergeAssociativeAndCommutative) {
   EXPECT_EQ(ab_c.save(), cba.save());
   EXPECT_EQ(ab_c, a_bc);
   EXPECT_EQ(ab_c, cba);
+
+  // Self-merge: m.merge(m) equals merging a copy of m.
+  MergeableProfile self = ab_c;
+  self.ns_per_tick = 2.5;
+  const MergeableProfile copy = self;
+  MergeableProfile with_copy = self;
+  ASSERT_TRUE(with_copy.merge(copy));
+  ASSERT_TRUE(self.merge(self));
+  EXPECT_EQ(self.save(), with_copy.save());
+  EXPECT_EQ(self.sessions, 2 * copy.sessions);
+}
+
+// Reference for MergeableProfile::merge: the plain copy-then-merge. Every
+// key is looked up from the root of a copy, and the copy replaces the
+// target only once every sum has fit.
+bool reference_merge(MergeableProfile& target, const MergeableProfile& other) {
+  MergeableProfile out = target;
+  if (__builtin_add_overflow(out.sessions, other.sessions, &out.sessions)) {
+    return false;
+  }
+  if (other.ns_per_tick > 0.0) {
+    out.ns_per_tick = target.ns_per_tick > 0.0
+                          ? std::max(target.ns_per_tick, other.ns_per_tick)
+                          : other.ns_per_tick;
+  }
+  auto add = [](u64& a, u64 b) { return !__builtin_add_overflow(a, b, &a); };
+  const analyzer::MprofStats& os = other.stats;
+  if (!add(out.stats.entries, os.entries) ||
+      !add(out.stats.stray_returns, os.stray_returns) ||
+      !add(out.stats.mismatched_returns, os.mismatched_returns) ||
+      !add(out.stats.unwound_frames, os.unwound_frames) ||
+      !add(out.stats.incomplete, os.incomplete) ||
+      !add(out.stats.tombstones, os.tombstones) ||
+      !add(out.stats.thread_count, os.thread_count)) {
+    return false;
+  }
+  for (const auto& [name, om] : other.methods) {
+    MprofMethod& mm = out.methods[name];
+    mm.id = std::min(mm.id, om.id);
+    if (!add(mm.count, om.count) ||
+        !add(mm.inclusive_total, om.inclusive_total) ||
+        !add(mm.exclusive_total, om.exclusive_total)) {
+      return false;
+    }
+    mm.min_inclusive = std::min(mm.min_inclusive, om.min_inclusive);
+    mm.max_inclusive = std::max(mm.max_inclusive, om.max_inclusive);
+  }
+  for (const auto& [key, oe] : other.edges) {
+    analyzer::MprofEdge& me = out.edges[key];
+    if (!add(me.count, oe.count) ||
+        !add(me.inclusive_total, oe.inclusive_total)) {
+      return false;
+    }
+  }
+  for (const auto& [path, ticks] : other.stacks) {
+    if (!add(out.stacks[path], ticks)) return false;
+  }
+  target = std::move(out);
+  return true;
+}
+
+// Which of a shared key universe a random profile draws from.
+enum class Keys { kEven, kOdd, kLow, kHigh, kAll, kRandom };
+
+bool takes(Keys keys, u64 k, u64 universe, Rng& rng) {
+  switch (keys) {
+    case Keys::kEven: return k % 2 == 0;
+    case Keys::kOdd: return k % 2 == 1;
+    case Keys::kLow: return k < universe / 2;
+    case Keys::kHigh: return k >= universe / 2;
+    case Keys::kAll: return true;
+    case Keys::kRandom: return rng.below(3) != 0;
+  }
+  return false;
+}
+
+// Which record kind of a random profile may carry totals near 2^64, so
+// that merges can be refused there after the kinds before it fit.
+enum class Huge { kNone, kMethods, kEdges, kStacks };
+
+// A random aggregate over keys 0..universe-1. Folded paths share a long
+// prefix, like deep call trees do.
+MergeableProfile random_profile(Rng& rng, Keys keys, u64 universe, Huge huge) {
+  MergeableProfile m;
+  m.sessions = 1 + rng.below(4);
+  m.ns_per_tick = static_cast<double>(rng.below(3));
+  m.stats.entries = rng.below(1000);
+  m.stats.thread_count = 1 + rng.below(8);
+  auto total = [&](Huge kind) {
+    return huge == kind && rng.below(8) == 0 ? ~0ull - rng.below(1000)
+                                             : 1 + rng.below(1000);
+  };
+  const std::string prefix = std::string(200, 'p') + ";main;";
+  for (u64 k = 0; k < universe; ++k) {
+    std::string name = "ns::f" + std::to_string(k);
+    if (takes(keys, k, universe, rng)) {
+      u64 incl = total(Huge::kMethods);
+      u64 mn = rng.below(incl + 1);
+      m.methods[name] = MprofMethod{k + rng.below(3), 1 + rng.below(50), incl,
+                                    rng.below(incl + 1), mn,
+                                    mn + rng.below(incl - mn + 1)};
+    }
+    if (takes(keys, k, universe, rng)) {
+      bool root = k % 5 == 0;
+      m.edges[MprofEdgeKey{root ? "" : "ns::f" + std::to_string(k / 2), name,
+                           root}] = {1 + rng.below(50), total(Huge::kEdges)};
+    }
+    if (takes(keys, k, universe, rng)) {
+      m.stacks[prefix + std::to_string(k % 7) + ";" + name] =
+          total(Huge::kStacks);
+    }
+  }
+  return m;
+}
+
+TEST(Mprof, InPlaceMergeMatchesCopyReference) {
+  Rng rng{0x2545f4914f6cdd1dull};
+  const std::pair<Keys, Keys> pairings[] = {
+      {Keys::kEven, Keys::kOdd},       // interleaved, disjoint
+      {Keys::kLow, Keys::kHigh},       // disjoint, other after target
+      {Keys::kHigh, Keys::kLow},       // disjoint, other before target
+      {Keys::kAll, Keys::kAll},        // identical key sets
+      {Keys::kRandom, Keys::kRandom},  // random overlap
+      {Keys::kAll, Keys::kRandom},
+      {Keys::kRandom, Keys::kAll},
+  };
+  int refused = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    for (const auto& [a_keys, b_keys] : pairings) {
+      SCOPED_TRACE(trial);
+      Huge huge = static_cast<Huge>(trial % 4);
+      u64 universe = rng.below(60);
+      MergeableProfile a = random_profile(rng, a_keys, universe, huge);
+      MergeableProfile b = random_profile(rng, b_keys, universe, huge);
+      MergeableProfile want = a;
+      bool want_ok = reference_merge(want, b);
+      MergeableProfile got = a;
+      EXPECT_EQ(got.merge(b), want_ok);
+      EXPECT_EQ(got.save(), want.save());
+      refused += !want_ok;
+    }
+  }
+  EXPECT_GT(refused, 0) << "no trial exercised a refused merge";
 }
 
 TEST(Mprof, EmptyProfileIsMergeIdentity) {
@@ -428,10 +575,24 @@ TEST(Mprof, HostilePayloadsBehindValidFramesReject) {
     expect_reject(p, "edge with zero count");
   }
   {
+    std::string p = payload_header(0, 2, 0);
+    put_edge(p, "f", "g", 0, 2, 10);
+    put_edge(p, "f", "g", 0, 2, 10);  // duplicate key
+    expect_reject(p, "edges not strictly sorted");
+  }
+  {
     std::string p = payload_header(0, 0, 1);
     put_str(p, "f;g");
     put_u64(p, 0);
     expect_reject(p, "stack with zero ticks");
+  }
+  {
+    std::string p = payload_header(0, 0, 2);
+    put_str(p, "f;g");
+    put_u64(p, 3);
+    put_str(p, "f;g");  // duplicate key
+    put_u64(p, 3);
+    expect_reject(p, "stacks not strictly sorted");
   }
   {
     std::string p = payload_header(0, 0, 2);
@@ -500,6 +661,20 @@ TEST(Mprof, OverflowingMergeFailsClosedLeavingTargetUntouched) {
   MergeableProfile t4 = sessions_only;
   EXPECT_FALSE(t4.merge(sessions_only));
   EXPECT_EQ(t4, sessions_only);
+
+  // A refused self-merge leaves the profile as it was.
+  EXPECT_FALSE(big.merge(big));
+  EXPECT_EQ(big.save(), bytes) << "failed self-merge mutated the target";
+
+  // Only the last stack key overflows, after the methods, the edges and
+  // the earlier stacks would all have merged cleanly: nothing may apply.
+  MergeableProfile last = mprof_of(all_threads());
+  MergeableProfile last_other = last;
+  ASSERT_GT(last.stacks.size(), 1u);
+  last_other.stacks.rbegin()->second = ~0ull;
+  std::string last_bytes = last.save();
+  EXPECT_FALSE(last.merge(last_other));
+  EXPECT_EQ(last.save(), last_bytes) << "failed merge mutated the target";
 
   // A small, sane merge into the same target still works afterwards.
   MergeableProfile sane = mprof_of({0});
