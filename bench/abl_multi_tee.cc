@@ -61,13 +61,17 @@ void run_one(const TeeRow& row) {
   double gen =
       flamegraph::frame_fraction(tree, "kvs::RandomGenerator::RandomGenerator");
 
-  auto stats = profile.method_stats();
-  std::string top = stats.empty() ? "?" : profile.name(stats[0].method);
+  // The method with the most exclusive time; ties go to the first name.
+  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  const std::string* top = nullptr;
+  for (const auto& [name, m] : agg.methods) {
+    if (!top || m.exclusive_total > agg.methods.at(*top).exclusive_total) top = &name;
+  }
 
   std::printf("%-12s %10.0f ops/s   Stats::Now %5.1f%%  DB::Get %5.1f%%  "
               "RandomGen %5.1f%%   top: %s\n",
               row.name, result.ops_per_sec, now * 100, get * 100, gen * 100,
-              top.c_str());
+              top ? top->c_str() : "?");
   remove_tree(db_dir);
 }
 

@@ -62,10 +62,11 @@ int main() {
               static_cast<unsigned long long>(result.ops),
               static_cast<unsigned long long>(result.reads),
               static_cast<unsigned long long>(result.writes), result.ops_per_sec);
-  std::printf("%s\n\n", analyzer::recon_summary(profile).c_str());
-  std::printf("%s\n", analyzer::method_report(profile, 12).c_str());
+  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  std::printf("%s\n\n", analyzer::mprof_summary(agg).c_str());
+  std::printf("%s\n", analyzer::method_report(agg, 12).c_str());
 
-  auto folded = profile.folded_stacks();
+  flamegraph::FoldedStacks folded(agg.stacks.begin(), agg.stacks.end());
   auto tree = flamegraph::build_frame_tree(folded);
   double now_frac = flamegraph::frame_fraction(tree, "kvs::Stats::Now");
   double gen_frac =
@@ -80,7 +81,7 @@ int main() {
   std::printf("  kvs::DB::Get (the actual storage work) %5.1f%%\n", get_frac * 100);
   print_rule('=');
 
-  write_file(out + "/fig5_kvstore.folded", flamegraph::to_folded_text(folded));
+  write_file(out + "/fig5_kvstore.folded", agg.folded());
   flamegraph::SvgOptions svg;
   svg.title = "Figure 5: db_bench readrandomwriterandom (80% reads) under TEE-Perf";
   write_file(out + "/fig5_kvstore.svg", flamegraph::render_svg(folded, svg));

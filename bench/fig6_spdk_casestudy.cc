@@ -78,7 +78,8 @@ void record_flamegraph(const spdk::SpdkMode& mode, const std::string& path,
 
   auto profile = analyzer::Profile::from_log(
       recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  auto folded = profile.folded_stacks();
+  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  flamegraph::FoldedStacks folded(agg.stacks.begin(), agg.stacks.end());
   auto tree = flamegraph::build_frame_tree(folded);
   *getpid_frac = flamegraph::frame_fraction(tree, "getpid");
   *rdtsc_frac = flamegraph::frame_fraction(tree, "rdtsc");
@@ -86,7 +87,7 @@ void record_flamegraph(const spdk::SpdkMode& mode, const std::string& path,
   flamegraph::SvgOptions svg;
   svg.title = title;
   write_file(path + ".svg", flamegraph::render_svg(folded, svg));
-  write_file(path + ".folded", flamegraph::to_folded_text(folded));
+  write_file(path + ".folded", agg.folded());
 }
 
 void print_row(const char* label, const spdk::PerfResult& r, const char* paper_iops,

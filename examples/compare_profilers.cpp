@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 
+#include "analyzer/fold.h"
 #include "analyzer/profile.h"
 #include "analyzer/report.h"
 #include "common/fileutil.h"
@@ -36,10 +37,12 @@ int main(int argc, char** argv) {
 
   auto traced = analyzer::Profile::from_log(
       recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+  analyzer::SessionTree tree = traced.path_tree();
+  auto agg = analyzer::MergeableProfile::from_tree(tree);
   std::printf("=== TEE-Perf (traced: %llu events, exact call counts) ===\n%s\n",
               static_cast<unsigned long long>(recorder->stats().entries),
-              analyzer::method_report(traced, 8).c_str());
-  std::printf("%s\n", analyzer::call_tree_report(traced, 0.02).c_str());
+              analyzer::method_report(agg, 8).c_str());
+  std::printf("%s\n", analyzer::call_tree_report(tree, 0.02).c_str());
 
   // --- pass 2: sampling baseline -------------------------------------------
   perfsim::SamplerOptions sopts;
@@ -63,7 +66,7 @@ int main(int argc, char** argv) {
   flamegraph::SvgOptions svg;
   svg.title = "traced (TEE-Perf)";
   write_file(out_dir + "/traced.svg",
-             flamegraph::render_profile_svg(traced, svg));
+             flamegraph::render_profile_svg(agg, svg));
   svg.title = "sampled (perf-sim)";
   auto sampled_folded = sampler.folded_stacks(
       [](u64 id) { return SymbolRegistry::instance().name_of(id); });

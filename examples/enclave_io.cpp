@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
               getpid_frac * 100, rdtsc_frac * 100);
   write_file(out_dir + "/naive_flame.svg",
              flamegraph::render_profile_svg(
-                 *profile, {.title = "naive SPDK in enclave"}));
+                 analyzer::MergeableProfile::from_profile(*profile),
+                 {.title = "naive SPDK in enclave"}));
 
   // Step 4: apply the paper's fixes and re-measure.
   spdk::SpdkMode optimized;

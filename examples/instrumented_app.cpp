@@ -77,16 +77,17 @@ int main(int argc, char** argv) {
 
   auto profile = analyzer::Profile::load(prefix);
   if (!profile) return 1;
-  std::printf("\n%s\n\n%s\n", analyzer::recon_summary(*profile).c_str(),
-              analyzer::method_report(*profile, 15).c_str());
+  auto agg = analyzer::MergeableProfile::from_profile(*profile);
+  std::printf("\n%s\n\n%s\n", analyzer::mprof_summary(agg).c_str(),
+              analyzer::method_report(agg, 15).c_str());
 
   // fibonacci(16) makes 3193 calls; the dladdr symbolization must name it.
   bool found_fib = false;
-  for (const auto& s : profile->method_stats()) {
-    if (profile->name(s.method).find("fibonacci") != std::string::npos) {
+  for (const auto& [name, m] : agg.methods) {
+    if (name.find("fibonacci") != std::string::npos) {
       found_fib = true;
       std::printf("fibonacci resolved via dladdr: %llu invocations\n",
-                  static_cast<unsigned long long>(s.count));
+                  static_cast<unsigned long long>(m.count));
     }
   }
   if (!found_fib) {

@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   auto profile = analyzer::Profile::load(prefix);
   if (!profile) return 1;
 
-  std::printf("\n%s\n", analyzer::method_report(*profile, 15).c_str());
+  auto agg = analyzer::MergeableProfile::from_profile(*profile);
+  std::printf("\n%s\n", analyzer::method_report(agg, 15).c_str());
 
   // The query interface (§II-C): who calls Stats::Now, and how often?
   u64 now_id = SymbolRegistry::instance().intern("kvs::Stats::Now");
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   flamegraph::SvgOptions svg_opts;
   svg_opts.title = "db_bench readrandomwriterandom (80% reads) in enclave";
   write_file(out_dir + "/kvstore_flame.svg",
-             flamegraph::render_profile_svg(*profile, svg_opts));
+             flamegraph::render_profile_svg(agg, svg_opts));
   std::printf("\nflame graph: %s/kvstore_flame.svg\n", out_dir.c_str());
   return 0;
 }

@@ -31,8 +31,9 @@ int main() {
   auto profile = analyzer::Profile::from_log(
       recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
 
+  auto agg = analyzer::MergeableProfile::from_profile(profile);
   std::printf("== sorted method report (the default analyzer output) ==\n%s\n",
-              analyzer::method_report(profile, 10).c_str());
+              analyzer::method_report(agg, 10).c_str());
 
   InvocationTable table(profile);
 
@@ -60,6 +61,6 @@ int main() {
   }
 
   std::printf("\n== dynamic call graph ==\n%s\n",
-              analyzer::call_graph_report(profile, 10).c_str());
+              analyzer::call_graph_report(agg, 10).c_str());
   return 0;
 }

@@ -73,16 +73,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to load %s.log\n", prefix.c_str());
     return 1;
   }
-  std::printf("\n%s\n\n%s\n", analyzer::recon_summary(*profile).c_str(),
-              analyzer::method_report(*profile).c_str());
+  auto agg = analyzer::MergeableProfile::from_profile(*profile);
+  std::printf("\n%s\n\n%s\n", analyzer::mprof_summary(agg).c_str(),
+              analyzer::method_report(agg).c_str());
 
   // Stage 4: the visualizer — a flame graph SVG.
   flamegraph::SvgOptions svg_opts;
   svg_opts.title = "quickstart pipeline";
   write_file(out_dir + "/quickstart.svg",
-             flamegraph::render_profile_svg(*profile, svg_opts));
-  write_file(out_dir + "/quickstart.folded",
-             flamegraph::to_folded_text(profile->folded_stacks()));
+             flamegraph::render_profile_svg(agg, svg_opts));
+  write_file(out_dir + "/quickstart.folded", agg.folded());
   flamegraph::TimelineOptions tl;
   tl.title = "quickstart timeline";
   write_file(out_dir + "/quickstart_timeline.svg",

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 
+#include "analyzer/fold.h"
 #include "analyzer/profile.h"
 #include "analyzer/report.h"
 #include "common/fileutil.h"
@@ -82,9 +83,11 @@ int main(int argc, char** argv) {
 
   auto profile = analyzer::Profile::from_log(
       recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+  analyzer::SessionTree tree = profile.path_tree();
   std::printf("\nprofile of the *synchronous* counter design:\n%s\n",
-              analyzer::method_report(profile, 6).c_str());
-  std::printf("%s\n", analyzer::bottom_up_report(profile, 3, 3).c_str());
+              analyzer::method_report(analyzer::MergeableProfile::from_tree(tree), 6)
+                  .c_str());
+  std::printf("%s\n", analyzer::bottom_up_report(tree, 3, 3).c_str());
   std::printf("TEE-Perf's verdict: move the counter off the critical path — "
               "which is exactly Speicher's asynchronous trusted counter "
               "(see bench/abl_secure_wal for the before/after).\n");

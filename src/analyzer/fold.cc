@@ -171,52 +171,4 @@ std::optional<SessionInfo> walk_session(const std::string& prefix,
   return info;
 }
 
-PathRollup rollup(const PathTree& tree,
-                  const std::unordered_map<u64, std::string>* symbols) {
-  PathRollup r;
-  const std::vector<PathNode>& nodes = tree.nodes();
-  for (usize i = 1; i < nodes.size(); ++i) {
-    const PathNode& node = nodes[i];
-    bool from_root = node.parent == 0;
-    r.methods[node.method].add(node.agg);
-    r.edges[EdgeKey{from_root ? 0 : nodes[node.parent].method, node.method,
-                    from_root}]
-        .add(node.agg);
-  }
-  if (symbols == nullptr) return r;
-
-  // One registry/symbol lookup per distinct method.
-  for (const auto& [id, agg] : r.methods) {
-    (void)agg;
-    r.names.emplace(id, resolve_name(*symbols, id));
-  }
-
-  // Folded stacks: a depth-first walk from the root that keeps one rolling
-  // path string, so each path is built once. Child lists fill in one
-  // backward pass over the ids.
-  usize n = nodes.size();
-  std::vector<u32> first_child(n, 0), next_sibling(n, 0);  // 0 = none
-  for (usize i = n; i-- > 1;) {
-    u32 parent = nodes[i].parent;
-    next_sibling[i] = first_child[parent];
-    first_child[parent] = static_cast<u32>(i);
-  }
-  std::string path;
-  std::vector<std::pair<u32, usize>> todo;  // node, its parent's path length
-  for (u32 c = first_child[0]; c != 0; c = next_sibling[c]) todo.push_back({c, 0});
-  while (!todo.empty()) {
-    auto [i, parent_len] = todo.back();
-    todo.pop_back();
-    const PathNode& node = nodes[i];
-    path.resize(parent_len);
-    if (parent_len > 0) path += ';';
-    path += r.names[node.method];
-    if (node.agg.exclusive_total > 0) r.stacks[path] += node.agg.exclusive_total;
-    for (u32 c = first_child[i]; c != 0; c = next_sibling[c]) {
-      todo.push_back({c, path.size()});
-    }
-  }
-  return r;
-}
-
 }  // namespace teeperf::analyzer

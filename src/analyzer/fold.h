@@ -6,7 +6,7 @@
 // compile-time sink is either PathTree (aggregates per distinct path, for
 // StreamAnalyzer) or InvocationSink (every Invocation, for Profile).
 // SessionFold folds a dump's shards in parallel, walk_session() feeds it a
-// recorded session, and rollup() derives the reports from a PathTree.
+// recorded session, and SessionTree carries the result to the reports.
 #pragma once
 
 #include <algorithm>
@@ -256,6 +256,34 @@ class PathTree {
   std::vector<Slot> slots_;
 };
 
+// A session's path tree with what its reports need besides it: the names
+// its method ids resolve through (resolve_name), the tick rate and the
+// reconstruction health. StreamAnalyzer::finish_tree() and
+// Profile::path_tree() both build one; the aggregate every table report
+// reads is MergeableProfile::from_tree() of it.
+struct SessionTree {
+  PathTree tree;
+  std::unordered_map<u64, std::string> symbols;
+  double ns_per_tick = 0.0;
+  ReconstructionStats recon;
+  u64 thread_count = 0;
+};
+
+// A session tree's method names, each distinct id resolved once.
+class MethodNames {
+ public:
+  explicit MethodNames(const SessionTree& t) : symbols_(t.symbols) {}
+  const std::string& operator()(u64 method) {
+    auto [it, fresh] = names_.try_emplace(method);
+    if (fresh) it->second = resolve_name(symbols_, method);
+    return it->second;
+  }
+
+ private:
+  const std::unordered_map<u64, std::string>& symbols_;
+  std::unordered_map<u64, std::string> names_;
+};
+
 // Materializes every Invocation, in call order per shard. Its handle is
 // the invocation's index.
 struct InvocationSink {
@@ -365,35 +393,5 @@ struct SessionInfo {
 std::optional<SessionInfo> walk_session(const std::string& prefix,
                                         SpanConsumer& out,
                                         std::string* error = nullptr);
-
-// A caller->callee edge of the dynamic call graph, by method id.
-struct EdgeKey {
-  u64 caller = 0;  // 0 for a root edge
-  u64 callee = 0;
-  bool from_root = false;
-  bool operator==(const EdgeKey&) const = default;
-};
-struct EdgeKeyHash {
-  usize operator()(const EdgeKey& k) const {
-    return std::hash<u64>{}(k.caller * 1099511628211ull ^ k.callee ^
-                            (k.from_root ? 0x9e37ull : 0));
-  }
-};
-
-// The aggregates every report reads, derived from a path tree.
-struct PathRollup {
-  std::unordered_map<u64, NodeAgg> methods;  // by method id
-  std::unordered_map<EdgeKey, NodeAgg, EdgeKeyHash> edges;
-  // Filled only when rollup() is given symbols: each method's name, and
-  // the folded-stack histogram — the named root-to-frame path of every
-  // node with exclusive time, summed over nodes whose paths name alike.
-  std::unordered_map<u64, std::string> names;
-  std::map<std::string, u64> stacks;
-};
-
-// Rolls `tree` up by method, by edge and, when `symbols` is given (names
-// resolve as resolve_name does), by folded path.
-PathRollup rollup(const PathTree& tree,
-                  const std::unordered_map<u64, std::string>* symbols = nullptr);
 
 }  // namespace teeperf::analyzer

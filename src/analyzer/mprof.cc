@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include "analyzer/fold.h"
@@ -135,6 +136,20 @@ void apply(Map& into, const Map& from, const std::vector<Slot<Map>>& slots,
   }
 }
 
+// A caller->callee edge by method id; the caller is 0 on a root edge.
+struct EdgeIds {
+  u64 caller = 0;
+  u64 callee = 0;
+  bool from_root = false;
+  bool operator==(const EdgeIds&) const = default;
+};
+struct EdgeIdsHash {
+  usize operator()(const EdgeIds& k) const {
+    return std::hash<u64>{}(k.caller * 1099511628211ull ^ k.callee ^
+                            (k.from_root ? 0x9e37ull : 0));
+  }
+};
+
 // Whether a + b fits in a u64.
 bool add_fits(u64 a, u64 b) {
   u64 sum;
@@ -144,24 +159,35 @@ bool add_fits(u64 a, u64 b) {
 }  // namespace
 
 MergeableProfile MergeableProfile::from_profile(const Profile& p) {
-  MergeableProfile m = from_tree(p.path_tree(), p.symbols_);
-  m.ns_per_tick = p.ns_per_tick();
-  const ReconstructionStats& r = p.recon_stats();
-  m.stats = {r.entries,    r.stray_returns, r.mismatched_returns,
-             r.unwound_frames, r.incomplete, r.tombstones,
-             p.thread_count()};
-  return m;
+  return from_tree(p.path_tree());
 }
 
-MergeableProfile MergeableProfile::from_tree(
-    const PathTree& tree, const std::unordered_map<u64, std::string>& symbols) {
+MergeableProfile MergeableProfile::from_tree(const SessionTree& t) {
   MergeableProfile m;
   m.sessions = 1;
-  PathRollup r = rollup(tree, &symbols);
-  // Two ids can symbolize to the same name (e.g. the same function
-  // registered by two libraries); the name key absorbs both.
-  for (const auto& [id, a] : r.methods) {
-    MprofMethod& mm = m.methods[r.names[id]];
+  m.ns_per_tick = t.ns_per_tick;
+  const ReconstructionStats& rs = t.recon;
+  m.stats = {rs.entries,        rs.stray_returns, rs.mismatched_returns,
+             rs.unwound_frames, rs.incomplete,    rs.tombstones,
+             t.thread_count};
+  // Every node adds its aggregate to its method's and its edge's, by id
+  // first, so each distinct method and edge is named and keyed once. Two
+  // ids can symbolize to the same name (e.g. the same function registered
+  // by two libraries); the name key absorbs both.
+  const std::vector<PathNode>& nodes = t.tree.nodes();
+  std::unordered_map<u64, NodeAgg> by_method;
+  std::unordered_map<EdgeIds, NodeAgg, EdgeIdsHash> by_edge;
+  for (usize i = 1; i < nodes.size(); ++i) {
+    const PathNode& node = nodes[i];
+    bool from_root = node.parent == 0;
+    by_method[node.method].add(node.agg);
+    by_edge[EdgeIds{from_root ? 0 : nodes[node.parent].method, node.method,
+                    from_root}]
+        .add(node.agg);
+  }
+  MethodNames name(t);
+  for (const auto& [id, a] : by_method) {
+    MprofMethod& mm = m.methods[name(id)];
     mm.id = std::min(mm.id, id);
     mm.count += a.count;
     mm.inclusive_total += a.inclusive_total;
@@ -169,14 +195,39 @@ MergeableProfile MergeableProfile::from_tree(
     mm.min_inclusive = std::min(mm.min_inclusive, a.min_inclusive);
     mm.max_inclusive = std::max(mm.max_inclusive, a.max_inclusive);
   }
-  for (const auto& [key, a] : r.edges) {
+  for (const auto& [k, a] : by_edge) {
     MprofEdge& me = m.edges[MprofEdgeKey{
-        key.from_root ? std::string() : r.names[key.caller], r.names[key.callee],
-        key.from_root}];
+        k.from_root ? std::string() : name(k.caller), name(k.callee), k.from_root}];
     me.count += a.count;
     me.inclusive_total += a.inclusive_total;
   }
-  m.stacks = std::move(r.stacks);
+
+  // Folded stacks: the named root-to-frame path of every node with
+  // exclusive time, summed over nodes whose paths name alike. A
+  // depth-first walk from the root keeps one rolling path string, so each
+  // path is built once. Child lists fill in one backward pass over the ids.
+  usize n = nodes.size();
+  std::vector<u32> first_child(n, 0), next_sibling(n, 0);  // 0 = none
+  for (usize i = n; i-- > 1;) {
+    u32 parent = nodes[i].parent;
+    next_sibling[i] = first_child[parent];
+    first_child[parent] = static_cast<u32>(i);
+  }
+  std::string path;
+  std::vector<std::pair<u32, usize>> todo;  // node, its parent's path length
+  for (u32 c = first_child[0]; c != 0; c = next_sibling[c]) todo.push_back({c, 0});
+  while (!todo.empty()) {
+    auto [i, parent_len] = todo.back();
+    todo.pop_back();
+    const PathNode& node = nodes[i];
+    path.resize(parent_len);
+    if (parent_len > 0) path += ';';
+    path += name(node.method);
+    if (node.agg.exclusive_total > 0) m.stacks[path] += node.agg.exclusive_total;
+    for (u32 c = first_child[i]; c != 0; c = next_sibling[c]) {
+      todo.push_back({c, path.size()});
+    }
+  }
   return m;
 }
 

@@ -35,6 +35,8 @@
 
 namespace teeperf::analyzer {
 
+struct SessionTree;
+
 inline constexpr u64 kMprofMagic = 0x54504D50524F4631ull;  // "TPMPROF1"
 inline constexpr u32 kMprofVersion = 1;
 
@@ -92,18 +94,16 @@ struct MprofStats {
 
 class MergeableProfile {
  public:
-  // Canonicalizes an in-memory Profile: rekeys methods/edges by symbolized
-  // name (combining ids that share a name) and copies the folded-stack
-  // histogram. This is the reference the streaming analyzer is held
-  // differentially equal to.
-  static MergeableProfile from_profile(const Profile& p);
-
   // Names a session's path tree (fold.h): its per-method, per-edge and
-  // folded-path rollups, by symbolized name (resolve_name). sessions == 1;
-  // ns_per_tick and stats are the caller's to fill. Both from_profile and
-  // the streaming analyzer name their aggregates here.
-  static MergeableProfile from_tree(
-      const PathTree& tree, const std::unordered_map<u64, std::string>& symbols);
+  // folded-path rollups, by symbolized name (resolve_name), combining ids
+  // that share a name, with the tree's tick rate and health and
+  // sessions == 1. Both from_profile and the streaming analyzer name their
+  // aggregates here.
+  static MergeableProfile from_tree(const SessionTree& t);
+
+  // from_tree(p.path_tree()): the in-memory reference the streaming
+  // analyzer is held differentially equal to.
+  static MergeableProfile from_profile(const Profile& p);
 
   // Canonical serialization (frame + payload). Deterministic: equal
   // profiles serialize to equal bytes. Sized up front and written into one

@@ -1,10 +1,9 @@
 #include "analyzer/profile.h"
 
-#include <algorithm>
-#include <iterator>
 #include <map>
 
 #include "analyzer/fold.h"
+#include "analyzer/mprof.h"
 #include "common/stringutil.h"
 #include "core/symbol_registry.h"
 
@@ -48,8 +47,7 @@ Profile Profile::from_fold(SessionFold<InvocationSink>& fold,
   p.recon_ = fold.close_all();
   p.thread_count_ = fold.thread_count();
   // Method ids and tids mean the same thing in every shard (same process,
-  // same address space), so — unlike load_many's cross-process rekeying —
-  // only the parent indices need rebasing.
+  // same address space), so only the parent indices need rebasing.
   fold.for_each_sink([&](InvocationSink& shard) {
     i64 base = static_cast<i64>(p.invocations_.size());
     std::vector<Invocation>& part = shard.invocations;
@@ -80,108 +78,22 @@ std::string Profile::name(u64 method) const {
   return resolve_name(symbols_, method);
 }
 
-PathTree Profile::path_tree() const {
-  PathTree tree;
+SessionTree Profile::path_tree() const {
+  SessionTree t{PathTree{}, symbols_, ns_per_tick_, recon_, thread_count_};
+  // Parents precede children in invocations_.
   std::vector<u32> node(invocations_.size());
   for (usize i = 0; i < invocations_.size(); ++i) {
     const Invocation& inv = invocations_[i];
     u32 parent = inv.parent < 0 ? 0 : node[static_cast<usize>(inv.parent)];
-    node[i] = tree.child(parent, inv.method);
-    tree.nodes()[node[i]].agg.record(inv.inclusive(), inv.exclusive());
+    node[i] = t.tree.child(parent, inv.method);
+    t.tree.nodes()[node[i]].agg.record(inv.inclusive(), inv.exclusive());
   }
-  return tree;
-}
-
-std::vector<MethodStats> Profile::method_stats() const {
-  PathRollup r = rollup(path_tree());
-  std::vector<MethodStats> out;
-  out.reserve(r.methods.size());
-  for (const auto& [id, a] : r.methods) {
-    out.push_back(MethodStats{id, a.count, a.inclusive_total, a.exclusive_total,
-                              a.min_inclusive, a.max_inclusive});
-  }
-  // Tie-break on method id: equal totals are common in synthetic workloads,
-  // and the map's iteration order tracks insertion order, which for spilled
-  // sessions depends on drainer chunk timing.
-  std::sort(out.begin(), out.end(), [](const MethodStats& a, const MethodStats& b) {
-    if (a.exclusive_total != b.exclusive_total)
-      return a.exclusive_total > b.exclusive_total;
-    return a.method < b.method;
-  });
-  return out;
-}
-
-std::vector<CallEdge> Profile::call_edges() const {
-  PathRollup r = rollup(path_tree());
-  std::vector<CallEdge> out;
-  out.reserve(r.edges.size());
-  for (const auto& [k, a] : r.edges) {
-    out.push_back(CallEdge{k.caller, k.callee, k.from_root, a.count, a.inclusive_total});
-  }
-  std::sort(out.begin(), out.end(), [](const CallEdge& a, const CallEdge& b) {
-    if (a.count != b.count) return a.count > b.count;
-    if (a.caller != b.caller) return a.caller < b.caller;
-    if (a.callee != b.callee) return a.callee < b.callee;
-    return a.from_root < b.from_root;
-  });
-  return out;
+  return t;
 }
 
 std::vector<std::pair<std::string, u64>> Profile::folded_stacks() const {
-  // Each invocation contributes its *exclusive* time to the stack path
-  // root→self, so the flame graph's widths add up exactly to total time.
-  PathRollup r = rollup(path_tree(), &symbols_);
-  return {std::make_move_iterator(r.stacks.begin()),
-          std::make_move_iterator(r.stacks.end())};
-}
-
-std::optional<Profile> Profile::load_many(const std::vector<std::string>& prefixes) {
-  Profile merged;
-  // Method ids from different processes can collide with different
-  // meanings (each process has its own registry / address space), so the
-  // merge rekeys every method by its *symbolized name* into a fresh
-  // synthetic id space (bit 61 marks merged ids; bit 62 stays set so they
-  // remain disjoint from raw addresses).
-  std::unordered_map<std::string, u64> ids_by_name;
-  u64 next_id = (1ull << 62) | (1ull << 61);
-  bool any = false;
-  u64 input_index = 0;
-
-  for (const std::string& prefix : prefixes) {
-    auto prof = load(prefix);
-    ++input_index;
-    if (!prof) continue;
-    any = true;
-
-    usize base = merged.invocations_.size();
-    for (const Invocation& inv : prof->invocations_) {
-      Invocation copy = inv;
-      copy.tid = (input_index << 32) | inv.tid;  // namespace threads per input
-      if (copy.parent >= 0) copy.parent += static_cast<i64>(base);
-      std::string name = prof->name(inv.method);
-      auto [it, fresh] = ids_by_name.try_emplace(name, next_id);
-      if (fresh) {
-        merged.symbols_.emplace(next_id, name);
-        ++next_id;
-      }
-      copy.method = it->second;
-      merged.invocations_.push_back(copy);
-    }
-
-    merged.recon_.add(prof->recon_);
-    merged.thread_count_ += prof->thread_count_;
-    if (merged.ns_per_tick_ == 0.0) merged.ns_per_tick_ = prof->ns_per_tick_;
-  }
-  if (!any) return std::nullopt;
-  return merged;
-}
-
-std::pair<std::string, u64> Profile::hottest_stack() const {
-  std::pair<std::string, u64> best{"", 0};
-  for (const auto& [path, ticks] : folded_stacks()) {
-    if (ticks > best.second) best = {path, ticks};
-  }
-  return best;
+  MergeableProfile m = MergeableProfile::from_profile(*this);
+  return {m.stacks.begin(), m.stacks.end()};
 }
 
 namespace {

@@ -2,12 +2,12 @@
 //
 // Reads a recorded session (from files or live from a ProfileLog), runs the
 // reconstruction engine (fold.h) with the invocation sink, and keeps every
-// reconstructed Invocation; per-method, call-edge and folded-stack reports
-// roll up from them through the same path-tree rollup the streaming
-// analyzer (stream.h) uses. The paper implements this stage in
-// Python/pandas; here it is C++ with an equivalent typed query API
-// (query.h), which keeps the whole reproduction in one language and makes
-// the analyzer testable alongside the recorder.
+// reconstructed Invocation for the invocation-level queries (query.h) and
+// reports. Its aggregates roll up from path_tree(), the same session tree
+// the streaming analyzer (stream.h) builds without any Invocation. The
+// paper implements this stage in Python/pandas; here it is C++ with an
+// equivalent typed query API (query.h), which keeps the whole reproduction
+// in one language and makes the analyzer testable alongside the recorder.
 #pragma once
 
 #include <optional>
@@ -21,7 +21,7 @@
 
 namespace teeperf::analyzer {
 
-class PathTree;
+struct SessionTree;
 struct InvocationSink;
 template <typename Sink>
 class SessionFold;
@@ -74,27 +74,6 @@ struct ReconstructionStats {
   }
 };
 
-struct MethodStats {
-  u64 method = 0;
-  u64 count = 0;
-  u64 inclusive_total = 0;  // note: recursive methods count nested time twice
-  u64 exclusive_total = 0;
-  u64 min_inclusive = ~0ull;
-  u64 max_inclusive = 0;
-  double mean_inclusive() const {
-    return count ? static_cast<double>(inclusive_total) / static_cast<double>(count) : 0;
-  }
-};
-
-// A caller→callee edge in the dynamic call graph.
-struct CallEdge {
-  u64 caller = 0;  // 0 with is_root=true means "thread root"
-  u64 callee = 0;
-  bool from_root = false;
-  u64 count = 0;
-  u64 inclusive_total = 0;
-};
-
 // Consistency findings from validate(); a clean trace has no entries.
 struct ValidationIssue {
   enum class Kind {
@@ -129,13 +108,6 @@ class Profile {
       std::string_view log_bytes,
       std::unordered_map<u64, std::string> symbols = {});
 
-  // Loads several dumps into one profile — the multi-process case the log
-  // header's PID field exists for (§II-B: "differentiate multiple runs or
-  // multiple application[s]"). Thread ids are namespaced per input
-  // (pid<<32 | tid) so reconstructions cannot interleave. Inputs that fail
-  // to load are skipped; returns nullopt only if none load.
-  static std::optional<Profile> load_many(const std::vector<std::string>& prefixes);
-
   // Builds directly from a live in-memory log (no file round trip).
   static Profile from_log(const ProfileLog& log,
                           std::unordered_map<u64, std::string> symbols,
@@ -149,22 +121,17 @@ class Profile {
   // Human name for a method id (falls back to hex).
   std::string name(u64 method) const;
 
-  // Per-method aggregation, sorted by exclusive time descending — the
-  // "presented in a sorted way to the programmer" report source.
-  std::vector<MethodStats> method_stats() const;
+  // One path-tree node per distinct root-to-invocation path, each with its
+  // invocations' aggregate, plus this profile's names, tick rate and
+  // health: the tree StreamAnalyzer::finish_tree() builds for the same
+  // session. Every aggregate of the profile — per method, per call edge,
+  // per folded stack — is MergeableProfile::from_tree() of it
+  // (MergeableProfile::from_profile).
+  SessionTree path_tree() const;
 
-  // Dynamic call-graph edges, sorted by count descending.
-  std::vector<CallEdge> call_edges() const;
-
-  // Semicolon-joined stack → total exclusive ticks, the Flame Graph input
-  // ("folded stacks"), sorted by path. Stacks are per-invocation paths
-  // root→leaf.
+  // The aggregate's folded stacks (semicolon-joined path → exclusive
+  // ticks, sorted by path) as flame-graph input.
   std::vector<std::pair<std::string, u64>> folded_stacks() const;
-
-  // The single most expensive stack (by exclusive ticks attributed to that
-  // exact path) — "the most frequent code path" the paper uses flame graphs
-  // to find, as a direct query. Empty path when there are no invocations.
-  std::pair<std::string, u64> hottest_stack() const;
 
   double ticks_to_ns(u64 ticks) const {
     return ns_per_tick_ > 0 ? static_cast<double>(ticks) * ns_per_tick_
@@ -187,18 +154,12 @@ class Profile {
 
  private:
   friend class InvocationTable;
-  friend class MergeableProfile;
 
   // Collects a finished fold: closes open frames, then concatenates the
   // shards' invocations in shard order, rebasing parent indices.
   static Profile from_fold(SessionFold<InvocationSink>& fold,
                            std::unordered_map<u64, std::string> symbols,
                            double ns_per_tick);
-  // One path-tree node per distinct root-to-invocation path, each with its
-  // invocations' aggregate: what method_stats, call_edges and
-  // folded_stacks roll up. Parents precede children in invocations_.
-  PathTree path_tree() const;
-
   std::vector<Invocation> invocations_;
   std::unordered_map<u64, std::string> symbols_;
   ReconstructionStats recon_;

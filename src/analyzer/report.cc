@@ -1,9 +1,12 @@
 #include "analyzer/report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
+#include "analyzer/fold.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
 
@@ -22,6 +25,25 @@ usize count_events(const std::string& jsonl, const char* name) {
     ++n;
   }
   return n;
+}
+
+// Ticks in nanoseconds, or in ticks when the rate is unknown (0).
+double to_ns(double ns_per_tick, u64 ticks) {
+  return ns_per_tick > 0 ? static_cast<double>(ticks) * ns_per_tick
+                         : static_cast<double>(ticks);
+}
+
+// The aggregate's methods by exclusive time, descending; ties keep the
+// map's name order.
+std::vector<const std::pair<const std::string, MprofMethod>*> sorted_methods(
+    const MergeableProfile& m) {
+  std::vector<const std::pair<const std::string, MprofMethod>*> rows;
+  rows.reserve(m.methods.size());
+  for (const auto& row : m.methods) rows.push_back(&row);
+  std::stable_sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
+    return a->second.exclusive_total > b->second.exclusive_total;
+  });
+  return rows;
 }
 
 }  // namespace
@@ -70,87 +92,147 @@ std::string health_report(const std::string& prefix) {
   return out;
 }
 
-std::string method_report(const Profile& profile, usize limit) {
-  auto stats = profile.method_stats();
-  u64 total_excl = 0;
-  for (const auto& s : stats) total_excl += s.exclusive_total;
-
-  std::string out = str_format("%-52s %10s %12s %12s %7s\n", "method", "calls",
-                               "excl(ms)", "incl(ms)", "excl%");
-  usize shown = 0;
-  for (const auto& s : stats) {
-    if (shown++ >= limit) {
-      out += str_format("... (%zu more methods)\n", stats.size() - limit);
-      break;
-    }
-    double pct = total_excl
-                     ? 100.0 * static_cast<double>(s.exclusive_total) /
-                           static_cast<double>(total_excl)
-                     : 0.0;
-    out += str_format("%-52s %10llu %12.3f %12.3f %6.1f%%\n",
-                      ellipsize(profile.name(s.method), 52).c_str(),
-                      static_cast<unsigned long long>(s.count),
-                      profile.ticks_to_ns(s.exclusive_total) / 1e6,
-                      profile.ticks_to_ns(s.inclusive_total) / 1e6, pct);
-  }
-  return out;
-}
-
-std::string call_graph_report(const Profile& profile, usize limit) {
-  auto edges = profile.call_edges();
-  std::string out = str_format("%-40s %-40s %10s %12s\n", "caller", "callee",
-                               "count", "incl(ms)");
-  usize shown = 0;
-  for (const auto& e : edges) {
-    if (shown++ >= limit) {
-      out += str_format("... (%zu more edges)\n", edges.size() - limit);
-      break;
-    }
-    std::string caller = e.from_root ? "<root>" : profile.name(e.caller);
-    out += str_format("%-40s %-40s %10llu %12.3f\n", ellipsize(caller, 40).c_str(),
-                      ellipsize(profile.name(e.callee), 40).c_str(),
-                      static_cast<unsigned long long>(e.count),
-                      profile.ticks_to_ns(e.inclusive_total) / 1e6);
-  }
-  return out;
-}
-
-std::string mprof_method_report(const MergeableProfile& m, usize limit) {
-  // Sort by exclusive descending, like method_stats(); keys are already
-  // names, so rows are stable across hosts and merge orders.
-  std::vector<std::pair<const std::string*, const MprofMethod*>> rows;
-  rows.reserve(m.methods.size());
-  for (const auto& [name, mm] : m.methods) rows.push_back({&name, &mm});
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second->exclusive_total > b.second->exclusive_total;
-  });
+std::string method_report(const MergeableProfile& m, usize limit) {
+  auto rows = sorted_methods(m);
   u64 total_excl = m.total_exclusive();
-  auto to_ms = [&](u64 ticks) {
-    double ns = m.ns_per_tick > 0
-                    ? static_cast<double>(ticks) * m.ns_per_tick
-                    : static_cast<double>(ticks);
-    return ns / 1e6;
-  };
-
   std::string out = str_format("%-52s %10s %12s %12s %7s\n", "method", "calls",
                                "excl(ms)", "incl(ms)", "excl%");
   usize shown = 0;
-  for (const auto& [name, mm] : rows) {
+  for (const auto* row : rows) {
     if (shown++ >= limit) {
       out += str_format("... (%zu more methods)\n", rows.size() - limit);
       break;
     }
+    const MprofMethod& mm = row->second;
     double pct = total_excl
-                     ? 100.0 * static_cast<double>(mm->exclusive_total) /
+                     ? 100.0 * static_cast<double>(mm.exclusive_total) /
                            static_cast<double>(total_excl)
                      : 0.0;
     out += str_format("%-52s %10llu %12.3f %12.3f %6.1f%%\n",
-                      ellipsize(*name, 52).c_str(),
-                      static_cast<unsigned long long>(mm->count),
-                      to_ms(mm->exclusive_total), to_ms(mm->inclusive_total),
-                      pct);
+                      ellipsize(row->first, 52).c_str(),
+                      static_cast<unsigned long long>(mm.count),
+                      to_ns(m.ns_per_tick, mm.exclusive_total) / 1e6,
+                      to_ns(m.ns_per_tick, mm.inclusive_total) / 1e6, pct);
   }
   return out;
+}
+
+std::string call_graph_report(const MergeableProfile& m, usize limit) {
+  // By call count, descending; ties keep the map's (caller, callee) order.
+  std::vector<const std::pair<const MprofEdgeKey, MprofEdge>*> edges;
+  edges.reserve(m.edges.size());
+  for (const auto& e : m.edges) edges.push_back(&e);
+  std::stable_sort(edges.begin(), edges.end(), [](const auto* a, const auto* b) {
+    return a->second.count > b->second.count;
+  });
+  std::string out = str_format("%-40s %-40s %10s %12s\n", "caller", "callee",
+                               "count", "incl(ms)");
+  usize shown = 0;
+  for (const auto* e : edges) {
+    if (shown++ >= limit) {
+      out += str_format("... (%zu more edges)\n", edges.size() - limit);
+      break;
+    }
+    const MprofEdgeKey& k = e->first;
+    out += str_format("%-40s %-40s %10llu %12.3f\n",
+                      ellipsize(k.from_root ? "<root>" : k.caller, 40).c_str(),
+                      ellipsize(k.callee, 40).c_str(),
+                      static_cast<unsigned long long>(e->second.count),
+                      to_ns(m.ns_per_tick, e->second.inclusive_total) / 1e6);
+  }
+  return out;
+}
+
+std::string gprof_flat_report(const MergeableProfile& m, usize limit) {
+  auto rows = sorted_methods(m);
+  double total_s = 0;
+  for (const auto* row : rows) {
+    total_s += to_ns(m.ns_per_tick, row->second.exclusive_total) / 1e9;
+  }
+
+  std::string out =
+      "Flat profile (gprof format):\n"
+      "  %   cumulative   self              self     total\n"
+      " time   seconds   seconds    calls  ms/call  ms/call  name\n";
+  double cumulative = 0;
+  usize shown = 0;
+  for (const auto* row : rows) {
+    if (shown++ >= limit) break;
+    const MprofMethod& mm = row->second;
+    double self_s = to_ns(m.ns_per_tick, mm.exclusive_total) / 1e9;
+    double total_ms = to_ns(m.ns_per_tick, mm.inclusive_total) / 1e6;
+    cumulative += self_s;
+    double pct = total_s > 0 ? 100.0 * self_s / total_s : 0;
+    out += str_format(
+        "%6.2f %9.2f %9.2f %8llu %8.4f %8.4f  %s\n", pct, cumulative, self_s,
+        static_cast<unsigned long long>(mm.count),
+        mm.count ? self_s * 1e3 / static_cast<double>(mm.count) : 0.0,
+        mm.count ? total_ms / static_cast<double>(mm.count) : 0.0,
+        row->first.c_str());
+  }
+  return out;
+}
+
+std::string diff_report(const MergeableProfile& before,
+                        const MergeableProfile& after, usize limit) {
+  // Both aggregates are keyed by symbolized name: the two profiles come
+  // from different runs, so method ids are only comparable through names.
+  struct Entry {
+    double before_ms = 0, after_ms = 0;
+    u64 before_calls = 0, after_calls = 0;
+  };
+  std::map<std::string, Entry> by_name;
+  for (const auto& [name, mm] : before.methods) {
+    Entry& e = by_name[name];
+    e.before_ms = to_ns(before.ns_per_tick, mm.exclusive_total) / 1e6;
+    e.before_calls = mm.count;
+  }
+  for (const auto& [name, mm] : after.methods) {
+    Entry& e = by_name[name];
+    e.after_ms = to_ns(after.ns_per_tick, mm.exclusive_total) / 1e6;
+    e.after_calls = mm.count;
+  }
+
+  // By absolute delta, descending; ties keep name order.
+  std::vector<const std::pair<const std::string, Entry>*> rows;
+  rows.reserve(by_name.size());
+  for (const auto& row : by_name) rows.push_back(&row);
+  std::stable_sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
+    return std::abs(a->second.after_ms - a->second.before_ms) >
+           std::abs(b->second.after_ms - b->second.before_ms);
+  });
+
+  std::string out = str_format("%-44s %12s %12s %12s %9s %9s\n", "method",
+                               "before(ms)", "after(ms)", "delta(ms)", "calls_b",
+                               "calls_a");
+  usize shown = 0;
+  for (const auto* row : rows) {
+    if (shown++ >= limit) {
+      out += str_format("... (%zu more methods)\n", rows.size() - limit);
+      break;
+    }
+    const Entry& e = row->second;
+    out += str_format("%-44s %12.3f %12.3f %+12.3f %9llu %9llu\n",
+                      ellipsize(row->first, 44).c_str(), e.before_ms, e.after_ms,
+                      e.after_ms - e.before_ms,
+                      static_cast<unsigned long long>(e.before_calls),
+                      static_cast<unsigned long long>(e.after_calls));
+  }
+  return out;
+}
+
+std::string hottest_report(const MergeableProfile& m) {
+  // Strictly greater: the first hottest path in name order wins.
+  const std::string* path = nullptr;
+  u64 ticks = 0;
+  for (const auto& [p, t] : m.stacks) {
+    if (t > ticks) {
+      path = &p;
+      ticks = t;
+    }
+  }
+  return str_format("hottest stack (%.3f ms exclusive):\n  %s\n",
+                    to_ns(m.ns_per_tick, ticks) / 1e6, path ? path->c_str() : "");
 }
 
 std::string mprof_summary(const MergeableProfile& m) {
@@ -169,24 +251,136 @@ std::string mprof_summary(const MergeableProfile& m) {
       static_cast<unsigned long long>(m.stats.tombstones));
 }
 
-std::string recon_summary(const Profile& profile) {
-  const auto& r = profile.recon_stats();
-  return str_format(
-      "entries=%llu threads=%llu invocations=%zu stray_returns=%llu "
-      "mismatched=%llu unwound=%llu incomplete=%llu tombstones=%llu",
-      static_cast<unsigned long long>(r.entries),
-      static_cast<unsigned long long>(profile.thread_count()),
-      profile.invocations().size(),
-      static_cast<unsigned long long>(r.stray_returns),
-      static_cast<unsigned long long>(r.mismatched_returns),
-      static_cast<unsigned long long>(r.unwound_frames),
-      static_cast<unsigned long long>(r.incomplete),
-      static_cast<unsigned long long>(r.tombstones));
+namespace {
+
+struct TreeNode {
+  u64 inclusive = 0;
+  std::map<std::string, TreeNode> children;
+};
+
+void render_tree(double ns_per_tick, const TreeNode& node,
+                 const std::string& name, int depth, u64 total,
+                 double min_fraction, std::string* out) {
+  double frac = total ? static_cast<double>(node.inclusive) /
+                            static_cast<double>(total)
+                      : 0.0;
+  *out += str_format("%6.1f%% %10.3f ms  %*s%s\n", frac * 100,
+                     to_ns(ns_per_tick, node.inclusive) / 1e6, depth * 2, "",
+                     name.c_str());
+  // Children largest-first, ties in name order; tiny ones folded together.
+  std::vector<std::pair<std::string, const TreeNode*>> kids;
+  for (const auto& [n, c] : node.children) kids.emplace_back(n, &c);
+  std::stable_sort(kids.begin(), kids.end(), [](const auto& a, const auto& b) {
+    return a.second->inclusive > b.second->inclusive;
+  });
+  u64 folded = 0;
+  usize folded_count = 0;
+  for (const auto& [n, c] : kids) {
+    double child_frac = total ? static_cast<double>(c->inclusive) /
+                                    static_cast<double>(total)
+                              : 0.0;
+    if (child_frac < min_fraction) {
+      folded += c->inclusive;
+      ++folded_count;
+      continue;
+    }
+    render_tree(ns_per_tick, *c, n, depth + 1, total, min_fraction, out);
+  }
+  if (folded_count > 0) {
+    *out += str_format("%6.1f%% %10.3f ms  %*s(other: %zu callees)\n",
+                       total ? 100.0 * static_cast<double>(folded) /
+                                   static_cast<double>(total)
+                             : 0.0,
+                       to_ns(ns_per_tick, folded) / 1e6, (depth + 1) * 2, "",
+                       folded_count);
+  }
 }
 
-}  // namespace teeperf::analyzer
+}  // namespace
 
-namespace teeperf::analyzer {
+std::string call_tree_report(const SessionTree& t, double min_fraction) {
+  // The path tree keyed by name instead of method id (like the flame
+  // graph's frame tree, but rendered as indented text): paths whose frames
+  // name alike share a node. Parents precede children.
+  MethodNames name(t);
+  const std::vector<PathNode>& nodes = t.tree.nodes();
+  TreeNode root;
+  std::vector<TreeNode*> node_of(nodes.size(), &root);
+  for (usize i = 1; i < nodes.size(); ++i) {
+    TreeNode& node = node_of[nodes[i].parent]->children[name(nodes[i].method)];
+    node.inclusive += nodes[i].agg.inclusive_total;
+    node_of[i] = &node;
+  }
+  for (const auto& [n, c] : root.children) {
+    (void)n;
+    root.inclusive += c.inclusive;
+  }
+
+  std::string out;
+  render_tree(t.ns_per_tick, root, "<all threads>", 0, root.inclusive,
+              min_fraction, &out);
+  return out;
+}
+
+std::string bottom_up_report(const SessionTree& t, usize leaf_limit,
+                             usize callers_per_leaf) {
+  // Exclusive ticks per method and per (method, direct caller), by name.
+  struct CallerAgg {
+    u64 excl = 0;
+    u64 count = 0;
+  };
+  struct Leaf {
+    u64 excl = 0;
+    std::map<std::string, CallerAgg> callers;
+  };
+  MethodNames name(t);
+  const std::vector<PathNode>& nodes = t.tree.nodes();
+  std::map<std::string, Leaf> by_name;
+  for (usize i = 1; i < nodes.size(); ++i) {
+    const PathNode& node = nodes[i];
+    Leaf& leaf = by_name[name(node.method)];
+    leaf.excl += node.agg.exclusive_total;
+    CallerAgg& caller =
+        leaf.callers[node.parent == 0 ? "<root>" : name(nodes[node.parent].method)];
+    caller.excl += node.agg.exclusive_total;
+    caller.count += node.agg.count;
+  }
+
+  // Leaves and callers by exclusive time, descending; ties keep name order.
+  auto by_excl = [](const auto* a, const auto* b) {
+    return a->second.excl > b->second.excl;
+  };
+  std::vector<const std::pair<const std::string, Leaf>*> leaves;
+  for (const auto& leaf : by_name) leaves.push_back(&leaf);
+  std::stable_sort(leaves.begin(), leaves.end(), by_excl);
+
+  std::string out = "Bottom-up (exclusive time, by direct caller):\n";
+  usize shown = 0;
+  for (const auto* leaf : leaves) {
+    if (shown++ >= leaf_limit) break;
+    u64 total = leaf->second.excl;
+    out += str_format("%-56s %12.3f ms\n", ellipsize(leaf->first, 56).c_str(),
+                      to_ns(t.ns_per_tick, total) / 1e6);
+    std::vector<const std::pair<const std::string, CallerAgg>*> callers;
+    for (const auto& c : leaf->second.callers) callers.push_back(&c);
+    std::stable_sort(callers.begin(), callers.end(), by_excl);
+    usize cshown = 0;
+    for (const auto* c : callers) {
+      if (cshown++ >= callers_per_leaf) {
+        out += str_format("    ... (%zu more callers)\n",
+                          callers.size() - callers_per_leaf);
+        break;
+      }
+      double pct = total ? 100.0 * static_cast<double>(c->second.excl) /
+                               static_cast<double>(total)
+                         : 0;
+      out += str_format("    %5.1f%% %10llu calls  from %s\n", pct,
+                        static_cast<unsigned long long>(c->second.count),
+                        ellipsize(c->first, 48).c_str());
+    }
+  }
+  return out;
+}
 
 std::string thread_report(const Profile& profile) {
   struct ThreadAgg {
@@ -245,127 +439,6 @@ std::string csv_export(const Profile& profile) {
   return out;
 }
 
-std::string diff_report(const Profile& before, const Profile& after, usize limit) {
-  // Keyed by symbolized name: the two profiles come from different runs, so
-  // registered ids are only comparable through their names.
-  struct Entry {
-    double before_ms = 0, after_ms = 0;
-    u64 before_calls = 0, after_calls = 0;
-  };
-  std::unordered_map<std::string, Entry> by_name;
-  for (const auto& s : before.method_stats()) {
-    Entry& e = by_name[before.name(s.method)];
-    e.before_ms = before.ticks_to_ns(s.exclusive_total) / 1e6;
-    e.before_calls = s.count;
-  }
-  for (const auto& s : after.method_stats()) {
-    Entry& e = by_name[after.name(s.method)];
-    e.after_ms = after.ticks_to_ns(s.exclusive_total) / 1e6;
-    e.after_calls = s.count;
-  }
-
-  std::vector<std::pair<std::string, Entry>> rows(by_name.begin(), by_name.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    double da = a.second.after_ms - a.second.before_ms;
-    double db = b.second.after_ms - b.second.before_ms;
-    return std::abs(da) > std::abs(db);
-  });
-
-  std::string out = str_format("%-44s %12s %12s %12s %9s %9s\n", "method",
-                               "before(ms)", "after(ms)", "delta(ms)", "calls_b",
-                               "calls_a");
-  usize shown = 0;
-  for (const auto& [name, e] : rows) {
-    if (shown++ >= limit) {
-      out += str_format("... (%zu more methods)\n", rows.size() - limit);
-      break;
-    }
-    out += str_format("%-44s %12.3f %12.3f %+12.3f %9llu %9llu\n",
-                      ellipsize(name, 44).c_str(), e.before_ms, e.after_ms,
-                      e.after_ms - e.before_ms,
-                      static_cast<unsigned long long>(e.before_calls),
-                      static_cast<unsigned long long>(e.after_calls));
-  }
-  return out;
-}
-
-}  // namespace teeperf::analyzer
-
-namespace teeperf::analyzer {
-namespace {
-
-struct TreeNode {
-  u64 inclusive = 0;
-  std::map<std::string, TreeNode> children;
-};
-
-void render_tree(const Profile& profile, const TreeNode& node,
-                 const std::string& name, int depth, u64 total,
-                 double min_fraction, std::string* out) {
-  double frac = total ? static_cast<double>(node.inclusive) /
-                            static_cast<double>(total)
-                      : 0.0;
-  *out += str_format("%6.1f%% %10.3f ms  %*s%s\n", frac * 100,
-                     profile.ticks_to_ns(node.inclusive) / 1e6, depth * 2, "",
-                     name.c_str());
-  // Children largest-first; tiny ones folded together.
-  std::vector<std::pair<std::string, const TreeNode*>> kids;
-  for (const auto& [n, c] : node.children) kids.emplace_back(n, &c);
-  std::sort(kids.begin(), kids.end(), [](const auto& a, const auto& b) {
-    return a.second->inclusive > b.second->inclusive;
-  });
-  u64 folded = 0;
-  usize folded_count = 0;
-  for (const auto& [n, c] : kids) {
-    double child_frac = total ? static_cast<double>(c->inclusive) /
-                                    static_cast<double>(total)
-                              : 0.0;
-    if (child_frac < min_fraction) {
-      folded += c->inclusive;
-      ++folded_count;
-      continue;
-    }
-    render_tree(profile, *c, n, depth + 1, total, min_fraction, out);
-  }
-  if (folded_count > 0) {
-    *out += str_format("%6.1f%% %10.3f ms  %*s(other: %zu callees)\n",
-                       total ? 100.0 * static_cast<double>(folded) /
-                                   static_cast<double>(total)
-                             : 0.0,
-                       profile.ticks_to_ns(folded) / 1e6, (depth + 1) * 2, "",
-                       folded_count);
-  }
-}
-
-}  // namespace
-
-std::string call_tree_report(const Profile& profile, double min_fraction) {
-  // Merge invocations into a name-keyed tree (like the flame graph's frame
-  // tree, but rendered as indented text).
-  TreeNode root;
-  const auto& all = profile.invocations();
-  // Cache each invocation's node to attach children in one pass.
-  std::vector<TreeNode*> node_of(all.size(), nullptr);
-  for (usize i = 0; i < all.size(); ++i) {
-    const Invocation& inv = all[i];
-    TreeNode& parent = inv.parent < 0
-                           ? root
-                           : *node_of[static_cast<usize>(inv.parent)];
-    TreeNode& node = parent.children[profile.name(inv.method)];
-    node.inclusive += inv.inclusive();
-    node_of[i] = &node;
-  }
-  for (const auto& [n, c] : root.children) {
-    (void)n;
-    root.inclusive += c.inclusive;
-  }
-
-  std::string out;
-  render_tree(profile, root, "<all threads>", 0, root.inclusive, min_fraction,
-              &out);
-  return out;
-}
-
 std::string timeline_csv(const Profile& profile) {
   std::vector<usize> order(profile.invocations().size());
   for (usize i = 0; i < order.size(); ++i) order[i] = i;
@@ -387,10 +460,6 @@ std::string timeline_csv(const Profile& profile) {
   return out;
 }
 
-}  // namespace teeperf::analyzer
-
-namespace teeperf::analyzer {
-
 std::string chrome_trace_json(const Profile& profile) {
   std::string out = "[\n";
   bool first = true;
@@ -411,93 +480,6 @@ std::string chrome_trace_json(const Profile& profile) {
         profile.ticks_to_ns(inv.inclusive()) / 1e3);
   }
   out += "\n]\n";
-  return out;
-}
-
-std::string gprof_flat_report(const Profile& profile, usize limit) {
-  auto stats = profile.method_stats();
-  double total_s = 0;
-  for (const auto& s : stats) total_s += profile.ticks_to_ns(s.exclusive_total) / 1e9;
-
-  std::string out =
-      "Flat profile (gprof format):\n"
-      "  %   cumulative   self              self     total\n"
-      " time   seconds   seconds    calls  ms/call  ms/call  name\n";
-  double cumulative = 0;
-  usize shown = 0;
-  for (const auto& s : stats) {
-    if (shown++ >= limit) break;
-    double self_s = profile.ticks_to_ns(s.exclusive_total) / 1e9;
-    double total_ms = profile.ticks_to_ns(s.inclusive_total) / 1e6;
-    cumulative += self_s;
-    double pct = total_s > 0 ? 100.0 * self_s / total_s : 0;
-    out += str_format(
-        "%6.2f %9.2f %9.2f %8llu %8.4f %8.4f  %s\n", pct, cumulative, self_s,
-        static_cast<unsigned long long>(s.count),
-        s.count ? self_s * 1e3 / static_cast<double>(s.count) : 0.0,
-        s.count ? total_ms / static_cast<double>(s.count) : 0.0,
-        profile.name(s.method).c_str());
-  }
-  return out;
-}
-
-}  // namespace teeperf::analyzer
-
-namespace teeperf::analyzer {
-
-std::string bottom_up_report(const Profile& profile, usize leaf_limit,
-                             usize callers_per_leaf) {
-  const auto& all = profile.invocations();
-
-  // exclusive ticks per (method, direct caller) pair.
-  struct CallerAgg {
-    u64 excl = 0;
-    u64 count = 0;
-  };
-  std::unordered_map<u64, std::unordered_map<std::string, CallerAgg>> by_method;
-  std::unordered_map<u64, u64> excl_total;
-  for (const Invocation& inv : all) {
-    std::string caller =
-        inv.parent < 0
-            ? "<root>"
-            : profile.name(all[static_cast<usize>(inv.parent)].method);
-    CallerAgg& agg = by_method[inv.method][caller];
-    agg.excl += inv.exclusive();
-    ++agg.count;
-    excl_total[inv.method] += inv.exclusive();
-  }
-
-  std::vector<std::pair<u64, u64>> leaves(excl_total.begin(), excl_total.end());
-  std::sort(leaves.begin(), leaves.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-
-  std::string out = "Bottom-up (exclusive time, by direct caller):\n";
-  usize shown = 0;
-  for (const auto& [method, total] : leaves) {
-    if (shown++ >= leaf_limit) break;
-    out += str_format("%-56s %12.3f ms\n",
-                      ellipsize(profile.name(method), 56).c_str(),
-                      profile.ticks_to_ns(total) / 1e6);
-    std::vector<std::pair<std::string, CallerAgg>> callers(
-        by_method[method].begin(), by_method[method].end());
-    std::sort(callers.begin(), callers.end(), [](const auto& a, const auto& b) {
-      return a.second.excl > b.second.excl;
-    });
-    usize cshown = 0;
-    for (const auto& [caller, agg] : callers) {
-      if (cshown++ >= callers_per_leaf) {
-        out += str_format("    ... (%zu more callers)\n",
-                          callers.size() - callers_per_leaf);
-        break;
-      }
-      double pct = total ? 100.0 * static_cast<double>(agg.excl) /
-                               static_cast<double>(total)
-                         : 0;
-      out += str_format("    %5.1f%% %10llu calls  from %s\n", pct,
-                        static_cast<unsigned long long>(agg.count),
-                        ellipsize(caller, 48).c_str());
-    }
-  }
   return out;
 }
 

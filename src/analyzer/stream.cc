@@ -11,13 +11,17 @@ void StreamAnalyzer::feed(u32 shard, const LogEntry* entries, u64 n) {
   folds_.feed(shard, entries, n);
 }
 
-MergeableProfile StreamAnalyzer::finish() {
-  ReconstructionStats r = folds_.close_all();
+SessionTree StreamAnalyzer::finish_tree() {
+  SessionTree out;
+  out.recon = folds_.close_all();
+  out.thread_count = folds_.thread_count();
+  out.symbols = std::move(symbols_);
+  out.ns_per_tick = ns_per_tick_;
 
   // Every shard's paths merge into one session tree, so each distinct
   // path is named and inserted once, not once per shard. Parents precede
   // children, so each node's parent is mapped first.
-  PathTree session;
+  PathTree& session = out.tree;
   std::vector<u32> to_session;
   folds_.for_each_sink([&](const PathTree& shard) {
     const std::vector<PathNode>& nodes = shard.nodes();
@@ -28,22 +32,28 @@ MergeableProfile StreamAnalyzer::finish() {
       session.nodes()[at].agg.add(nodes[i].agg);
     }
   });
-  MergeableProfile m = MergeableProfile::from_tree(session, symbols_);
-  m.ns_per_tick = ns_per_tick_;
-  m.stats = {r.entries,        r.stray_returns, r.mismatched_returns,
-             r.unwound_frames, r.incomplete,    r.tombstones,
-             folds_.thread_count()};
-  return m;
+  return out;
 }
 
-std::optional<MergeableProfile> StreamAnalyzer::analyze(const std::string& prefix,
+MergeableProfile StreamAnalyzer::finish() {
+  return MergeableProfile::from_tree(finish_tree());
+}
+
+std::optional<SessionTree> StreamAnalyzer::analyze_tree(const std::string& prefix,
                                                         std::string* error) {
   StreamAnalyzer sa;
   auto info = walk_session(prefix, sa.folds_, error);
   if (!info) return std::nullopt;
   sa.symbols_ = std::move(info->symbols);
   sa.ns_per_tick_ = info->ns_per_tick;
-  return sa.finish();
+  return sa.finish_tree();
+}
+
+std::optional<MergeableProfile> StreamAnalyzer::analyze(const std::string& prefix,
+                                                        std::string* error) {
+  auto tree = analyze_tree(prefix, error);
+  if (!tree) return std::nullopt;
+  return MergeableProfile::from_tree(*tree);
 }
 
 std::optional<MergeableProfile> StreamAnalyzer::analyze_spill(

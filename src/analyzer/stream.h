@@ -13,9 +13,10 @@
 //
 // No Invocation is ever materialized. Shards fold in parallel (a thread's
 // entries are confined to one shard, and every aggregate is a sum/min/max,
-// so worker scheduling cannot change the result); finish() merges the
-// shards' trees in shard order and names the rollup (fold.h) into a
-// MergeableProfile. Profile runs the same fold with the invocation sink;
+// so worker scheduling cannot change the result); finish_tree() merges
+// the shards' trees in shard order into the session tree that the path
+// reports read, and finish() names it into the MergeableProfile that the
+// table reports read. Profile runs the same fold with the invocation sink;
 // the differential tests in tests/test_analyze_stream.cc hold the two sinks
 // equal, and the golden `.mprof`s anchor the fold itself.
 #pragma once
@@ -42,13 +43,18 @@ class StreamAnalyzer {
   void set_ns_per_tick(double ns) { ns_per_tick_ = ns; }
 
   // Closes every still-open frame (incomplete, ended at the thread's last
-  // counter) and folds all shards, in shard order, into one aggregate with
-  // sessions == 1.
+  // counter) and merges the shards' trees, in shard order, into the
+  // session tree. Call it once: the symbols move into the result.
+  SessionTree finish_tree();
+
+  // The aggregate of finish_tree(), with sessions == 1.
   MergeableProfile finish();
 
-  // One-call entry point over the session walker (fold.h), reading one
+  // One-call entry points over the session walker (fold.h), reading one
   // chunk file at a time. Spill sessions are detected by the presence of
   // "<prefix>.seg.0000"; "<prefix>.sym" is loaded when present.
+  static std::optional<SessionTree> analyze_tree(const std::string& prefix,
+                                                 std::string* error = nullptr);
   static std::optional<MergeableProfile> analyze(const std::string& prefix,
                                                  std::string* error = nullptr);
   // The same call, under the name spill-session callers use.

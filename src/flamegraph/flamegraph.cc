@@ -8,17 +8,6 @@
 
 namespace teeperf::flamegraph {
 
-std::string to_folded_text(const FoldedStacks& stacks) {
-  std::string out;
-  for (const auto& [path, value] : stacks) {
-    out += path;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  }
-  return out;
-}
-
 FoldedStacks parse_folded_text(const std::string& text) {
   FoldedStacks out;
   for (std::string_view line : split(text, '\n')) {
@@ -196,14 +185,14 @@ std::string render_svg(const FoldedStacks& stacks, const SvgOptions& options) {
   return svg;
 }
 
-std::string render_profile_svg(const analyzer::Profile& profile,
+std::string render_profile_svg(const analyzer::MergeableProfile& m,
                                const SvgOptions& options) {
   SvgOptions opt = options;
-  // Default the calibration from the profile's dump header so every caller
+  // Default the calibration from the aggregate's tick rate so every caller
   // gets real-time tooltips for free; an explicit option still wins, and an
-  // uncalibrated dump (ns_per_tick 0) keeps the ticks-only tooltip.
-  if (opt.ns_per_tick <= 0) opt.ns_per_tick = profile.ns_per_tick();
-  return render_svg(profile.folded_stacks(), opt);
+  // uncalibrated session (ns_per_tick 0) keeps the ticks-only tooltip.
+  if (opt.ns_per_tick <= 0) opt.ns_per_tick = m.ns_per_tick;
+  return render_svg(FoldedStacks(m.stacks.begin(), m.stacks.end()), opt);
 }
 
 }  // namespace teeperf::flamegraph

@@ -1,7 +1,8 @@
 // Stage #4: the visualizer. The paper feeds the analyzer's output to Brendan
 // Gregg's flamegraph.pl; this module implements both halves natively:
 //   - the *folded stacks* text format that flamegraph.pl consumes
-//     ("a;b;c 1234" per line), so the original tooling still works, and
+//     ("a;b;c 1234" per line; MergeableProfile::folded() writes it), so the
+//     original tooling still works, and
 //   - a self-contained SVG renderer producing the familiar flame graph
 //     (width ∝ time, one row per stack depth, warm palette, per-frame
 //     tooltips) with no external dependency.
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "common/types.h"
 
@@ -18,10 +20,8 @@ namespace teeperf::flamegraph {
 
 using FoldedStacks = std::vector<std::pair<std::string, u64>>;
 
-// Renders folded stacks in flamegraph.pl input format.
-std::string to_folded_text(const FoldedStacks& stacks);
-
-// Parses the same format back (round-trip tested).
+// Parses flamegraph.pl input ("a;b;c 1234" per line; round-trip tested
+// against MergeableProfile::folded()).
 FoldedStacks parse_folded_text(const std::string& text);
 
 struct SvgOptions {
@@ -33,15 +33,15 @@ struct SvgOptions {
   double min_width_px = 0.1;
   // Calibrated tick length. When > 0, frame tooltips carry real time (ms)
   // next to the raw tick count; render_profile_svg fills this in from the
-  // profile's dump-header calibration (0 = uncalibrated, ticks only).
+  // aggregate's tick rate (0 = uncalibrated, ticks only).
   double ns_per_tick = 0.0;
 };
 
 // Renders folded stacks to a standalone SVG document.
 std::string render_svg(const FoldedStacks& stacks, const SvgOptions& options = {});
 
-// Convenience: profile → SVG in one step.
-std::string render_profile_svg(const analyzer::Profile& profile,
+// Convenience: an aggregate's folded stacks → SVG in one step.
+std::string render_profile_svg(const analyzer::MergeableProfile& m,
                                const SvgOptions& options = {});
 
 // The merged frame tree the renderer lays out; exposed for tests and for

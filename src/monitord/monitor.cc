@@ -145,7 +145,7 @@ void Monitord::build_flame_locked(Session* s, u64 now_ns) {
   // Bounded copy of the newest window: at most flame_window_entries across
   // all shards, newest-first truncation per shard. Truncation can cut a
   // thread mid-stack; the fold tolerates the resulting strays. Only the
-  // folded stacks are kept, so the copy folds into path aggregates and no
+  // aggregate is kept, so the copy folds into path aggregates and no
   // Invocation is built.
   std::vector<LogEntry> entries;
   const ProfileLog& log = s->log;
@@ -163,22 +163,16 @@ void Monitord::build_flame_locked(Session* s, u64 now_ns) {
   for (u32 i = 0; i < n; ++i) {
     fold.feed(i, entries.data() + starts[i], starts[i + 1] - starts[i]);
   }
-  analyzer::MergeableProfile m = fold.finish();
-  s->flames.emplace_back(m.stacks.begin(), m.stacks.end());
+  s->flames.push_back(fold.finish());
   while (s->flames.size() > options_.flame_keep) s->flames.pop_front();
   self_->registry().counter(names::kMonitordFlameBuilds).inc();
 }
 
-flamegraph::FoldedStacks Monitord::merged_flames_locked(
+analyzer::MergeableProfile Monitord::merged_flames_locked(
     const Session& s) const {
-  std::map<std::string, u64> merged;
-  for (const auto& snapshot : s.flames) {
-    for (const auto& [stack, ticks] : snapshot) merged[stack] += ticks;
-  }
-  flamegraph::FoldedStacks out;
-  out.reserve(merged.size());
-  for (auto& [stack, ticks] : merged) out.emplace_back(stack, ticks);
-  return out;
+  analyzer::MergeableProfile merged;
+  for (const auto& snapshot : s.flames) merged.merge(snapshot);
+  return merged;
 }
 
 std::optional<std::string> Monitord::flamegraph_folded(
@@ -186,7 +180,7 @@ std::optional<std::string> Monitord::flamegraph_folded(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return std::nullopt;
-  return flamegraph::to_folded_text(merged_flames_locked(*it->second));
+  return merged_flames_locked(*it->second).folded();
 }
 
 std::optional<std::string> Monitord::flamegraph_svg(
@@ -196,7 +190,7 @@ std::optional<std::string> Monitord::flamegraph_svg(
   if (it == sessions_.end()) return std::nullopt;
   flamegraph::SvgOptions svg;
   svg.title = "teeperf session " + session;
-  return flamegraph::render_svg(merged_flames_locked(*it->second), svg);
+  return flamegraph::render_profile_svg(merged_flames_locked(*it->second), svg);
 }
 
 std::string Monitord::scrape_metrics() {

@@ -8,12 +8,13 @@
 //   - a Prometheus text exposition of every session's gauges labeled
 //     {session,pid} (plus {shard}/{thread} for the dynamic names) and the
 //     daemon's own health metrics, and
-//   - rolling folded-stack flame-graph snapshots per session, rebuilt
-//     periodically from a bounded window of the live shard tails.
+//   - rolling flame graphs per session: aggregate snapshots
+//     (MergeableProfile) rebuilt periodically from a bounded window of the
+//     live shard tails, merged on request.
 //
 // Bounded per-tenant memory: attachment count is capped, each flame
 // rebuild copies at most flame_window_entries log entries, and only
-// flame_keep folded snapshots are retained per session — a session that
+// flame_keep snapshots are retained per session — a session that
 // runs for a week costs the same as one that ran for a minute. Sessions
 // detach on owner death or descriptor removal, and the registry GC
 // reclaims descriptors/segments of crashed sessions (counted in
@@ -92,13 +93,13 @@ class Monitord {
     bool log_ok = false;
     std::unordered_map<u64, std::string> symbols;
     bool symbols_loaded = false;
-    std::deque<flamegraph::FoldedStacks> flames;
+    std::deque<analyzer::MergeableProfile> flames;
     u64 last_flame_ns = 0;
   };
 
   void attach_locked(const session_registry::SessionDescriptor& desc);
   void build_flame_locked(Session* s, u64 now_ns);
-  flamegraph::FoldedStacks merged_flames_locked(const Session& s) const;
+  analyzer::MergeableProfile merged_flames_locked(const Session& s) const;
   void loop();
 
   MonitordOptions options_;

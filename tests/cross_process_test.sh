@@ -146,6 +146,16 @@ test -s "$OUT/sp/run.seg.0000" || { echo "FAIL: no chunk files persisted"; exit 
   echo "FAIL: analyze rejected spill session"; cat "$OUT/spill_analyze.out"; exit 1; }
 grep -q "fibonacci" "$OUT/spill_analyze.out" || {
   echo "FAIL: spill session lost symbolization"; cat "$OUT/spill_analyze.out"; exit 1; }
+# The path and flame-graph commands stream the same spill session.
+"$BIN/tools/teeperf_analyze" "$OUT/sp/run" --tree --svg "$OUT/sp/run.svg" \
+    --hottest > "$OUT/spill_views.out" || {
+  echo "FAIL: --tree --svg --hottest rejected spill session"
+  cat "$OUT/spill_views.out"; exit 1; }
+grep -q "<all threads>" "$OUT/spill_views.out" &&
+  grep -q "hottest stack" "$OUT/spill_views.out" &&
+  grep -q "<svg" "$OUT/sp/run.svg" || {
+  echo "FAIL: spill session call tree, hottest stack or SVG missing"
+  cat "$OUT/spill_views.out"; exit 1; }
 # Lossless: every attempted entry analyzed (no drops, no torn slots), and
 # the session really overran the in-memory window more than 4x.
 ATTEMPTED=$(sed -n 's/.*(\([0-9][0-9]*\) attempted).*/\1/p' "$OUT/spill.out" | head -1)

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "common/fileutil.h"
 #include "common/shm.h"
@@ -461,8 +462,7 @@ TEST_F(FaultScenarioTest, TornDumpLoadsPrefixOrRejectsCleanly) {
     if (loaded) {
       EXPECT_LE(loaded->invocations().size(), intact->invocations().size());
       EXPECT_LE(loaded->recon_stats().entries, intact->recon_stats().entries);
-      loaded->method_stats();
-      loaded->folded_stacks();
+      analyzer::MergeableProfile::from_profile(*loaded).save();
     }
   }
   remove_tree(dir);
@@ -492,9 +492,7 @@ TEST_F(FaultScenarioTest, BitflippedDumpNeverCrashesAnalyzer) {
     fault::Registry::instance().reset();
     // Either rejected or analyzed; both are fine, crashing is not.
     if (auto p = analyzer::Profile::load_bytes(mutant)) {
-      p->method_stats();
-      p->call_edges();
-      p->folded_stacks();
+      analyzer::MergeableProfile::from_profile(*p).save();
     }
   }
   remove_tree(dir);
@@ -730,10 +728,9 @@ TEST_P(ReplicatedCounterFailoverTest, PrimaryStallFailsOverCalibrated) {
               analyzer::ValidationIssue::Kind::kNonMonotonicCounter);
   }
   double est = 0.0;
-  for (const auto& m : profile->method_stats()) {
-    if (profile->name(m.method) == "replicated::spin") {
-      est = profile->ticks_to_ns(m.inclusive_total);
-    }
+  auto agg = analyzer::MergeableProfile::from_profile(*profile);
+  if (auto it = agg.methods.find("replicated::spin"); it != agg.methods.end()) {
+    est = profile->ticks_to_ns(it->second.inclusive_total);
   }
   ASSERT_GT(est, 0.0);
   // Calibrated time within 20% of the wall clock around the same loop.

@@ -10,6 +10,7 @@
 #include "analyzer/query.h"
 #include "analyzer/report.h"
 #include "analyzer/stream.h"
+#include "common/stringutil.h"
 #include "core/log_format.h"
 
 namespace teeperf::analyzer {
@@ -222,6 +223,7 @@ TEST(Analyzer, BackwardsCounterClampsToZero) {
 }
 
 TEST(Analyzer, MethodStatsAggregatesAndSorts) {
+  std::unordered_map<u64, std::string> syms{{A, "a"}, {B, "b"}};
   Profile p = LogBuilder()
                   .call(A, 0, 0)
                   .ret(A, 0, 10)
@@ -229,15 +231,14 @@ TEST(Analyzer, MethodStatsAggregatesAndSorts) {
                   .ret(A, 0, 40)
                   .call(B, 0, 50)
                   .ret(B, 0, 51)
-                  .profile();
-  auto stats = p.method_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].method, A);  // 30 ticks exclusive > B's 1
-  EXPECT_EQ(stats[0].count, 2u);
-  EXPECT_EQ(stats[0].inclusive_total, 30u);
-  EXPECT_EQ(stats[0].min_inclusive, 10u);
-  EXPECT_EQ(stats[0].max_inclusive, 20u);
-  EXPECT_DOUBLE_EQ(stats[0].mean_inclusive(), 15.0);
+                  .profile(syms);
+  MergeableProfile m = MergeableProfile::from_profile(p);
+  ASSERT_EQ(m.methods.size(), 2u);
+  EXPECT_EQ(m.methods.at("a"), (MprofMethod{A, 2, 30, 30, 10, 20}));
+  EXPECT_EQ(m.methods.at("b"), (MprofMethod{B, 1, 1, 1, 1, 1}));
+  // 30 ticks exclusive > B's 1: a is the first row.
+  std::string r = method_report(m);
+  EXPECT_LT(r.find("\na "), r.find("\nb ")) << r;
 }
 
 TEST(Analyzer, CallEdges) {
@@ -248,14 +249,14 @@ TEST(Analyzer, CallEdges) {
                   .call(B, 0, 3)
                   .ret(B, 0, 4)
                   .ret(A, 0, 5)
-                  .profile();
-  auto edges = p.call_edges();
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges[0].caller, A);
-  EXPECT_EQ(edges[0].callee, B);
-  EXPECT_EQ(edges[0].count, 2u);
-  EXPECT_TRUE(edges[1].from_root);
-  EXPECT_EQ(edges[1].callee, A);
+                  .profile({{A, "a"}, {B, "b"}});
+  MergeableProfile m = MergeableProfile::from_profile(p);
+  ASSERT_EQ(m.edges.size(), 2u);
+  EXPECT_EQ(m.edges.at(MprofEdgeKey{"a", "b", false}), (MprofEdge{2, 2}));
+  EXPECT_EQ(m.edges.at(MprofEdgeKey{"", "a", true}), (MprofEdge{1, 5}));
+  // By count: the a -> b edge first.
+  std::string r = call_graph_report(m);
+  EXPECT_LT(r.find("\na "), r.find("\n<root> ")) << r;
 }
 
 TEST(Analyzer, FoldedStacksSumToTotalTime) {
@@ -285,15 +286,94 @@ TEST(Analyzer, HottestStack) {
                   .ret(B, 0, 90)
                   .ret(A, 0, 100)
                   .profile(syms);
-  auto [path, ticks] = p.hottest_stack();
-  EXPECT_EQ(path, "a;b");
-  EXPECT_EQ(ticks, 80u);
+  // 80 ticks at 1 ns each.
+  EXPECT_EQ(hottest_report(MergeableProfile::from_profile(p)),
+            "hottest stack (0.000 ms exclusive):\n  a;b\n");
+  MergeableProfile m;
+  m.stacks = {{"x", 7}, {"x;y", 2'500'000}, {"z", 2'500'000}};
+  EXPECT_EQ(hottest_report(m),  // the first of the tied paths
+            "hottest stack (2.500 ms exclusive):\n  x;y\n");
 }
 
 TEST(Analyzer, HottestStackEmptyProfile) {
   Profile p = LogBuilder().profile();
-  EXPECT_EQ(p.hottest_stack().first, "");
-  EXPECT_EQ(p.hottest_stack().second, 0u);
+  EXPECT_EQ(hottest_report(MergeableProfile::from_profile(p)),
+            "hottest stack (0.000 ms exclusive):\n  \n");
+}
+
+// Rows that tie on their sort key print in name order, whatever the
+// method ids or the order the methods were first seen in.
+TEST(Analyzer, BottomUpBreaksTiesByName) {
+  constexpr u64 D = 0x400;
+  std::unordered_map<u64, std::string> syms{
+      {D, "tie::a"}, {B, "tie::b"}, {A, "tie::c"}};
+  // tie::c [0..30] and tie::b [40..70] each call tie::a for 10 ticks:
+  // every method has 20 exclusive ticks, tie::a's split 10/10 by caller.
+  Profile p = LogBuilder()
+                  .call(A, 0, 0)
+                  .call(D, 0, 10)
+                  .ret(D, 0, 20)
+                  .ret(A, 0, 30)
+                  .call(B, 0, 40)
+                  .call(D, 0, 50)
+                  .ret(D, 0, 60)
+                  .ret(B, 0, 70)
+                  .profile(syms);
+  std::string r = bottom_up_report(p.path_tree());
+  usize a = r.find("\ntie::a ");
+  usize b = r.find("\ntie::b ");
+  usize c = r.find("\ntie::c ");
+  ASSERT_NE(a, std::string::npos) << r;
+  ASSERT_NE(b, std::string::npos) << r;
+  ASSERT_NE(c, std::string::npos) << r;
+  EXPECT_LT(a, b) << r;
+  EXPECT_LT(b, c) << r;
+  // tie::a's callers, 50% each.
+  usize from_b = r.find("from tie::b", a);
+  usize from_c = r.find("from tie::c", a);
+  ASSERT_LT(from_c, b) << r;
+  EXPECT_LT(from_b, from_c) << r;
+}
+
+TEST(Analyzer, TableReportsBreakTiesByName) {
+  // Ids in the opposite order to names, equal exclusive time.
+  std::unordered_map<u64, std::string> syms{{A, "tie::z"}, {B, "tie::y"}};
+  Profile before = LogBuilder()
+                       .call(A, 0, 0)
+                       .ret(A, 0, 1'000'000)
+                       .call(B, 0, 2'000'000)
+                       .ret(B, 0, 3'000'000)
+                       .profile(syms);
+  MergeableProfile m = MergeableProfile::from_profile(before);
+  for (const std::string& r : {method_report(m), gprof_flat_report(m)}) {
+    EXPECT_LT(r.find("tie::y"), r.find("tie::z")) << r;
+  }
+  // Both methods gone in the after profile: equal |delta|.
+  std::string diff = diff_report(m, MergeableProfile{});
+  EXPECT_LT(diff.find("tie::y"), diff.find("tie::z")) << diff;
+}
+
+TEST(Analyzer, DiffReportSumsIdsSharingAName) {
+  // Two ids symbolize to one name on both sides: the row is their sum.
+  std::unordered_map<u64, std::string> syms{{A, "dup"}, {B, "dup"}};
+  Profile before = LogBuilder()
+                       .call(A, 0, 0)
+                       .ret(A, 0, 1'000'000)
+                       .call(B, 0, 2'000'000)
+                       .ret(B, 0, 5'000'000)
+                       .profile(syms);
+  Profile after = LogBuilder()
+                      .call(A, 0, 0)
+                      .ret(A, 0, 500'000)
+                      .call(B, 0, 1'000'000)
+                      .ret(B, 0, 2'000'000)
+                      .profile(syms);
+  std::string diff = diff_report(MergeableProfile::from_profile(before),
+                                 MergeableProfile::from_profile(after));
+  EXPECT_NE(diff.find(str_format("%-44s %12.3f %12.3f %+12.3f %9d %9d\n", "dup",
+                                 4.0, 1.5, -2.5, 2, 2)),
+            std::string::npos)
+      << diff;
 }
 
 TEST(Analyzer, NameFallsBackToHex) {
@@ -304,7 +384,7 @@ TEST(Analyzer, NameFallsBackToHex) {
 TEST(Analyzer, EmptyLog) {
   Profile p = LogBuilder().profile();
   EXPECT_TRUE(p.invocations().empty());
-  EXPECT_TRUE(p.method_stats().empty());
+  EXPECT_TRUE(MergeableProfile::from_profile(p).empty());
   EXPECT_TRUE(p.folded_stacks().empty());
 }
 
@@ -407,12 +487,13 @@ TEST_F(QueryTest, ToStringRendersRows) {
 }
 
 TEST_F(QueryTest, Reports) {
-  std::string m = method_report(profile_);
+  MergeableProfile agg = MergeableProfile::from_profile(profile_);
+  std::string m = method_report(agg);
   EXPECT_NE(m.find("alpha"), std::string::npos);
   EXPECT_NE(m.find("excl%"), std::string::npos);
-  std::string g = call_graph_report(profile_);
+  std::string g = call_graph_report(agg);
   EXPECT_NE(g.find("<root>"), std::string::npos);
-  std::string r = recon_summary(profile_);
+  std::string r = mprof_summary(agg);
   EXPECT_NE(r.find("entries=10"), std::string::npos);
 }
 

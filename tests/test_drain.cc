@@ -28,7 +28,7 @@
 namespace teeperf {
 namespace {
 
-using analyzer::MethodStats;
+using analyzer::MergeableProfile;
 using analyzer::Profile;
 
 constexpr int kWriters = 4;
@@ -115,18 +115,10 @@ Profile reference_profile() {
 
 void expect_profiles_identical(const Profile& a, const Profile& b) {
   EXPECT_EQ(a.recon_stats().entries, b.recon_stats().entries);
-  std::vector<MethodStats> sa = a.method_stats();
-  std::vector<MethodStats> sb = b.method_stats();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (usize i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].method, sb[i].method) << i;
-    EXPECT_EQ(sa[i].count, sb[i].count) << i;
-    EXPECT_EQ(sa[i].inclusive_total, sb[i].inclusive_total) << i;
-    EXPECT_EQ(sa[i].exclusive_total, sb[i].exclusive_total) << i;
-    EXPECT_EQ(sa[i].min_inclusive, sb[i].min_inclusive) << i;
-    EXPECT_EQ(sa[i].max_inclusive, sb[i].max_inclusive) << i;
-  }
-  EXPECT_EQ(a.folded_stacks(), b.folded_stacks());
+  MergeableProfile ma = MergeableProfile::from_profile(a);
+  MergeableProfile mb = MergeableProfile::from_profile(b);
+  EXPECT_EQ(ma.methods, mb.methods);
+  EXPECT_EQ(ma.stacks, mb.stacks);
 }
 
 TEST(Drain, SpillSessionMatchesUnboundedRunExactly) {

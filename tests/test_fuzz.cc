@@ -3,12 +3,13 @@
 // its outputs must satisfy structural invariants on every input.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <string>
 #include <vector>
 
-#include "common/fileutil.h"
-
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
+#include "analyzer/stream.h"
+#include "common/fileutil.h"
 #include "common/rng.h"
 #include "core/log_format.h"
 
@@ -69,9 +70,7 @@ TEST_P(AdversarialEvents, ArbitraryStreamNeverBreaksInvariants) {
   Profile p = Profile::from_log(fuzz.log(), {}, 1.0);
   check_invariants(p, /*check_spans=*/false);
   // Derived views must not crash either.
-  (void)p.method_stats();
-  (void)p.call_edges();
-  (void)p.folded_stacks();
+  (void)MergeableProfile::from_profile(p).save();
 }
 
 // Well-formed nested streams with random truncation: the analyzer must
@@ -230,16 +229,16 @@ TEST(Validate, EntryIndexFollowsSnapshotOrderOnWrappedShards) {
             issues[0].entry_index);
 }
 
-// --- load_many (multi-process merge) ------------------------------------------
+// --- merging sessions (multi-process profiling) ------------------------------
 
-class LoadManyTest : public ::testing::Test {
+class MergeSessionsTest : public ::testing::Test {
  protected:
   void SetUp() override { dir_ = make_temp_dir("teeperf_merge_"); }
   void TearDown() override { remove_tree(dir_); }
 
-  // Writes a dump with one method named `name` taking `ticks`.
-  std::string write_dump(const std::string& stem, const std::string& name,
-                         u64 ticks) {
+  // Streams a dump with one method named `name` taking `ticks`.
+  MergeableProfile session(const std::string& stem, const std::string& name,
+                           u64 ticks) {
     FuzzLog fuzz;
     fuzz.log().append(EventKind::kCall, 1, 0, 100);
     fuzz.log().append(EventKind::kReturn, 1, 0, 100 + ticks);
@@ -247,52 +246,34 @@ class LoadManyTest : public ::testing::Test {
     std::string prefix = dir_ + "/" + stem;
     write_file(prefix + ".log", fuzz.log().serialize_compact());
     write_file(prefix + ".sym", "1\t" + name + "\n");
-    return prefix;
+    std::string err;
+    auto m = StreamAnalyzer::analyze(prefix, &err);
+    EXPECT_TRUE(m.has_value()) << err;
+    return m ? *m : MergeableProfile{};
   }
 
   std::string dir_;
 };
 
-TEST_F(LoadManyTest, MergesInvocationsAndNamespacesThreads) {
-  auto a = write_dump("a", "proc_a::fn", 50);
-  auto b = write_dump("b", "proc_b::fn", 70);
-  auto merged = Profile::load_many({a, b});
-  ASSERT_TRUE(merged.has_value());
-  ASSERT_EQ(merged->invocations().size(), 2u);
-  EXPECT_NE(merged->invocations()[0].tid, merged->invocations()[1].tid);
-  EXPECT_EQ(merged->thread_count(), 2u);
-  EXPECT_EQ(merged->recon_stats().entries, 4u);
-
-  // Both names resolve in the merged profile even though both dumps used
-  // method id 1 for different functions.
-  auto stats = merged->method_stats();
-  ASSERT_EQ(stats.size(), 2u);
-  std::set<std::string> names{merged->name(stats[0].method),
-                              merged->name(stats[1].method)};
-  EXPECT_TRUE(names.contains("proc_a::fn"));
-  EXPECT_TRUE(names.contains("proc_b::fn"));
+TEST_F(MergeSessionsTest, KeepsProcessesApartByName) {
+  // Both dumps use method id 1, for different functions: aggregates are
+  // keyed by name, so the merge keeps the two apart.
+  MergeableProfile merged = session("a", "proc_a::fn", 50);
+  ASSERT_TRUE(merged.merge(session("b", "proc_b::fn", 70)));
+  EXPECT_EQ(merged.sessions, 2u);
+  EXPECT_EQ(merged.stats.thread_count, 2u);
+  EXPECT_EQ(merged.stats.entries, 4u);
+  ASSERT_EQ(merged.methods.size(), 2u);
+  EXPECT_EQ(merged.methods.at("proc_a::fn").inclusive_total, 50u);
+  EXPECT_EQ(merged.methods.at("proc_b::fn").inclusive_total, 70u);
 }
 
-TEST_F(LoadManyTest, SameNameAggregatesAcrossProcesses) {
-  auto a = write_dump("a", "shared::fn", 50);
-  auto b = write_dump("b", "shared::fn", 70);
-  auto merged = Profile::load_many({a, b});
-  ASSERT_TRUE(merged.has_value());
-  auto stats = merged->method_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].count, 2u);
-  EXPECT_EQ(stats[0].inclusive_total, 120u);
-}
-
-TEST_F(LoadManyTest, SkipsMissingInputs) {
-  auto a = write_dump("a", "only::fn", 10);
-  auto merged = Profile::load_many({dir_ + "/missing", a});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->invocations().size(), 1u);
-}
-
-TEST_F(LoadManyTest, AllMissingIsNullopt) {
-  EXPECT_FALSE(Profile::load_many({dir_ + "/nope1", dir_ + "/nope2"}).has_value());
+TEST_F(MergeSessionsTest, SameNameAggregatesAcrossProcesses) {
+  MergeableProfile merged = session("a", "shared::fn", 50);
+  ASSERT_TRUE(merged.merge(session("b", "shared::fn", 70)));
+  ASSERT_EQ(merged.methods.size(), 1u);
+  EXPECT_EQ(merged.methods.at("shared::fn").count, 2u);
+  EXPECT_EQ(merged.methods.at("shared::fn").inclusive_total, 120u);
 }
 
 }  // namespace

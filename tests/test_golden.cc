@@ -21,8 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include "analyzer/fold.h"
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
 #include "core/log_format.h"
@@ -56,33 +59,26 @@ std::vector<std::string> seed_logs() {
   return names;
 }
 
-// Canonical folded-stacks rendering: already sorted by path in the API.
+// Canonical folded-stacks rendering: already sorted by path.
 std::string render_folded(const analyzer::Profile& p) {
-  std::string out;
-  for (const auto& [path, ticks] : p.folded_stacks()) {
-    out += path;
-    out += ' ';
-    out += std::to_string(ticks);
-    out += '\n';
-  }
-  return out;
+  return analyzer::MergeableProfile::from_profile(p).folded();
 }
 
-// Method stats as JSON lines, sorted by method id — method_stats() sorts by
-// exclusive time, where ties would make the golden nondeterministic.
+// Method stats as JSON lines, sorted by (smallest) method id.
 std::string render_stats_json(const analyzer::Profile& p) {
-  auto stats = p.method_stats();
-  std::sort(stats.begin(), stats.end(),
-            [](const analyzer::MethodStats& a, const analyzer::MethodStats& b) {
-              return a.method < b.method;
-            });
+  analyzer::MergeableProfile m = analyzer::MergeableProfile::from_profile(p);
+  std::vector<std::pair<const std::string*, const analyzer::MprofMethod*>> stats;
+  for (const auto& [name, mm] : m.methods) stats.push_back({&name, &mm});
+  std::sort(stats.begin(), stats.end(), [](const auto& a, const auto& b) {
+    return a.second->id < b.second->id;
+  });
   std::string out = "[\n";
   for (usize i = 0; i < stats.size(); ++i) {
-    const auto& s = stats[i];
+    const analyzer::MprofMethod& s = *stats[i].second;
     out += str_format(
         "  {\"method\": \"%s\", \"count\": %llu, \"inclusive\": %llu, "
         "\"exclusive\": %llu, \"min\": %llu, \"max\": %llu}%s\n",
-        p.name(s.method).c_str(), static_cast<unsigned long long>(s.count),
+        stats[i].first->c_str(), static_cast<unsigned long long>(s.count),
         static_cast<unsigned long long>(s.inclusive_total),
         static_cast<unsigned long long>(s.exclusive_total),
         static_cast<unsigned long long>(s.min_inclusive),
@@ -128,32 +124,37 @@ TEST(GoldenCorpus, FoldedStacksAndMethodStatsBitIdentical) {
 // after the session summary, with the command's default arguments (`--top`
 // at its default 30 rows), keyed by the golden file's suffix.
 std::vector<std::pair<std::string, std::string>> text_reports(
-    const analyzer::Profile& p) {
-  auto [path, ticks] = p.hottest_stack();
+    const analyzer::SessionTree& tree) {
+  analyzer::MergeableProfile m = analyzer::MergeableProfile::from_tree(tree);
   return {
-      {"top", analyzer::method_report(p, 30)},
-      {"callgraph", analyzer::call_graph_report(p)},
-      {"tree", analyzer::call_tree_report(p)},
-      {"bottomup", analyzer::bottom_up_report(p)},
-      {"gprof", analyzer::gprof_flat_report(p)},
-      // teeperf_analyze --hottest formats this line itself.
-      {"hottest", str_format("hottest stack (%.3f ms exclusive):\n  %s\n",
-                             p.ticks_to_ns(ticks) / 1e6, path.c_str())},
+      {"top", analyzer::method_report(m, 30)},
+      {"callgraph", analyzer::call_graph_report(m)},
+      {"tree", analyzer::call_tree_report(tree)},
+      {"bottomup", analyzer::bottom_up_report(tree)},
+      {"gprof", analyzer::gprof_flat_report(m)},
+      {"hottest", analyzer::hottest_report(m)},
   };
 }
 
 TEST(GoldenCorpus, TextReportsBitIdentical) {
   for (const std::string& name : seed_logs()) {
     SCOPED_TRACE(name);
-    auto raw = read_file(corpus_dir() + "/" + name + ".log");
-    ASSERT_TRUE(raw);
-    auto profile = analyzer::Profile::load_bytes(*raw);
-    ASSERT_TRUE(profile) << "loader rejected a trusted seed";
-    for (const auto& [command, text] : text_reports(*profile)) {
+    // The streamed session, as teeperf_analyze reads it.
+    std::string err;
+    auto tree = analyzer::StreamAnalyzer::analyze_tree(corpus_dir() + "/" + name, &err);
+    ASSERT_TRUE(tree) << "streaming analyzer rejected a trusted seed: " << err;
+    auto streamed = text_reports(*tree);
+    for (const auto& [command, text] : streamed) {
       SCOPED_TRACE(command);
       check_golden(corpus_dir() + "/golden/" + name + "." + command + ".txt",
                    text);
     }
+    // An in-memory Profile's path tree renders the same text.
+    auto raw = read_file(corpus_dir() + "/" + name + ".log");
+    ASSERT_TRUE(raw);
+    auto profile = analyzer::Profile::load_bytes(*raw);
+    ASSERT_TRUE(profile) << "loader rejected a trusted seed";
+    EXPECT_EQ(text_reports(profile->path_tree()), streamed);
   }
 }
 

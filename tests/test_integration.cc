@@ -3,6 +3,7 @@
 // (not just that the machinery runs).
 #include <gtest/gtest.h>
 
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "common/fileutil.h"
@@ -44,14 +45,10 @@ TEST_F(IntegrationTest, PhoenixProfileAttributesTimeToKernel) {
   EXPECT_EQ(profile.recon_stats().mismatched_returns, 0u);
 
   // match_word must be the most-called method, with one invocation per word.
-  auto stats = profile.method_stats();
-  u64 match_calls = 0;
-  for (const auto& s : stats) {
-    if (profile.name(s.method) == "phoenix::string_match::match_word") {
-      match_calls = s.count;
-    }
-  }
-  EXPECT_EQ(match_calls, 50'000u);
+  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  auto match = agg.methods.find("phoenix::string_match::match_word");
+  ASSERT_NE(match, agg.methods.end());
+  EXPECT_EQ(match->second.count, 50'000u);
 
   // The folded stacks must nest match_word under map_worker under the
   // kernel root.

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <unistd.h>
 
+#include "analyzer/fold.h"
+#include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "analyzer/report.h"
 #include "common/fileutil.h"
@@ -92,7 +94,8 @@ TEST_F(ReportsTest, DiffReportShowsDelta) {
     Scope s(slow);
     spin_for_ns(1'000'000);
   });
-  std::string diff = analyzer::diff_report(before, after);
+  std::string diff = analyzer::diff_report(analyzer::MergeableProfile::from_profile(before),
+                                         analyzer::MergeableProfile::from_profile(after));
   EXPECT_NE(diff.find("rep::optimize_me"), std::string::npos);
   EXPECT_NE(diff.find("delta(ms)"), std::string::npos);
   // The improvement must render as a negative delta.
@@ -107,7 +110,7 @@ TEST_F(ReportsTest, CallTreeReportNestsAndSums) {
       spin_for_ns(1'000'000);
     }
   });
-  std::string tree = analyzer::call_tree_report(profile, 0.0);
+  std::string tree = analyzer::call_tree_report(profile.path_tree(), 0.0);
   usize root_pos = tree.find("tree::root_fn");
   usize child_pos = tree.find("tree::child_fn");
   ASSERT_NE(root_pos, std::string::npos);
@@ -124,7 +127,7 @@ TEST_F(ReportsTest, CallTreeFoldsTinyNodes) {
       TEEPERF_SCOPE("tree::tiny");
     }
   });
-  std::string tree = analyzer::call_tree_report(profile, 0.05);
+  std::string tree = analyzer::call_tree_report(profile.path_tree(), 0.05);
   EXPECT_EQ(tree.find("tree::tiny"), std::string::npos);
   EXPECT_NE(tree.find("(other: 1 callees)"), std::string::npos);
 }
@@ -165,7 +168,8 @@ TEST_F(ReportsTest, GprofFlatReportColumns) {
       spin_for_ns(2'000'000);
     }
   });
-  std::string report = analyzer::gprof_flat_report(profile);
+  std::string report = analyzer::gprof_flat_report(
+      analyzer::MergeableProfile::from_profile(profile));
   EXPECT_NE(report.find("Flat profile"), std::string::npos);
   EXPECT_NE(report.find("ms/call"), std::string::npos);
   EXPECT_NE(report.find("gp::hot"), std::string::npos);
@@ -244,7 +248,7 @@ TEST_F(ReportsTest, BottomUpGroupsByCaller) {
       spin_for_ns(1'000'000);
     }
   });
-  std::string report = analyzer::bottom_up_report(profile);
+  std::string report = analyzer::bottom_up_report(profile.path_tree());
   usize helper_pos = report.find("bu::shared_helper");
   ASSERT_NE(helper_pos, std::string::npos);
   usize one_pos = report.find("from bu::path_one");
@@ -409,14 +413,10 @@ TEST(TeeProfiles, SecurePagingIsAScopedFrame) {
 
   auto profile = Profile::from_log(
       rec->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  bool saw_paging = false;
-  for (const auto& s : profile.method_stats()) {
-    if (profile.name(s.method) == "epc::secure_paging") {
-      saw_paging = true;
-      EXPECT_EQ(s.count, 8u);
-    }
-  }
-  EXPECT_TRUE(saw_paging);
+  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  auto paging = agg.methods.find("epc::secure_paging");
+  ASSERT_NE(paging, agg.methods.end());
+  EXPECT_EQ(paging->second.count, 8u);
   if (runtime::attached()) runtime::detach();
 }
 

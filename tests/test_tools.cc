@@ -4,6 +4,8 @@
 // come from TEEPERF_BIN_DIR (set by CMake).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -12,6 +14,8 @@
 #include <vector>
 
 #include "common/fileutil.h"
+#include "common/stringutil.h"
+#include "synthetic_session.h"
 
 namespace teeperf {
 namespace {
@@ -63,8 +67,32 @@ class ToolsTest : public ::testing::Test {
     return prefix;
   }
 
+  // A synthetic spill session (synthetic_session.h) of `chunks` chunks of
+  // 2 x 2048 entries, with a "<prefix>.sym" naming its 48 methods.
+  std::string synthetic_session(const std::string& stem, u32 chunks) {
+    std::string prefix = dir_ + "/" + stem;
+    write_synthetic_session(prefix, chunks, 2048);
+    std::string sym;
+    for (u64 level = 0; level < 3; ++level) {
+      for (u64 fn = 0; fn < 16; ++fn) {
+        sym += str_format("%llu\tsynth::level%llu::fn%02llu\n",
+                          static_cast<unsigned long long>(0x100 * (level + 1) + fn),
+                          static_cast<unsigned long long>(level),
+                          static_cast<unsigned long long>(fn));
+      }
+    }
+    EXPECT_TRUE(write_file(prefix + ".sym", sym));
+    return prefix;
+  }
+
   std::string dir_, record_, analyze_, flamegraph_, stats_, fuzz_, app_;
 };
+
+// The text from the first line that starts with `header` to the end.
+std::string from_line(const std::string& out, const std::string& header) {
+  usize at = out.rfind("\n" + header);
+  return at == std::string::npos ? "" : out.substr(at + 1);
+}
 
 TEST_F(ToolsTest, RecordRejectsBadArgs) {
   std::string out;
@@ -255,6 +283,130 @@ TEST_F(ToolsTest, DiffBetweenTwoRuns) {
   ASSERT_EQ(run_cmd({record_, "-o", p2, "--", app_, dir_ + "/y"}, &out), 0);
   ASSERT_EQ(run_cmd({analyze_, p1, "--diff", p2}, &out), 0) << out;
   EXPECT_NE(out.find("delta(ms)"), std::string::npos);
+}
+
+// --- streamed aggregate commands --------------------------------------------
+// Every aggregate command streams the session through the chunk reader
+// thread and the shard worker pool; CI runs these cases under TSan too.
+
+TEST_F(ToolsTest, StreamedTopMatchesMprofInfo) {
+  std::string p = synthetic_session("p", 4);
+  std::string mprof = dir_ + "/p.mprof";
+  std::string top, emit, info;
+  ASSERT_EQ(run_cmd({analyze_, p, "--top", "10"}, &top), 0) << top;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof", p, mprof}, &emit), 0) << emit;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof-info", mprof, "--top", "10"}, &info), 0)
+      << info;
+  // One summary line, one method table, byte for byte.
+  std::string summary = emit.substr(0, emit.find('\n') + 1);
+  EXPECT_EQ(top.substr(0, summary.size()), summary) << top;
+  EXPECT_EQ(info.substr(0, summary.size()), summary) << info;
+  std::string table = from_line(top, "method ");
+  ASSERT_NE(table.find("synth::level"), std::string::npos) << top;
+  EXPECT_NE(table.find("... (38 more methods)"), std::string::npos) << table;
+  EXPECT_EQ(table, from_line(info, "method "));
+}
+
+TEST_F(ToolsTest, StreamedMergeMatchesMprofMerge) {
+  std::string p = synthetic_session("p", 4);
+  std::string p2 = synthetic_session("p2", 2);
+  std::string a = dir_ + "/a.mprof", b = dir_ + "/b.mprof", ab = dir_ + "/ab.mprof";
+  std::string out, info;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof", p, a}, &out), 0) << out;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof", p2, b}, &out), 0) << out;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof-merge", ab, a, b}, &out), 0) << out;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof-info", ab}, &info), 0) << info;
+  std::string want = "merged 2 dumps: " + info;
+
+  // The second input as a session prefix or as its .mprof: same fold.
+  for (const std::string& input : {p2, b}) {
+    SCOPED_TRACE(input);
+    ASSERT_EQ(run_cmd({analyze_, p, "--merge", input}, &out), 0) << out;
+    EXPECT_EQ(from_line(out, "merged "), want);
+  }
+  // An input that does not load is reported and skipped.
+  ASSERT_EQ(run_cmd({analyze_, p, "--merge", dir_ + "/missing", b}, &out), 0)
+      << out;
+  EXPECT_NE(out.find("skipping " + dir_ + "/missing"), std::string::npos) << out;
+  EXPECT_EQ(from_line(out, "merged "), want);
+}
+
+TEST_F(ToolsTest, StreamedDiffAcceptsMprof) {
+  std::string p = synthetic_session("p", 4);
+  std::string p2 = synthetic_session("p2", 2);
+  std::string b = dir_ + "/b.mprof";
+  std::string by_prefix, by_mprof, out;
+  ASSERT_EQ(run_cmd({analyze_, "--mprof", p2, b}, &out), 0) << out;
+  ASSERT_EQ(run_cmd({analyze_, p, "--diff", p2}, &by_prefix), 0) << by_prefix;
+  ASSERT_EQ(run_cmd({analyze_, p, "--diff", b}, &by_mprof), 0) << by_mprof;
+  std::string table = from_line(by_prefix, "method ");
+  ASSERT_NE(table.find("delta(ms)"), std::string::npos) << by_prefix;
+  ASSERT_NE(table.find("synth::level"), std::string::npos) << by_prefix;
+  EXPECT_EQ(table, from_line(by_mprof, "method "));
+  EXPECT_NE(run_cmd({analyze_, p, "--diff", dir_ + "/missing.mprof"}, &out), 0);
+}
+
+// Peak RSS, in KiB, of one run of `args` with its output discarded:
+// wait4's ru_maxrss of a forked child. The count includes what the child
+// held of this process before exec, so keep this process small: write big
+// inputs from another child (in_child).
+long peak_rss_kib(const std::vector<std::string>& args, int* exit_code) {
+  std::vector<char*> argv;
+  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  pid_t pid = fork();
+  if (pid == 0) {
+    int null = open("/dev/null", O_WRONLY);
+    dup2(null, 1);
+    dup2(null, 2);
+    execv(argv[0], argv.data());
+    _exit(127);
+  }
+  int status = 0;
+  rusage ru{};
+  if (pid < 0 || wait4(pid, &status, 0, &ru) != pid) return -1;
+  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return ru.ru_maxrss;
+}
+
+// Runs fn in a forked child and returns whether it exited 0 with no
+// test failure; whatever it allocated leaves with it.
+template <typename F>
+bool in_child(F fn) {
+  pid_t pid = fork();
+  if (pid == 0) {
+    fn();
+    _exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = 0;
+  return pid > 0 && waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+         WEXITSTATUS(status) == 0;
+}
+
+TEST_F(ToolsTest, StreamedAggregatesPeakRssFlat) {
+  // 8x the entries (65,536 vs 524,288; 1 MB vs 8 MB of chunks). Holding
+  // every Invocation costs ~20 MB more at the larger size; the streamed
+  // commands hold two chunk files and one tree of 48 distinct paths.
+  constexpr long kMarginKib = 4 << 10;
+  std::string small = dir_ + "/small", large = dir_ + "/large";
+  ASSERT_TRUE(in_child([&] {
+    synthetic_session("small", 16);
+    synthetic_session("large", 128);
+  }));
+  long peak[2] = {0, 0};
+  int i = 0;
+  for (const std::string& p : {small, large}) {
+    int code = -1;
+    peak[i] = peak_rss_kib({analyze_, p, "--top", "10", "--tree", "--svg",
+                            p + ".svg"},
+                           &code);
+    ASSERT_EQ(code, 0) << p;
+    ASSERT_GT(peak[i], 0) << p;
+    ++i;
+  }
+  EXPECT_LE(peak[1], peak[0] + kMarginKib)
+      << "peak RSS " << peak[0] << " KiB at 65,536 entries, " << peak[1]
+      << " KiB at 524,288";
 }
 
 }  // namespace

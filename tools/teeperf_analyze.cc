@@ -1,32 +1,42 @@
 // The offline analyzer as a CLI (§II-B stage #3) — reads "<prefix>.log" +
-// "<prefix>.sym" produced by teeperf_record (or Recorder::dump) and answers
-// from the command line what the paper's interactive pandas session
-// answers.
+// "<prefix>.sym" produced by teeperf_record (or Recorder::dump), or a spill
+// session's chunk files, and answers from the command line what the
+// paper's interactive pandas session answers.
 //
 //   teeperf_analyze <prefix> [commands]
+//
+// Every run streams the session once through the streaming analyzer
+// (DESIGN.md §12): one chunk file at a time into its path tree, which
+// stays as small as the number of distinct call paths. The summary line
+// and every aggregate command read that tree or its aggregate:
 //     --top N           per-method report, N rows       (default command)
 //     --callgraph       dynamic caller→callee edge table
-//     --threads         per-thread rollup
-//     --method <substr> invocation table filtered by method name
-//     --tid <n>         restrict --method/--top to one thread
 //     --tree            top-down call tree with percentages
-//     --timeline <file>     per-thread invocation intervals as CSV
-//     --timeline-svg <file> swim-lane SVG trace view
-//     --validate        raw-entry consistency check of the whole session,
-//                       spill chunks included (monotonicity, balance)
-//     --merge <p2>...   merge further dumps (multi-process profiling)
-//     --chrome <file>   Chrome trace-event JSON (chrome://tracing)
 //     --gprof           gprof-style flat profile
 //     --bottomup        inverted call graph (who reaches the hot methods)
 //     --hottest         the single most expensive stack
-//     --csv <file>      dump every invocation as CSV
 //     --folded <file>   write flame-graph folded stacks
 //     --svg <file>      render the flame graph
-//     --diff <prefix2>  before/after comparison against a second profile
+//     --diff <in>       before/after comparison against a second profile
+//     --merge <in>...   fold further profiles in (multi-process profiling);
+//                       an input that does not load is reported and skipped
+//   --diff and --merge inputs are session prefixes or `.mprof` files (an
+//   argument ending in ".mprof" is read as an aggregate).
+//
+// The invocation-level commands need every Invocation in memory, so they
+// load the session once more, in full, on first use:
+//     --threads         per-thread rollup
+//     --method <substr> invocation table filtered by method name
+//     --tid <n>         restrict --method/--top to one thread
+//     --timeline <file>     per-thread invocation intervals as CSV
+//     --timeline-svg <file> swim-lane SVG trace view
+//     --chrome <file>   Chrome trace-event JSON (chrome://tracing)
+//     --csv <file>      dump every invocation as CSV
+//   and --validate checks the raw entries of the whole session, spill
+//   chunks included (monotonicity, balance).
 //
 // Mergeable-profile commands (DESIGN.md §12) take no session prefix — they
-// run the streaming analyzer (bounded memory, one chunk file at a time) or
-// operate on `.mprof` aggregates directly:
+// run the streaming analyzer or operate on `.mprof` aggregates directly:
 //   teeperf_analyze --mprof <prefix> <out.mprof>      stream-analyze a
 //                      session (spill or plain) into a mergeable profile
 //   teeperf_analyze --mprof-merge <out> <in.mprof>... fold aggregates
@@ -36,15 +46,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "analyzer/fold.h"
 #include "analyzer/mprof.h"
 #include "analyzer/profile.h"
-#include "analyzer/stream.h"
-#include "core/log_format.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
+#include "common/stringutil.h"
 #include "flamegraph/flamegraph.h"
 
 using namespace teeperf;
@@ -131,8 +143,16 @@ int mprof_info_main(int argc, char** argv) {
       return 2;
     }
   }
-  std::printf("%s\n", mprof_method_report(*m, top).c_str());
+  std::printf("%s\n", method_report(*m, top).c_str());
   return 0;
+}
+
+// A --diff or --merge input: a `.mprof` aggregate, or a session prefix
+// streamed into one.
+std::optional<MergeableProfile> load_aggregate(const std::string& input,
+                                               std::string* error) {
+  if (ends_with(input, ".mprof")) return MergeableProfile::load(input, error);
+  return StreamAnalyzer::analyze(input, error);
 }
 
 }  // namespace
@@ -150,18 +170,35 @@ int main(int argc, char** argv) {
     return mprof_info_main(argc, argv);
   }
   std::string prefix = argv[1];
-  auto profile = Profile::load(prefix);
-  if (!profile) {
-    std::fprintf(stderr, "teeperf_analyze: cannot load %s.log\n", prefix.c_str());
+  std::string err;
+  auto tree = StreamAnalyzer::analyze_tree(prefix, &err);
+  if (!tree) {
+    std::fprintf(stderr, "teeperf_analyze: cannot load %s: %s\n", prefix.c_str(),
+                 err.c_str());
     return 1;
   }
-  std::printf("%s\n", recon_summary(*profile).c_str());
+  MergeableProfile agg = MergeableProfile::from_tree(*tree);
+  std::printf("%s\n", mprof_summary(agg).c_str());
   // Self-telemetry sidecars from the recorder, when present: surfaces
   // counter stalls, log saturation, and other recorder-side degradation
   // before any numbers are trusted.
   std::string health = health_report(prefix);
   if (!health.empty()) std::printf("\n%s", health.c_str());
   std::printf("\n");
+
+  // Every Invocation, for the invocation-level commands only: loaded on
+  // first use, at most once.
+  std::optional<Profile> loaded;
+  auto invocations = [&]() -> const Profile& {
+    if (!loaded) {
+      loaded = Profile::load(prefix);
+      if (!loaded) {
+        std::fprintf(stderr, "teeperf_analyze: cannot load %s\n", prefix.c_str());
+        std::exit(1);
+      }
+    }
+    return *loaded;
+  };
 
   bool did_something = false;
   i64 tid_filter = -1;
@@ -176,27 +213,27 @@ int main(int argc, char** argv) {
     if (arg == "--top" && i + 1 < argc) {
       usize n = static_cast<usize>(std::atoll(argv[++i]));
       if (tid_filter >= 0) {
-        auto t = InvocationTable(*profile).where_tid(static_cast<u64>(tid_filter));
+        auto t = InvocationTable(invocations()).where_tid(static_cast<u64>(tid_filter));
         std::printf("top invocations on tid %lld:\n%s\n",
                     static_cast<long long>(tid_filter),
                     t.sort_by(SortKey::kExclusive).top(n).to_string(n).c_str());
       } else {
-        std::printf("%s\n", method_report(*profile, n).c_str());
+        std::printf("%s\n", method_report(agg, n).c_str());
       }
       did_something = true;
     } else if (arg == "--callgraph") {
-      std::printf("%s\n", call_graph_report(*profile).c_str());
+      std::printf("%s\n", call_graph_report(agg).c_str());
       did_something = true;
     } else if (arg == "--threads") {
-      std::printf("%s\n", thread_report(*profile).c_str());
+      std::printf("%s\n", thread_report(invocations()).c_str());
       did_something = true;
     } else if (arg == "--method" && i + 1 < argc) {
       std::string needle = argv[++i];
-      auto t = InvocationTable(*profile).where_name_contains(needle);
+      auto t = InvocationTable(invocations()).where_name_contains(needle);
       if (tid_filter >= 0) t = t.where_tid(static_cast<u64>(tid_filter));
       std::printf("%zu invocations matching \"%s\" (%.3f ms inclusive):\n%s\n",
                   t.count(), needle.c_str(),
-                  profile->ticks_to_ns(t.sum_inclusive()) / 1e6,
+                  invocations().ticks_to_ns(t.sum_inclusive()) / 1e6,
                   t.sort_by(SortKey::kInclusive).to_string(25).c_str());
       std::printf("by caller:\n");
       for (auto& g : t.group_by_caller()) {
@@ -204,18 +241,18 @@ int main(int argc, char** argv) {
       }
       did_something = true;
     } else if (arg == "--tree") {
-      std::printf("%s\n", call_tree_report(*profile).c_str());
+      std::printf("%s\n", call_tree_report(*tree).c_str());
       did_something = true;
     } else if (arg == "--timeline" && i + 1 < argc) {
       std::string path = argv[++i];
-      if (!write_file(path, timeline_csv(*profile))) return 1;
+      if (!write_file(path, timeline_csv(invocations()))) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
     } else if (arg == "--timeline-svg" && i + 1 < argc) {
       std::string path = argv[++i];
       flamegraph::TimelineOptions topts;
       topts.title = prefix;
-      if (!write_file(path, flamegraph::render_timeline_svg(*profile, topts)))
+      if (!write_file(path, flamegraph::render_timeline_svg(invocations(), topts)))
         return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
@@ -239,61 +276,69 @@ int main(int argc, char** argv) {
       }
       did_something = true;
     } else if (arg == "--merge" && i + 1 < argc) {
-      // Re-analyze this prefix together with additional dumps (multi-process
-      // profiling; thread ids are namespaced per input).
-      std::vector<std::string> all{prefix};
-      while (i + 1 < argc && argv[i + 1][0] != '-') all.emplace_back(argv[++i]);
-      auto merged = Profile::load_many(all);
-      if (!merged) return 1;
-      std::printf("merged %zu dumps: %s\n%s\n", all.size(),
-                  recon_summary(*merged).c_str(),
-                  method_report(*merged).c_str());
+      // Fold further profiles into this one (multi-process profiling):
+      // aggregates are keyed by name, so ids from other processes cannot
+      // collide. The session itself always loaded, so this never fails.
+      MergeableProfile merged = agg;
+      usize dumps = 1;
+      while (i + 1 < argc && argv[i + 1][0] != '-') {
+        std::string input = argv[++i];
+        auto m = load_aggregate(input, &err);
+        if (!m) {
+          std::fprintf(stderr, "teeperf_analyze: skipping %s: %s\n",
+                       input.c_str(), err.c_str());
+        } else if (!merged.merge(*m)) {
+          std::fprintf(stderr, "teeperf_analyze: skipping %s: a counter overflows\n",
+                       input.c_str());
+        } else {
+          ++dumps;
+        }
+      }
+      std::printf("merged %zu dumps: %s\n%s\n", dumps, mprof_summary(merged).c_str(),
+                  method_report(merged).c_str());
       did_something = true;
     } else if (arg == "--chrome" && i + 1 < argc) {
       std::string path = argv[++i];
-      if (!write_file(path, chrome_trace_json(*profile))) return 1;
+      if (!write_file(path, chrome_trace_json(invocations()))) return 1;
       std::printf("wrote %s (load in chrome://tracing or Perfetto)\n",
                   path.c_str());
       did_something = true;
     } else if (arg == "--bottomup") {
-      std::printf("%s\n", bottom_up_report(*profile).c_str());
+      std::printf("%s\n", bottom_up_report(*tree).c_str());
       did_something = true;
     } else if (arg == "--gprof") {
-      std::printf("%s\n", gprof_flat_report(*profile).c_str());
+      std::printf("%s\n", gprof_flat_report(agg).c_str());
       did_something = true;
     } else if (arg == "--hottest") {
-      auto [path, ticks] = profile->hottest_stack();
-      std::printf("hottest stack (%.3f ms exclusive):\n  %s\n",
-                  profile->ticks_to_ns(ticks) / 1e6, path.c_str());
+      std::printf("%s", hottest_report(agg).c_str());
       did_something = true;
     } else if (arg == "--csv" && i + 1 < argc) {
       std::string path = argv[++i];
-      if (!write_file(path, csv_export(*profile))) return 1;
+      if (!write_file(path, csv_export(invocations()))) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
     } else if (arg == "--folded" && i + 1 < argc) {
       std::string path = argv[++i];
-      if (!write_file(path, flamegraph::to_folded_text(profile->folded_stacks())))
-        return 1;
+      if (!write_file(path, agg.folded())) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
     } else if (arg == "--svg" && i + 1 < argc) {
       std::string path = argv[++i];
       flamegraph::SvgOptions opts;
       opts.title = prefix;
-      if (!write_file(path, flamegraph::render_profile_svg(*profile, opts)))
-        return 1;
+      if (!write_file(path, flamegraph::render_profile_svg(agg, opts))) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
     } else if (arg == "--diff" && i + 1 < argc) {
       std::string other = argv[++i];
-      auto after = Profile::load(other);
+      auto after = load_aggregate(other, &err);
       if (!after) {
-        std::fprintf(stderr, "cannot load %s.log\n", other.c_str());
+        std::fprintf(stderr, "teeperf_analyze: cannot load %s: %s\n",
+                     other.c_str(), err.c_str());
         return 1;
       }
       std::printf("diff (%s → %s):\n%s\n", prefix.c_str(), other.c_str(),
-                  diff_report(*profile, *after).c_str());
+                  diff_report(agg, *after).c_str());
       did_something = true;
     } else if (arg == "--tid") {
       ++i;  // consumed in the pre-scan
@@ -303,6 +348,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!did_something) std::printf("%s\n", method_report(*profile).c_str());
+  if (!did_something) std::printf("%s\n", method_report(agg).c_str());
   return 0;
 }

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "analyzer/fold.h"
 #include "analyzer/mprof.h"
 #include "analyzer/profile.h"
 #include "analyzer/query.h"
@@ -326,7 +327,12 @@ void exercise(const std::string& bytes) {
     m->folded();
     m->total_exclusive();
     analyzer::mprof_summary(*m);
-    analyzer::mprof_method_report(*m);
+    analyzer::method_report(*m);
+    analyzer::call_graph_report(*m);
+    analyzer::gprof_flat_report(*m);
+    analyzer::hottest_report(*m);
+    analyzer::diff_report(*m, *m);
+    flamegraph::render_profile_svg(*m);
     analyzer::MergeableProfile::load_bytes(m->save());
     analyzer::MergeableProfile acc;
     acc.merge(*m);
@@ -336,61 +342,53 @@ void exercise(const std::string& bytes) {
 
   auto profile = analyzer::Profile::load_bytes(bytes);
   if (!profile) return;  // rejected: that is a pass
-  analyzer::MergeableProfile::from_profile(*profile).save();
-  profile->method_stats();
-  profile->call_edges();
-  profile->folded_stacks();
-  profile->hottest_stack();
-  analyzer::method_report(*profile);
-  analyzer::call_graph_report(*profile);
+  analyzer::SessionTree tree = profile->path_tree();
+  analyzer::MergeableProfile agg = analyzer::MergeableProfile::from_tree(tree);
+  agg.save();
+  analyzer::method_report(agg);
+  analyzer::call_graph_report(agg);
+  analyzer::gprof_flat_report(agg);
+  analyzer::hottest_report(agg);
+  analyzer::mprof_summary(agg);
+  analyzer::call_tree_report(tree);
+  analyzer::bottom_up_report(tree);
   analyzer::thread_report(*profile);
-  analyzer::call_tree_report(*profile);
-  analyzer::bottom_up_report(*profile);
-  analyzer::gprof_flat_report(*profile);
-  analyzer::recon_summary(*profile);
   analyzer::chrome_trace_json(*profile);
   analyzer::csv_export(*profile);
   analyzer::timeline_csv(*profile);
-  flamegraph::SvgOptions opts;
-  flamegraph::render_profile_svg(*profile, opts);
+  flamegraph::render_profile_svg(agg);
   analyzer::InvocationTable table(*profile);
   table.where_min_inclusive(1).sort_by(analyzer::SortKey::kExclusive).top(10);
   table.group_by_method();
 }
 
-// A stats signature that must be invariant under benign mutations. Sorted
-// line set so tie-order differences in sorted reports cannot matter.
+// A stats signature that must be invariant under benign mutations: the
+// aggregate's methods and folded stacks (both name-sorted) and the
+// reconstruction health.
 std::string signature(const analyzer::Profile& p) {
-  std::vector<std::string> lines;
-  for (const auto& s : p.method_stats()) {
-    lines.push_back(str_format(
-        "m %llx n=%llu inc=%llu exc=%llu min=%llu max=%llu",
-        static_cast<unsigned long long>(s.method),
-        static_cast<unsigned long long>(s.count),
-        static_cast<unsigned long long>(s.inclusive_total),
-        static_cast<unsigned long long>(s.exclusive_total),
-        static_cast<unsigned long long>(s.min_inclusive),
-        static_cast<unsigned long long>(s.max_inclusive)));
+  analyzer::MergeableProfile m = analyzer::MergeableProfile::from_profile(p);
+  std::string out;
+  for (const auto& [name, s] : m.methods) {
+    out += str_format("m %s n=%llu inc=%llu exc=%llu min=%llu max=%llu\n",
+                      name.c_str(), static_cast<unsigned long long>(s.count),
+                      static_cast<unsigned long long>(s.inclusive_total),
+                      static_cast<unsigned long long>(s.exclusive_total),
+                      static_cast<unsigned long long>(s.min_inclusive),
+                      static_cast<unsigned long long>(s.max_inclusive));
   }
-  for (const auto& [path, ticks] : p.folded_stacks()) {
-    lines.push_back(
-        str_format("f %s %llu", path.c_str(), static_cast<unsigned long long>(ticks)));
+  for (const auto& [path, ticks] : m.stacks) {
+    out += str_format("f %s %llu\n", path.c_str(),
+                      static_cast<unsigned long long>(ticks));
   }
   const auto& r = p.recon_stats();
-  lines.push_back(str_format(
-      "r stray=%llu mis=%llu unw=%llu inc=%llu tomb=%llu threads=%llu",
+  out += str_format(
+      "r stray=%llu mis=%llu unw=%llu inc=%llu tomb=%llu threads=%llu\n",
       static_cast<unsigned long long>(r.stray_returns),
       static_cast<unsigned long long>(r.mismatched_returns),
       static_cast<unsigned long long>(r.unwound_frames),
       static_cast<unsigned long long>(r.incomplete),
       static_cast<unsigned long long>(r.tombstones),
-      static_cast<unsigned long long>(p.thread_count())));
-  std::sort(lines.begin(), lines.end());
-  std::string out;
-  for (const auto& l : lines) {
-    out += l;
-    out += '\n';
-  }
+      static_cast<unsigned long long>(p.thread_count()));
   return out;
 }
 

@@ -64,7 +64,7 @@ int mprof_main(const char* path) {
     return 1;
   }
   std::printf("%s\n%s", analyzer::mprof_summary(*m).c_str(),
-              analyzer::mprof_method_report(*m).c_str());
+              analyzer::method_report(*m).c_str());
   return 0;
 }
 
