@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdio>
 #include <new>
 
 #include "faultsim/fault.h"
@@ -363,53 +364,57 @@ void ProfileLog::snapshot_ordered(std::vector<LogEntry>* out) const {
   for (u32 s = 0; s < shard_count(); ++s) window(s).append_to(out);
 }
 
-std::string ProfileLog::serialize_compact() const {
-  std::string out;
-  if (!header_) return out;
-  LogHeader header_copy;
-  std::memcpy(static_cast<void*>(&header_copy), header_, sizeof(LogHeader));
-  header_copy.flags.store(
-      flags() & ~(log_flags::kRingBuffer | log_flags::kSpillDrain),
-      std::memory_order_relaxed);
-  // The replica block is shm-only: compact dumps never carry it, so the
-  // header field is zeroed for byte-deterministic output (and so loaders
-  // don't go looking for a block that is not there).
-  header_copy.counter_replicas = 0;
-  // Pack the written windows back-to-back and rewrite the directory so
-  // offsets are cumulative, capacity == tail == the written count, and no
-  // wrap/gap logic survives into the file.
-  u32 nshards = header_->shard_count;
-  std::vector<LogWindow> windows(nshards);
-  std::vector<LogShard> dir(nshards);
-  u64 total = 0;
-  for (u32 s = 0; s < nshards; ++s) {
-    windows[s] = window(s);
-    u64 n = windows[s].size();
-    dir[s].entry_offset = total;
-    dir[s].capacity = n;
-    dir[s].tail.store(n, std::memory_order_relaxed);
-    dir[s].dropped.store(shards_[s].dropped.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    // On disk `drained` carries the window's absolute start cursor (0 for
-    // logs that never drained/wrapped, so plain dumps stay byte-identical).
-    // The spill loader uses it to stitch chunk files and the final residue
-    // into one stream and to skip overlap after a drainer crash/resume.
-    dir[s].drained.store(windows[s].begin, std::memory_order_relaxed);
-    total += n;
-  }
-  header_copy.max_entries = total;
-  out.reserve(sizeof(LogHeader) + nshards * sizeof(LogShard) +
-              static_cast<usize>(total) * sizeof(LogEntry));
-  out.assign(reinterpret_cast<const char*>(&header_copy), sizeof(LogHeader));
-  out.append(reinterpret_cast<const char*>(dir.data()),
-             static_cast<usize>(nshards) * sizeof(LogShard));
-  for (const LogWindow& w : windows) {
-    for (std::span<const LogEntry> sp : w.spans) {
-      out.append(reinterpret_cast<const char*>(sp.data()),
-                 sp.size() * sizeof(LogEntry));
+bool ProfileLog::write_compact(const std::string& path) const {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) return false;
+  bool ok = true;
+  auto put = [&](const void* data, usize n) {
+    if (ok && n != 0) ok = std::fwrite(data, 1, n, f) == n;
+  };
+  if (header_) {
+    LogHeader header_copy;
+    std::memcpy(static_cast<void*>(&header_copy), header_, sizeof(LogHeader));
+    header_copy.flags.store(
+        flags() & ~(log_flags::kRingBuffer | log_flags::kSpillDrain),
+        std::memory_order_relaxed);
+    // The replica block is shm-only: compact dumps never carry it, so the
+    // header field is zeroed for byte-deterministic output (and so loaders
+    // don't go looking for a block that is not there).
+    header_copy.counter_replicas = 0;
+    // Pack the written windows back-to-back and rewrite the directory so
+    // offsets are cumulative, capacity == tail == the written count, and
+    // no wrap/gap logic survives into the file.
+    u32 nshards = header_->shard_count;
+    std::vector<LogWindow> windows(nshards);
+    std::vector<LogShard> dir(nshards);
+    u64 total = 0;
+    for (u32 s = 0; s < nshards; ++s) {
+      windows[s] = window(s);
+      u64 n = windows[s].size();
+      dir[s].entry_offset = total;
+      dir[s].capacity = n;
+      dir[s].tail.store(n, std::memory_order_relaxed);
+      dir[s].dropped.store(shards_[s].dropped.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+      // On disk `drained` carries the window's absolute start cursor (0 for
+      // logs that never drained/wrapped, so plain dumps stay
+      // byte-identical). The spill loader uses it to stitch chunk files and
+      // the final residue into one stream and to skip overlap after a
+      // drainer crash/resume.
+      dir[s].drained.store(windows[s].begin, std::memory_order_relaxed);
+      total += n;
+    }
+    header_copy.max_entries = total;
+    put(&header_copy, sizeof(LogHeader));
+    put(dir.data(), static_cast<usize>(nshards) * sizeof(LogShard));
+    for (const LogWindow& w : windows) {
+      for (std::span<const LogEntry> sp : w.spans) {
+        put(sp.data(), sp.size_bytes());
+      }
     }
   }
-  return out;
+  bool closed = std::fclose(f) == 0;
+  return ok && closed;
 }
 
 u64 ProfileLog::size() const {

@@ -244,11 +244,14 @@ class ProfileLog {
   // program order — the analyzer's only ordering requirement.
   void snapshot_ordered(std::vector<LogEntry>* out) const;
 
-  // Serializes header + directory + written entries as a compact dump: the
-  // windows are packed back-to-back in plain order (the ring and spill
-  // flags are cleared) and the directory rewritten, so the offline loader
-  // needs neither wrap logic nor segment gaps.
-  std::string serialize_compact() const;
+  // Writes header + directory + written entries to `path` as a compact
+  // dump: the windows are packed back-to-back in plain order (the ring and
+  // spill flags are cleared) and the directory rewritten, so the offline
+  // loader needs neither wrap logic nor segment gaps. The entries go from
+  // the window spans straight to the file, with no staging copy. An
+  // invalid log writes an empty file. False if the file cannot be opened,
+  // a write comes up short or closing it fails.
+  bool write_compact(const std::string& path) const;
 
   bool valid() const { return header_ != nullptr; }
   LogHeader* header() { return header_; }

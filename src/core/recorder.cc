@@ -314,11 +314,12 @@ bool Recorder::dump(const std::string& prefix) {
 
   // The log persists in compact form: windows packed back-to-back, ring
   // order normalized, directory rewritten — so the analyzer's offline
-  // loader needs no wrap or gap logic. The faults mangle the serialized
-  // copy, never the live log.
-  std::string out = log_.serialize_compact();
-  fault::apply_byte_faults(fault_points::kDumpPrefix, &out);
-  if (!write_file(prefix + ".log", out)) return false;
+  // loader needs no wrap or gap logic. The entries go from shm straight to
+  // the file; the byte faults then mangle the written file, never the live
+  // log.
+  std::string log_path = prefix + ".log";
+  if (!log_.write_compact(log_path)) return false;
+  fault::apply_byte_faults_to_file(fault_points::kDumpPrefix, log_path);
 
   // Self-telemetry sidecars: the health snapshot embedded in analyzer
   // reports, and the event journal as JSON-lines. A dying writer is the

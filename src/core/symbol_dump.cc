@@ -13,12 +13,14 @@ namespace teeperf {
 std::string build_symbol_file(const ProfileLog& log) {
   std::string sym = SymbolRegistry::instance().serialize();
   std::unordered_set<u64> raw_addrs;
-  // The written windows only: the entry array has per-shard gaps, so its
-  // raw slots are not the written set.
-  std::vector<LogEntry> entries;
-  log.snapshot_ordered(&entries);
-  for (const LogEntry& e : entries) {
-    if (!SymbolRegistry::is_registered_id(e.addr)) raw_addrs.insert(e.addr);
+  // The written windows only, read in place: the entry array has
+  // per-shard gaps, so its raw slots are not the written set.
+  for (u32 s = 0; s < log.shard_count(); ++s) {
+    for (std::span<const LogEntry> sp : log.window(s).spans) {
+      for (const LogEntry& e : sp) {
+        if (!SymbolRegistry::is_registered_id(e.addr)) raw_addrs.insert(e.addr);
+      }
+    }
   }
   // The residual window is not the whole session: spill mode drains entries
   // out of shm continuously and ring mode overwrites them on wrap. The

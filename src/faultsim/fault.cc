@@ -2,8 +2,13 @@
 
 #include "faultsim/fault_points.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 namespace teeperf::fault {
 
@@ -25,6 +30,30 @@ u64 hash_name(std::string_view name) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+// The draws behind the byte faults, for a buffer of `size` bytes: the
+// length to keep and the bit to flip within it.
+struct ByteFaults {
+  usize size = 0;
+  bool torn = false;
+  std::optional<u64> flip_bit;
+  bool any() const { return torn || flip_bit.has_value(); }
+};
+
+ByteFaults draw_byte_faults(std::string_view prefix, usize size) {
+  ByteFaults f;
+  f.size = size;
+  std::string torn_name = std::string(prefix) + ".torn";
+  std::string flip_name = std::string(prefix) + ".bitflip";
+  if (f.size != 0 && fires(torn_name)) {
+    f.size = 1 + static_cast<usize>(value_below(torn_name, f.size - 1));
+    f.torn = true;
+  }
+  if (f.size != 0 && fires(flip_name)) {
+    f.flip_bit = value_below(flip_name, f.size * 8);
+  }
+  return f;
 }
 
 }  // namespace
@@ -256,20 +285,35 @@ void Registry::poll_external() {
 }
 
 bool apply_byte_faults(std::string_view prefix, std::string* bytes) {
-  bool mangled = false;
-  std::string torn_name = std::string(prefix) + ".torn";
-  std::string flip_name = std::string(prefix) + ".bitflip";
-  if (!bytes->empty() && fires(torn_name)) {
-    usize cut = 1 + static_cast<usize>(value_below(torn_name, bytes->size() - 1));
-    bytes->resize(cut);
-    mangled = true;
-  }
-  if (!bytes->empty() && fires(flip_name)) {
-    u64 bit = value_below(flip_name, bytes->size() * 8);
+  ByteFaults f = draw_byte_faults(prefix, bytes->size());
+  bytes->resize(f.size);
+  if (f.flip_bit) {
+    u64 bit = *f.flip_bit;
     (*bytes)[bit / 8] = static_cast<char>((*bytes)[bit / 8] ^ (1u << (bit % 8)));
-    mangled = true;
   }
-  return mangled;
+  return f.any();
+}
+
+bool apply_byte_faults_to_file(std::string_view prefix,
+                               const std::string& path) {
+  // Production state: nothing armed, so no draw can fire — skip the open.
+  if (!Registry::instance().any_armed()) return false;
+  int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0;
+  ByteFaults f =
+      draw_byte_faults(prefix, ok ? static_cast<usize>(st.st_size) : 0);
+  if (f.torn) ok = ::ftruncate(fd, static_cast<off_t>(f.size)) == 0;
+  if (f.flip_bit) {
+    auto off = static_cast<off_t>(*f.flip_bit / 8);
+    unsigned char byte = 0;
+    ok = ok && ::pread(fd, &byte, 1, off) == 1;
+    byte = static_cast<unsigned char>(byte ^ (1u << (*f.flip_bit % 8)));
+    ok = ok && ::pwrite(fd, &byte, 1, off) == 1;
+  }
+  ::close(fd);
+  return ok && f.any();
 }
 
 }  // namespace teeperf::fault

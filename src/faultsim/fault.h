@@ -139,11 +139,17 @@ inline u64 value_below(std::string_view name, u64 bound) {
   return Registry::instance().value_below(name, bound);
 }
 
-// Applies the two generic byte-corruption faults to a serialized buffer:
+// The two generic byte-corruption faults:
 //   "<prefix>.torn"    — truncate at a seeded offset in [1, size)
-//   "<prefix>.bitflip" — flip a seeded bit
-// Used by the recorder dump path; returns true if anything was mangled.
+//   "<prefix>.bitflip" — then flip a seeded bit of what is left
+// Both forms below take the same draws, so a seed mangles a string and a
+// file into the same bytes. They return true if anything was mangled.
 bool apply_byte_faults(std::string_view prefix, std::string* bytes);
+
+// The file form, for the recorder dump path: truncates the written file
+// at the cut and flips one byte in place.
+bool apply_byte_faults_to_file(std::string_view prefix,
+                               const std::string& path);
 
 // RAII arming for tests: arms in the constructor, restores a disarmed
 // registry (full reset) in the destructor.

@@ -393,9 +393,9 @@ std::map<std::string, std::string> string_constants(const FileIndex& fi) {
 // literal.
 const std::set<std::string>& registered_name_calls() {
   static const std::set<std::string> kCalls = {
-      "fires",     "value_below", "counter",
-      "gauge",     "histogram",   "apply_byte_faults",
-      "family",    "family_histogram",
+      "fires",     "value_below",      "counter",
+      "gauge",     "histogram",        "apply_byte_faults",
+      "family",    "family_histogram", "apply_byte_faults_to_file",
   };
   return kCalls;
 }

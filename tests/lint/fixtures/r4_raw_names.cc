@@ -14,3 +14,11 @@ void f(Registry& reg) {
   reg.counter("log.tail");          // line 14: r4 raw metric name
   reg.family("log.dropped");        // line 15: r4 raw exporter family name
 }
+
+namespace fault {
+bool apply_byte_faults_to_file(const char* prefix, const char* path);
+}
+
+void g(const char* path) {
+  fault::apply_byte_faults_to_file("dump", path);  // line 23: r4 raw prefix
+}

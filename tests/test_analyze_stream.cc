@@ -199,7 +199,7 @@ int record_spill_session(const std::string& prefix, const char* fault_spec) {
   }
   EXPECT_TRUE(drainer.final_drain());
   EXPECT_EQ(s.log.dropped(), 0u);
-  EXPECT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  EXPECT_TRUE(s.log.write_compact(prefix + ".log"));
   return restarts;
 }
 

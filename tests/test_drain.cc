@@ -24,6 +24,7 @@
 #include "drain/chunk_format.h"
 #include "drain/drainer.h"
 #include "faultsim/fault.h"
+#include "written_dump.h"
 
 namespace teeperf {
 namespace {
@@ -144,7 +145,7 @@ TEST(Drain, SpillSessionMatchesUnboundedRunExactly) {
   EXPECT_GT(st.spilled_bytes, kTotalEntries * sizeof(LogEntry));
   EXPECT_EQ(s.log.size(), 0u);  // no unpublished residue
 
-  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
   auto spilled = Profile::load(prefix);  // auto-detects .seg.0000
   ASSERT_TRUE(spilled.has_value());
   EXPECT_EQ(spilled->recon_stats().entries, kTotalEntries);
@@ -232,7 +233,7 @@ TEST(Drain, DrainerDeathAndRestartLosesNothing) {
 
   EXPECT_EQ(s.log.dropped(), 0u);
   EXPECT_EQ(drainer.stats().drained_entries, kTotalEntries);
-  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
   auto p = Profile::load(prefix);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, kTotalEntries);
@@ -272,7 +273,7 @@ TEST(Drain, TornChunkIsRewrittenOnResume) {
         << "chunk " << seq << ": " << err;
     EXPECT_EQ(got, seq);
   }
-  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
   auto p = Profile::load(prefix);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, kTotalEntries);
@@ -304,7 +305,7 @@ TEST(Drain, LoaderSkipsOverlapFromCrashBetweenPersistAndAdvance) {
   ASSERT_TRUE(write_file(drain::chunk_path(prefix, 0),
                          drain::serialize_chunk(*s.log.header(), windows, 0)));
   // The residue dump re-covers the same window (drained never moved).
-  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
 
   auto p = Profile::load(prefix);
   ASSERT_TRUE(p.has_value());
@@ -324,7 +325,7 @@ TEST(Drain, LoaderToleratesTornTrailingChunkRejectsBadMiddle) {
   ASSERT_TRUE(drainer.start());
   run_workload(s.log);
   ASSERT_TRUE(drainer.final_drain());
-  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
   u64 chunks = drainer.stats().chunks;
   ASSERT_GE(chunks, 3u);
 
@@ -375,7 +376,7 @@ TEST(Drain, DeadDrainerForceAdvanceKeepsNewestAndCountsDrops) {
   EXPECT_EQ(s.log.attempted(), total);
   EXPECT_EQ(s.log.dropped(), total - cap);  // exact keep-newest accounting
   EXPECT_EQ(s.log.size(), cap);
-  auto p = Profile::load_bytes(s.log.serialize_compact());
+  auto p = Profile::load_bytes(written_dump(s.log));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, cap);
   EXPECT_EQ(p->recon_stats().tombstones, 0u);
@@ -583,7 +584,7 @@ TEST(Drain, SoftwareCounterSessionWritesDeterministicChunkHeaders) {
     EXPECT_EQ(h.flags.load() & (log_flags::kActive | log_flags::kSpillDrain), 0u)
         << seq;
   }
-  ASSERT_TRUE(write_file(prefix + ".log", s.log.serialize_compact()));
+  ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
   std::string err;
   auto streamed = analyzer::StreamAnalyzer::analyze(prefix, &err);
   ASSERT_TRUE(streamed.has_value()) << err;

@@ -244,7 +244,7 @@ class MergeSessionsTest : public ::testing::Test {
     fuzz.log().append(EventKind::kReturn, 1, 0, 100 + ticks);
     fuzz.log().header()->ns_per_tick = 1.0;
     std::string prefix = dir_ + "/" + stem;
-    write_file(prefix + ".log", fuzz.log().serialize_compact());
+    fuzz.log().write_compact(prefix + ".log");
     write_file(prefix + ".sym", "1\t" + name + "\n");
     std::string err;
     auto m = StreamAnalyzer::analyze(prefix, &err);

@@ -29,6 +29,7 @@
 #include "common/fileutil.h"
 #include "common/stringutil.h"
 #include "core/log_format.h"
+#include "written_dump.h"
 
 namespace teeperf {
 namespace {
@@ -234,7 +235,7 @@ TEST(ShardLayoutDifferential, DumpRoundTripIdenticalMethodStats) {
   record_batched(log, scripted_workload());
 
   auto live = analyzer::Profile::from_log(log, {}, 1.0);
-  auto loaded = analyzer::Profile::load_bytes(log.serialize_compact());
+  auto loaded = analyzer::Profile::load_bytes(written_dump(log));
   ASSERT_TRUE(loaded);
   EXPECT_EQ(render_stats_json(live), render_stats_json(*loaded));
   EXPECT_EQ(render_folded(live), render_folded(*loaded));

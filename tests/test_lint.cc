@@ -143,6 +143,7 @@ TEST(LintFixtures, ExactRuleIdsAndLines) {
       {"r4", "r4_raw_names.cc", 13},            // fires("shm.create.fail")
       {"r4", "r4_raw_names.cc", 14},            // counter("log.tail")
       {"r4", "r4_raw_names.cc", 15},            // family("log.dropped")
+      {"r4", "r4_raw_names.cc", 23},            // byte-fault prefix "dump"
   };
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(rows(res.findings), expected);

@@ -5,10 +5,18 @@
 // append-only array behind one shared tail.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fileutil.h"
 #include "core/log_format.h"
+#include "faultsim/fault.h"
+#include "faultsim/fault_points.h"
+#include "written_dump.h"
 
 namespace teeperf {
 namespace {
@@ -225,6 +233,175 @@ TEST(LogWindowTest, ShardsKeepTheirOwnWindows) {
   EXPECT_EQ(w[2].addr, 0x12u);
   EXPECT_EQ(log.window(2).size(), 0u);
   EXPECT_EQ(log.size(), 3u);
+}
+
+// --- compact dump writer ----------------------------------------------------
+
+// The compact dump built as one in-memory string: the staging form that
+// ProfileLog::write_compact replaced, kept here as the reference its bytes
+// are checked against.
+std::string reference_serialize_compact(const ProfileLog& log) {
+  std::string out;
+  const LogHeader* header = log.header();
+  if (!header) return out;
+  LogHeader header_copy;
+  std::memcpy(static_cast<void*>(&header_copy), header, sizeof(LogHeader));
+  header_copy.flags.store(
+      log.flags() & ~(log_flags::kRingBuffer | log_flags::kSpillDrain),
+      std::memory_order_relaxed);
+  header_copy.counter_replicas = 0;
+  u32 nshards = header->shard_count;
+  std::vector<LogWindow> windows(nshards);
+  std::vector<LogShard> dir(nshards);
+  u64 total = 0;
+  for (u32 s = 0; s < nshards; ++s) {
+    windows[s] = log.window(s);
+    u64 n = windows[s].size();
+    dir[s].entry_offset = total;
+    dir[s].capacity = n;
+    dir[s].tail.store(n, std::memory_order_relaxed);
+    dir[s].dropped.store(log.shard(s)->dropped.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+    dir[s].drained.store(windows[s].begin, std::memory_order_relaxed);
+    total += n;
+  }
+  header_copy.max_entries = total;
+  out.reserve(sizeof(LogHeader) + nshards * sizeof(LogShard) +
+              static_cast<usize>(total) * sizeof(LogEntry));
+  out.assign(reinterpret_cast<const char*>(&header_copy), sizeof(LogHeader));
+  out.append(reinterpret_cast<const char*>(dir.data()),
+             static_cast<usize>(nshards) * sizeof(LogShard));
+  for (const LogWindow& w : windows) {
+    for (std::span<const LogEntry> sp : w.spans) {
+      out.append(reinterpret_cast<const char*>(sp.data()),
+                 sp.size() * sizeof(LogEntry));
+    }
+  }
+  return out;
+}
+
+// A log over its own buffer.
+struct OwnedLog {
+  std::vector<u8> buf;
+  ProfileLog log;
+  OwnedLog(u64 capacity, u32 shards, u64 flags)
+      : buf(ProfileLog::bytes_for(capacity, shards)) {
+    EXPECT_TRUE(log.init(buf.data(), buf.size(), 77,
+                         log_flags::kActive | log_flags::kMultithread | flags,
+                         shards));
+  }
+  // `n` alternating calls and returns from `tid`, each entry distinct.
+  void record(u64 tid, u64 n) {
+    for (u64 i = 0; i < n; ++i) {
+      log.append(i % 2 ? EventKind::kReturn : EventKind::kCall,
+                 0x400000 + (tid << 12) + i, tid, 1000 + i);
+    }
+  }
+};
+
+TEST(ProfileLog, WrittenDumpMatchesReference) {
+  {
+    SCOPED_TRACE("bounded, 1 shard, overflowed");
+    OwnedLog o(64, 1, 0);
+    o.record(0, 70);
+    ASSERT_EQ(o.log.dropped(), 6u);
+    EXPECT_EQ(written_dump(o.log), reference_serialize_compact(o.log));
+  }
+  {
+    SCOPED_TRACE("4 shards, two of them empty");
+    OwnedLog o(64, 4, 0);
+    o.record(1, 9);
+    o.record(3, 16);
+    ASSERT_EQ(o.log.window(0).size(), 0u);
+    ASSERT_EQ(o.log.window(2).size(), 0u);
+    EXPECT_EQ(written_dump(o.log), reference_serialize_compact(o.log));
+  }
+  {
+    SCOPED_TRACE("wrapped ring");
+    OwnedLog o(16, 2, log_flags::kRingBuffer);
+    o.record(0, 21);
+    o.record(1, 5);
+    ASSERT_FALSE(o.log.window(0).spans[1].empty());  // two spans
+    EXPECT_EQ(written_dump(o.log), reference_serialize_compact(o.log));
+  }
+  {
+    SCOPED_TRACE("spill residue after a partial drain, unpublished tail");
+    OwnedLog o(16, 1, log_flags::kSpillDrain);
+    o.record(0, 10);
+    o.log.shard(0)->drained.store(10, std::memory_order_release);
+    o.record(0, 12);
+    o.log.shard(0)->tail.fetch_add(2, std::memory_order_acq_rel);
+    LogWindow w = o.log.window(0);
+    ASSERT_EQ(w.begin, 10u);
+    ASSERT_EQ(w.end, 24u);
+    ASSERT_FALSE(w.spans[1].empty());
+    EXPECT_EQ(written_dump(o.log), reference_serialize_compact(o.log));
+  }
+  {
+    SCOPED_TRACE("bounded, tombstoned tail");
+    OwnedLog o(64, 1, 0);
+    o.record(0, 8);
+    o.log.shard(0)->tail.fetch_add(3, std::memory_order_acq_rel);
+    ASSERT_EQ(o.log.count_torn_tail(), 3u);
+    EXPECT_EQ(written_dump(o.log), reference_serialize_compact(o.log));
+  }
+  {
+    SCOPED_TRACE("invalid log");
+    ProfileLog invalid;
+    EXPECT_EQ(written_dump(invalid), "");
+    EXPECT_EQ(reference_serialize_compact(invalid), "");
+  }
+}
+
+TEST(ProfileLog, WrittenDumpFaultsMatchReference) {
+  // The byte faults hit the written file the way they hit the reference
+  // string: same draws, same bytes, for every seed.
+  OwnedLog o(16, 2, log_flags::kRingBuffer);
+  o.record(0, 21);
+  o.record(1, 5);
+  const std::string reference = reference_serialize_compact(o.log);
+  const std::string path = testing::TempDir() + "teeperf_faulted_dump." +
+                           std::to_string(getpid());
+  fault::Registry& reg = fault::Registry::instance();
+  auto arm = [&reg](u64 seed, const std::string& spec) {
+    reg.reset();
+    reg.set_seed(seed);
+    ASSERT_TRUE(reg.arm_from_spec(spec));
+  };
+  for (const std::string point :
+       {fault_points::kDumpTorn, fault_points::kDumpBitflip}) {
+    std::string spec = point + ":nth=1";
+    for (u64 seed = 1; seed <= 32; ++seed) {
+      SCOPED_TRACE(spec + " seed " + std::to_string(seed));
+      arm(seed, spec);
+      ASSERT_TRUE(o.log.write_compact(path));
+      EXPECT_TRUE(
+          fault::apply_byte_faults_to_file(fault_points::kDumpPrefix, path));
+      std::string faulted = read_file(path).value_or("");
+
+      arm(seed, spec);
+      std::string want = reference;
+      EXPECT_TRUE(fault::apply_byte_faults(fault_points::kDumpPrefix, &want));
+      EXPECT_EQ(faulted, want);
+      EXPECT_NE(faulted, reference);
+    }
+  }
+  reg.reset();
+  reg.set_seed(1);
+  std::remove(path.c_str());
+}
+
+TEST(ProfileLog, WriteCompactFailsOnShortWriteOrCloseError) {
+  // A dump that fits the stdio buffer fails at fclose; a larger one fails
+  // at a short fwrite. Both must fail the write, as must a bad path.
+  OwnedLog small(64, 1, 0);
+  small.record(0, 8);
+  EXPECT_FALSE(small.log.write_compact("/dev/full"));
+  OwnedLog large(8192, 1, 0);
+  large.record(0, 8192);
+  EXPECT_FALSE(large.log.write_compact("/dev/full"));
+  EXPECT_FALSE(small.log.write_compact(testing::TempDir() +
+                                       "teeperf_no_such_dir/x.log"));
 }
 
 // Property: under concurrent appends, every slot 0..capacity-1 is written

@@ -2,6 +2,10 @@
 // dynamic activation, multithreaded recording, dump/load round trip.
 #include <gtest/gtest.h>
 
+#include <sched.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -17,6 +21,7 @@
 #include "common/spin.h"
 #include "common/stringutil.h"
 #include "core/profiler.h"
+#include "drain/drainer.h"
 #include "obs/metric_names.h"
 
 namespace teeperf {
@@ -297,6 +302,129 @@ TEST_F(RecorderTest, DumpAndLoadRoundTrip) {
   EXPECT_EQ(profile->name(profile->invocations()[0].method), "dump::parent");
   EXPECT_EQ(profile->name(profile->invocations()[1].method), "dump::child");
   EXPECT_GT(profile->ns_per_tick(), 0.0);
+  remove_tree(dir);
+}
+
+// Raw -finstrument-functions-style addresses: exported libc functions, so
+// dladdr has names for them.
+std::vector<u64> raw_function_addresses() {
+  return {reinterpret_cast<u64>(&::getpid), reinterpret_cast<u64>(&::getppid),
+          reinterpret_cast<u64>(&::sched_yield)};
+}
+
+// Every raw address must have a .sym line that dladdr named.
+void expect_symbolized(const std::string& sym_path,
+                       const std::vector<u64>& addrs) {
+  auto sym = read_file(sym_path);
+  ASSERT_TRUE(sym.has_value());
+  auto names = SymbolRegistry::parse(*sym);
+  for (u64 a : addrs) {
+    auto it = names.find(a);
+    ASSERT_NE(it, names.end()) << "no .sym line for 0x" << std::hex << a;
+    EXPECT_NE(it->second.rfind("0x", 0), 0u) << it->second;
+  }
+}
+
+TEST_F(RecorderTest, SymbolFileNamesRawAddressesFromTheWindow) {
+  // With the first-sight table and the thread's address cache cleared, the
+  // window scan is the only source that still knows the raw addresses.
+  std::string dir = make_temp_dir("teeperf_symwin_");
+  auto rec = make();
+  ASSERT_TRUE(rec->attach());
+  std::vector<u64> addrs = raw_function_addresses();
+  for (u64 a : addrs) {
+    runtime::on_enter(a);
+    runtime::on_exit(a);
+  }
+  rec->detach();
+  runtime::reset_seen_addresses_for_test();
+  runtime::reset_thread_for_test();
+  std::vector<u64> seen;
+  runtime::seen_addresses(&seen);
+  ASSERT_TRUE(seen.empty());
+  ASSERT_EQ(rec->log().size(), 2 * addrs.size());
+
+  ASSERT_TRUE(rec->dump(dir + "/run"));
+  expect_symbolized(dir + "/run.sym", addrs);
+  remove_tree(dir);
+}
+
+TEST_F(RecorderTest, SymbolFileNamesAddressesDrainedOutOfTheWindow) {
+  // A spill session whose drainer consumed every entry leaves an empty
+  // window, so only the first-sight table still knows the raw addresses.
+  std::string dir = make_temp_dir("teeperf_symdrain_");
+  RecorderOptions opts;
+  opts.max_entries = 4096;
+  opts.shards = 0;
+  opts.spill_drain = true;
+  opts.telemetry = false;
+  opts.publish_session = false;
+  auto rec = make(opts);
+  runtime::reset_seen_addresses_for_test();
+  ASSERT_TRUE(rec->attach());
+  std::vector<u64> addrs = raw_function_addresses();
+  for (u64 a : addrs) {
+    runtime::on_enter(a);
+    runtime::on_exit(a);
+  }
+  rec->detach();
+  drain::DrainerOptions dopts;
+  dopts.prefix = dir + "/run";
+  drain::Drainer drainer(&rec->log(), dopts);
+  ASSERT_TRUE(drainer.start());
+  ASSERT_TRUE(drainer.final_drain());
+  ASSERT_EQ(drainer.stats().drained_entries, 2 * addrs.size());
+  ASSERT_EQ(rec->log().size(), 0u);
+
+  ASSERT_TRUE(rec->dump(dir + "/run"));
+  expect_symbolized(dir + "/run.sym", addrs);
+  remove_tree(dir);
+}
+
+long max_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST_F(RecorderTest, DumpAllocatesNoWindowCopy) {
+  // A full 1M-entry window is 32 MiB of shm. dump() writes it to the file
+  // and symbolizes it in place, so the dump must not raise peak RSS by
+  // anything near the window; every staging copy would add 32 MiB. A
+  // forked child does the work, so the peak it reads is its own.
+  constexpr long kMarginKib = 4 << 10;
+  constexpr u64 kEntries = 1u << 20;
+  std::string dir = make_temp_dir("teeperf_dumprss_");
+  pid_t pid = fork();
+  if (pid == 0) {
+    RecorderOptions opts;
+    opts.max_entries = kEntries;
+    opts.shards = 0;
+    opts.telemetry = false;
+    opts.publish_session = false;
+    auto rec = make(opts);
+    u64 id = SymbolRegistry::instance().intern("rss::work");
+    LogBatch batch;
+    for (u64 i = 0; i < kEntries; ++i) {
+      batch.record(rec->log(), i % 2 ? EventKind::kReturn : EventKind::kCall,
+                   id, /*tid=*/0, i + 1);
+    }
+    batch.flush(rec->log());
+    EXPECT_EQ(rec->log().size(), kEntries);
+    long before = max_rss_kib();
+    EXPECT_TRUE(rec->dump(dir + "/run"));
+    long grew = max_rss_kib() - before;
+    EXPECT_LE(grew, kMarginKib)
+        << "dumping a 32 MiB window raised peak RSS by " << grew << " KiB";
+    struct stat st {};
+    EXPECT_EQ(stat((dir + "/run.log").c_str(), &st), 0);
+    EXPECT_EQ(static_cast<usize>(st.st_size), ProfileLog::bytes_for(kEntries));
+    _exit(HasFailure() ? 1 : 0);
+  }
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
   remove_tree(dir);
 }
 

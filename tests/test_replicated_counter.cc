@@ -22,6 +22,7 @@
 #include "core/log_format.h"
 #include "core/replicated_counter.h"
 #include "faultsim/fault.h"
+#include "written_dump.h"
 
 namespace teeperf {
 namespace {
@@ -155,9 +156,9 @@ TEST(ReplicatedCounterLayout, AdoptWithoutBlockDegradesToZeroReplicas) {
   std::vector<u8> file(static_cast<u8*>(shm.data()),
                        static_cast<u8*>(shm.data()) + truncated);
   // Dump-shaped: the written header and directory cover exactly the entries
-  // present (as serialize_compact() arranges) but the header still claims
-  // two replicas — e.g. a stale tool that copied the live header verbatim.
-  // No block follows.
+  // present (as ProfileLog::write_compact() arranges) but the header still
+  // claims two replicas — e.g. a stale tool that copied the live header
+  // verbatim. No block follows.
   auto* fh = reinterpret_cast<LogHeader*>(file.data());
   fh->max_entries = 4;
   reinterpret_cast<LogShard*>(file.data() + sizeof(LogHeader))->capacity = 4;
@@ -177,7 +178,7 @@ TEST(ReplicatedCounterLayout, SerializeCompactClearsReplicaField) {
                            log_flags::kRecordCalls,
                        2, 3));
   log.append(EventKind::kCall, 0xA000, 0, 100);
-  std::string out = log.serialize_compact();
+  std::string out = written_dump(log);
   ASSERT_GE(out.size(), sizeof(LogHeader));
   LogHeader h;
   std::memcpy(&h, out.data(), sizeof(h));

@@ -528,8 +528,9 @@ int main(int argc, char** argv) {
   u64 tail = log.attempted();
   u64 n = log.size();
   // Compact form (windows packed back-to-back, ring order normalized) so
-  // offline loaders see plain order with no gaps.
-  if (!write_file(prefix + ".log", log.serialize_compact())) {
+  // offline loaders see plain order with no gaps. The wrapper applies no
+  // byte faults: those belong to the in-process Recorder::dump.
+  if (!log.write_compact(prefix + ".log")) {
     std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
                  prefix.c_str());
     return 1;
