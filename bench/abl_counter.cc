@@ -7,12 +7,12 @@
 // effective resolution of each (distinct values in a tight read loop).
 //
 // `--sweep [--out F] [--check BASELINE]` switches to the CI regression
-// mode (TESTING.md "Bench regression"): probe-read cost with a single
-// software-counter thread vs a 2- and 3-replica ReplicatedCounter behind
-// the same header word. The replicated/single *ratio* is the gate — the
-// whole point of primary-mirroring is that replication must not change
-// what the probe pays, and a ratio blow-up means replica slots started
-// sharing the header's cache line again.
+// mode (TESTING.md "Bench regression"): probe-read cost with the counter
+// service's single thread vs 2 and 3 replicas behind the same header word.
+// The replicated/single *ratio* is the gate — the whole point of
+// primary-mirroring is that replication must not change what the probe
+// pays, and a ratio blow-up means replica slots started sharing the
+// header's cache line again.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,37 +30,51 @@
 #include "common/spin.h"
 #include "core/counter.h"
 #include "core/log_format.h"
-#include "core/replicated_counter.h"
 
 namespace {
 
 using namespace teeperf;
 
-LogHeader g_header;
+// A log of `replicas` counter replicas (0 or 1: the single counter thread)
+// in anonymous shared memory.
+struct CounterLog {
+  SharedMemoryRegion shm;
+  ProfileLog log;
+  explicit CounterLog(u32 replicas = 0) {
+    if (shm.create_anonymous(
+            ProfileLog::bytes_for_replicated(1024, 1, replicas))) {
+      log.init(shm.data(), shm.size(), 42, log_flags::kActive, 1, replicas);
+    }
+  }
+};
+
+CounterLog g_log;
+const LogHeader* g_header = g_log.log.header();
 
 void BM_ReadSoftwareCounter(benchmark::State& state) {
   // A live counter thread mutates the header word while we read it —
   // the realistic cache-coherence cost, not a stale-line fantasy.
-  SoftwareCounter counter(&g_header, /*yield_every=*/4096);
+  CounterService counter(&g_log.log, CounterMode::kSoftware);
   counter.start();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(read_counter(CounterMode::kSoftware, &g_header));
+    benchmark::DoNotOptimize(read_counter(CounterMode::kSoftware, g_header));
   }
   counter.stop();
-  state.counters["ticks_per_sec"] = counter.ticks_per_second();
+  std::optional<double> npt = counter.ns_per_tick();
+  state.counters["ticks_per_sec"] = npt ? 1e9 / *npt : 0.0;
 }
 BENCHMARK(BM_ReadSoftwareCounter);
 
 void BM_ReadTsc(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(read_counter(CounterMode::kTsc, &g_header));
+    benchmark::DoNotOptimize(read_counter(CounterMode::kTsc, g_header));
   }
 }
 BENCHMARK(BM_ReadTsc);
 
 void BM_ReadSteadyClock(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(read_counter(CounterMode::kSteadyClock, &g_header));
+    benchmark::DoNotOptimize(read_counter(CounterMode::kSteadyClock, g_header));
   }
 }
 BENCHMARK(BM_ReadSteadyClock);
@@ -68,15 +83,15 @@ BENCHMARK(BM_ReadSteadyClock);
 // A usable profiling counter should change nearly every read.
 void BM_Resolution(benchmark::State& state) {
   CounterMode mode = static_cast<CounterMode>(state.range(0));
-  SoftwareCounter counter(&g_header, 4096);
+  CounterService counter(&g_log.log, CounterMode::kSoftware);
   if (mode == CounterMode::kSoftware) counter.start();
   double distinct_frac = 0;
   for (auto _ : state) {
-    u64 prev = read_counter(mode, &g_header);
+    u64 prev = read_counter(mode, g_header);
     u64 distinct = 0;
     constexpr int kReads = 10'000;
     for (int i = 0; i < kReads; ++i) {
-      u64 now = read_counter(mode, &g_header);
+      u64 now = read_counter(mode, g_header);
       if (now != prev) ++distinct;
       prev = now;
     }
@@ -94,7 +109,7 @@ BENCHMARK(BM_Resolution)
 // --- --sweep mode: single vs replicated probe-read cost ---------------------
 
 struct CounterRow {
-  u32 replicas = 0;      // 0 = classic single SoftwareCounter
+  u32 replicas = 0;      // 0 = the single counter thread
   double ns_per_read = 0;
   double ticks = 0;      // header-word progress during the measurement
   double single_ns = 0;  // the replicas==0 row's cost, for the ratio
@@ -104,10 +119,10 @@ struct CounterRow {
 };
 
 // Probe-read cost against a live mutating header word: `reads` relaxed
-// loads while either a single counter thread or a full replica set + the
+// loads while either the single counter thread or a full replica set + the
 // detector runs behind it. Returns the best (min) of `reps` measurements so
 // one descheduled rep doesn't read as a regression.
-double measure_reads(LogHeader* header, u64 reads) {
+double measure_reads(const LogHeader* header, u64 reads) {
   u64 sink = 0;
   auto t0 = std::chrono::steady_clock::now();
   for (u64 i = 0; i < reads; ++i) {
@@ -119,50 +134,23 @@ double measure_reads(LogHeader* header, u64 reads) {
          static_cast<double>(reads);
 }
 
-CounterRow run_single(u64 reads, int reps) {
-  CounterRow row;
-  LogHeader header;
-  SoftwareCounter counter(&header, /*yield_every=*/4096);
-  counter.start();
-  spin_for_ns(2'000'000);  // warm-up: let the counter thread get scheduled
-  u64 c0 = header.counter.load(std::memory_order_relaxed);
-  double best = -1;
-  for (int r = 0; r < reps; ++r) {
-    double ns = measure_reads(&header, reads);
-    if (best < 0 || ns < best) best = ns;
-  }
-  row.ticks = static_cast<double>(
-      header.counter.load(std::memory_order_relaxed) - c0);
-  counter.stop();
-  row.replicas = 0;
-  row.ns_per_read = best;
-  return row;
-}
-
-CounterRow run_replicated(u32 replicas, u64 reads, int reps) {
+CounterRow run_counter(u32 replicas, u64 reads, int reps) {
   CounterRow row;
   row.replicas = replicas;
-  SharedMemoryRegion shm;
-  if (!shm.create_anonymous(
-          ProfileLog::bytes_for_replicated(1024, 1, replicas))) {
-    return row;
-  }
-  ProfileLog log;
-  if (!log.init(shm.data(), shm.size(), 42, log_flags::kActive, 1, replicas)) {
-    return row;
-  }
-  ReplicatedCounter counter(log.header(), log.replica_directory(),
-                            log.replica_slot(0));
+  CounterLog l(replicas);
+  if (!l.log.valid()) return row;
+  CounterService counter(&l.log, CounterMode::kSoftware);
   counter.start();
-  spin_for_ns(2'000'000);
-  u64 c0 = log.header()->counter.load(std::memory_order_relaxed);
+  spin_for_ns(2'000'000);  // warm-up: let the counter threads get scheduled
+  const LogHeader* header = l.log.header();
+  u64 c0 = header->counter.load(std::memory_order_relaxed);
   double best = -1;
   for (int r = 0; r < reps; ++r) {
-    double ns = measure_reads(log.header(), reads);
+    double ns = measure_reads(header, reads);
     if (best < 0 || ns < best) best = ns;
   }
   row.ticks = static_cast<double>(
-      log.header()->counter.load(std::memory_order_relaxed) - c0);
+      header->counter.load(std::memory_order_relaxed) - c0);
   counter.stop();
   row.ns_per_read = best;
   return row;
@@ -209,9 +197,9 @@ std::map<u32, double> parse_field(const std::string& json,
 int sweep_main(const std::string& out_path, const std::string& check_path,
                u64 reads, int reps) {
   std::vector<CounterRow> rows;
-  rows.push_back(run_single(reads, reps));
+  rows.push_back(run_counter(0, reads, reps));
   for (u32 replicas : {2u, 3u}) {
-    CounterRow row = run_replicated(replicas, reads, reps);
+    CounterRow row = run_counter(replicas, reads, reps);
     row.single_ns = rows[0].ns_per_read;
     rows.push_back(row);
   }

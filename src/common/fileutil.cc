@@ -13,20 +13,27 @@ namespace teeperf {
 
 namespace fs = std::filesystem;
 
-bool write_file(const std::string& path, std::string_view contents) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+namespace {
+
+// Writes `contents` through a fresh FILE opened with `mode`, and closes it
+// on every path: a short fwrite (disk full) must not leak the descriptor.
+bool put_file(const std::string& path, const char* mode,
+              std::string_view contents) {
+  std::FILE* f = std::fopen(path.c_str(), mode);
   if (!f) return false;
   usize n = contents.empty() ? 0 : std::fwrite(contents.data(), 1, contents.size(), f);
-  bool ok = (n == contents.size()) && std::fclose(f) == 0;
-  return ok;
+  bool closed = std::fclose(f) == 0;
+  return n == contents.size() && closed;
+}
+
+}  // namespace
+
+bool write_file(const std::string& path, std::string_view contents) {
+  return put_file(path, "wb", contents);
 }
 
 bool append_file(const std::string& path, std::string_view contents) {
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (!f) return false;
-  usize n = contents.empty() ? 0 : std::fwrite(contents.data(), 1, contents.size(), f);
-  bool ok = (n == contents.size()) && std::fclose(f) == 0;
-  return ok;
+  return put_file(path, "ab", contents);
 }
 
 std::optional<std::string> read_file(const std::string& path) {

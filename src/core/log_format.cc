@@ -372,15 +372,32 @@ bool ProfileLog::write_compact(const std::string& path) const {
     if (ok && n != 0) ok = std::fwrite(data, 1, n, f) == n;
   };
   if (header_) {
+    // Field by field, the atomic words with atomic loads: a live software
+    // counter thread keeps storing `counter` while the dump copies it.
     LogHeader header_copy;
-    std::memcpy(static_cast<void*>(&header_copy), header_, sizeof(LogHeader));
+    header_copy.magic = header_->magic;
     header_copy.flags.store(
         flags() & ~(log_flags::kRingBuffer | log_flags::kSpillDrain),
         std::memory_order_relaxed);
+    header_copy.version = header_->version;
+    header_copy.shard_count = header_->shard_count;
+    header_copy.shm_base = header_->shm_base;
+    header_copy.pid = header_->pid;
+    header_copy.tail.store(header_->tail.load(std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+    header_copy.profiler_anchor = header_->profiler_anchor;
+    header_copy.counter.store(header_->counter.load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+    header_copy.counter_mode = header_->counter_mode;
     // The replica block is shm-only: compact dumps never carry it, so the
     // header field is zeroed for byte-deterministic output (and so loaders
     // don't go looking for a block that is not there).
     header_copy.counter_replicas = 0;
+    header_copy.ns_per_tick = header_->ns_per_tick;
+    header_copy.dropped.store(header_->dropped.load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+    std::memcpy(header_copy.reserved1, header_->reserved1,
+                sizeof(header_copy.reserved1));
     // Pack the written windows back-to-back and rewrite the directory so
     // offsets are cumulative, capacity == tail == the written count, and
     // no wrap/gap logic survives into the file.

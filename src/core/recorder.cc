@@ -3,6 +3,7 @@
 #include <csignal>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -43,10 +44,10 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
   u32 shards = pick_shard_count(options.shards, options.max_entries);
   // Replicated trusted time applies only to the software counter; TSC and
   // the steady clock are per-core hardware sources with nothing to replicate.
-  u32 replicas = options.counter_mode == CounterMode::kSoftware
-                     ? (options.counter_replicas > kMaxCounterReplicas
-                            ? kMaxCounterReplicas
-                            : options.counter_replicas)
+  // One replica is the single counter, which needs no block.
+  u32 replicas = options.counter_mode == CounterMode::kSoftware &&
+                         options.counter_replicas >= 2
+                     ? std::min(options.counter_replicas, kMaxCounterReplicas)
                      : 0;
   rec->options_.counter_replicas = replicas;
   usize bytes =
@@ -96,6 +97,11 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
     // A failed telemetry region (e.g. shm exhaustion) degrades to a blind
     // session rather than failing the profile.
   }
+  CounterServiceOptions copts;
+  copts.yield_every = options.software_counter_yield;
+  rec->counter_ = std::make_unique<CounterService>(
+      &rec->log_, options.counter_mode, copts,
+      rec->telemetry_ ? &rec->telemetry_->journal() : nullptr);
 
   // Named sessions announce themselves in the on-disk registry so
   // host-side observers (teeperf_monitord, teeperf_stats --list) can
@@ -133,97 +139,53 @@ Recorder::~Recorder() {
   if (telemetry_) obs::uninstall(telemetry_.get());
 }
 
+std::unique_ptr<obs::Watchdog> start_session_watchdog(
+    obs::SelfTelemetry* telemetry, ProfileLog* log, CounterService* counter,
+    u64 interval_ms, std::function<DrainSample()> drain) {
+  telemetry->journal().record(obs::EventType::kAttach,
+                              static_cast<u64>(getpid()), 0,
+                              counter_mode_name(counter->mode()));
+  telemetry->registry()
+      .gauge(obs::metric_names::kLogCapacity)
+      .set(log->capacity());
+  auto watchdog = std::make_unique<obs::Watchdog>(
+      &telemetry->registry(), &telemetry->journal(),
+      [counter] { return counter->observe(); },
+      counter_mode_name(counter->mode()), interval_ms);
+  watchdog->watch_log([log, drain = std::move(drain)] {
+    obs::LogSample s;
+    s.tail = log->attempted();
+    s.capacity = log->capacity();
+    s.active = log->active();
+    s.ring = (log->flags() & log_flags::kRingBuffer) != 0;
+    s.spill = log->spill();
+    s.dropped = log->dropped();
+    for (u32 i = 0; i < log->shard_count(); ++i) {
+      s.shard_tails.push_back(
+          log->shard(i)->tail.load(std::memory_order_relaxed));
+    }
+    if (s.spill && drain) {
+      DrainSample d = drain();
+      s.drain_lag = d.lag_entries;
+      s.drain_spilled_bytes = d.spilled_bytes;
+      s.drained_entries = d.drained_entries;
+    }
+    return s;
+  });
+  watchdog->start();
+  return watchdog;
+}
+
 bool Recorder::attach() {
   if (attached_) return true;
   if (!runtime::attach(&log_, options_.counter_mode, options_.filter)) return false;
-  stopped_ns_per_tick_.reset();
-  if (options_.counter_mode == CounterMode::kSoftware) {
-    if (log_.counter_replica_count() > 0) {
-      ReplicatedCounterOptions ropts;
-      ropts.yield_every = options_.software_counter_yield;
-      replicated_ = std::make_unique<ReplicatedCounter>(
-          log_.header(), log_.replica_directory(), log_.replica_slot(0),
-          ropts);
-      if (telemetry_) {
-        // Elections and replica backjumps are journaled by the owner (the
-        // detector thread invokes these synchronously, after republishing
-        // the directory), so a scraper sees the event and the updated
-        // counter.failover gauge in the same watchdog window.
-        obs::EventJournal* journal = &telemetry_->journal();
-        replicated_->set_failover_callback(
-            [journal](u32 from, u32 to, u64 at_value) {
-              (void)at_value;
-              journal->record(obs::EventType::kCounterFailover, from, to,
-                              "replica");
-            });
-        replicated_->set_backjump_callback(
-            [journal](u32 replica, u64 from, u64 to) {
-              journal->record(obs::EventType::kCounterBackjump, to, from,
-                              "replica");
-              (void)replica;
-            });
-      }
-      replicated_->start();
-    } else {
-      counter_ = std::make_unique<SoftwareCounter>(
-          log_.header(), options_.software_counter_yield);
-      counter_->start();
-    }
-  }
+  counter_->start();
   if (telemetry_) {
     // Publish for the in-process hook instrumentation (runtime.cc), then
-    // start the counter-health watchdog against the live counter and log.
+    // start the watchdog against the live counter and log.
     obs::install(telemetry_.get());
-    telemetry_->journal().record(obs::EventType::kAttach,
-                                 static_cast<u64>(getpid()), 0,
-                                 counter_mode_name(options_.counter_mode));
-    telemetry_->registry().gauge(obs::metric_names::kLogCapacity).set(log_.capacity());
-    obs::WatchdogOptions wopts;
-    wopts.interval_ms = options_.watchdog_interval_ms;
-    LogHeader* header = log_.header();
-    CounterMode mode = options_.counter_mode;
-    watchdog_ = std::make_unique<obs::Watchdog>(
-        &telemetry_->registry(), &telemetry_->journal(),
-        [mode, header] { return read_counter(mode, header); },
-        counter_mode_name(mode), wopts);
-    watchdog_->watch_log([this] {
-      obs::LogSample s;
-      s.tail = log_.attempted();
-      s.capacity = log_.capacity();
-      s.active = log_.active();
-      s.ring = (log_.flags() & log_flags::kRingBuffer) != 0;
-      s.spill = log_.spill();
-      s.dropped = log_.dropped();
-      for (u32 i = 0; i < log_.shard_count(); ++i) {
-        s.shard_tails.push_back(
-            log_.shard(i)->tail.load(std::memory_order_relaxed));
-      }
-      if (s.spill && drain_sampler_) {
-        DrainSample d = drain_sampler_();
-        s.drain_lag = d.lag_entries;
-        s.drain_spilled_bytes = d.spilled_bytes;
-        s.drained_entries = d.drained_entries;
-      }
-      return s;
-    });
-    if (replicated_) {
-      ReplicatedCounter* rc = replicated_.get();
-      watchdog_->watch_replicas([rc] {
-        ReplicatedCounter::Health h = rc->health();
-        obs::ReplicaSample s;
-        s.replicas = h.replicas;
-        s.primary = h.primary;
-        s.failovers = h.failovers;
-        s.backjumps = h.backjumps;
-        s.stalled_replicas = h.stalled_replicas;
-        s.drift_permille = h.drift_permille;
-        return s;
-      });
-      telemetry_->registry()
-          .gauge(obs::metric_names::kCounterReplicas)
-          .set(log_.counter_replica_count());
-    }
-    watchdog_->start();
+    watchdog_ = start_session_watchdog(telemetry_.get(), &log_, counter_.get(),
+                                       options_.watchdog_interval_ms);
   }
   attached_ = true;
   return true;
@@ -240,20 +202,7 @@ void Recorder::detach() {
     telemetry_->journal().record(obs::EventType::kDetach, log_.size(),
                                  log_.dropped());
   }
-  // Keep the finished run's calibration: once the counter stops, dump() can
-  // no longer measure it.
-  if (counter_) {
-    counter_->stop();
-    if (counter_->ticks_per_second() > 0) {
-      stopped_ns_per_tick_ = 1e9 / counter_->ticks_per_second();
-    }
-    counter_.reset();
-  }
-  if (replicated_) {
-    replicated_->stop();
-    stopped_ns_per_tick_ = replicated_->calibrated_ns_per_tick();
-    replicated_.reset();
-  }
+  counter_->stop();
   attached_ = false;
 }
 
@@ -275,13 +224,11 @@ Recorder::Stats Recorder::stats() const {
   s.attempted = log_.attempted();
   s.shards = log_.shard_count();
   s.torn_tail = log_.count_torn_tail();
-  s.counter_stalled = watchdog_ && watchdog_->stalled();
-  s.counter_replicas = log_.counter_replica_count();
-  if (replicated_) {
-    ReplicatedCounter::Health h = replicated_->health();
-    s.counter_failovers = h.failovers;
-    s.counter_backjumps = h.backjumps;
-  }
+  obs::CounterSample h = counter_->health();
+  s.counter_stalled = h.stalled;
+  s.counter_replicas = h.replicas;
+  s.counter_failovers = h.failovers;
+  s.counter_backjumps = h.backjumps;
   return s;
 }
 
@@ -292,22 +239,11 @@ bool Recorder::dump(const std::string& prefix) {
     raise(SIGKILL);  // teeperf-lint: allow(r1): the fault IS the syscall
   }
 
-  // Measure the tick rate before serialising so the analyzer can convert.
-  // A replicated session has been calibrating continuously (every healthy
-  // detector window), so prefer that long-window estimate; after detach()
-  // the stopped software counter's own rate over its run stands in. Only
-  // then take a fresh spot measurement, retrying a couple of times — a
-  // single stalled 2 ms window must not silently mark the dump as
-  // 1 ns/tick (the old bug). ns_per_tick = 0 in the header means
-  // "uncalibrated"; the analyzer then reports raw ticks instead of
-  // fabricated time.
-  std::optional<double> npt = replicated_
-                                  ? replicated_->calibrated_ns_per_tick()
-                                  : stopped_ns_per_tick_;
-  for (int attempt = 0; attempt < 3 && !npt; ++attempt) {
-    npt = counter_ns_per_tick(options_.counter_mode, log_.header());
-  }
-  log_.header()->ns_per_tick = npt.value_or(0.0);
+  // The counter service's calibration of the word the probes read, over
+  // the run so far (or the finished run after detach()). ns_per_tick = 0 in
+  // the header means "uncalibrated"; the analyzer then reports raw ticks
+  // instead of fabricated time.
+  log_.header()->ns_per_tick = counter_->ns_per_tick().value_or(0.0);
 
   // Fault point: the dump failing outright (disk full, signal mid-exit).
   if (fault::fires(fault_points::kDumpFail)) return false;

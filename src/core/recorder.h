@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/shm.h"
@@ -12,7 +11,6 @@
 #include "core/counter.h"
 #include "core/filter.h"
 #include "core/log_format.h"
-#include "core/replicated_counter.h"
 #include "obs/session.h"
 #include "obs/watchdog.h"
 
@@ -40,11 +38,11 @@ struct RecorderOptions {
 
   // Replicated trusted time (DESIGN.md §13), kSoftware only: run this many
   // counter replicas on distinct cores, each with a cache-line-isolated shm
-  // word, plus a detector that cross-checks them, fails over when the
-  // elected primary stalls or jumps backwards, and calibrates ticks→ns
-  // against CLOCK_MONOTONIC. 0 keeps the classic single counter thread;
-  // values are clamped to kMaxCounterReplicas. Ignored for kTsc /
-  // kSteadyClock (those sources have nothing to replicate).
+  // word, plus a detector that cross-checks them and fails over when the
+  // elected primary stalls or jumps backwards. 0 and 1 both run the single
+  // counter thread with no replica block; values are clamped to
+  // kMaxCounterReplicas. Ignored for kTsc / kSteadyClock (those sources
+  // have nothing to replicate).
   u32 counter_replicas = 0;
 
   // Start with measurement active; flags can be toggled at runtime.
@@ -97,6 +95,23 @@ struct RecorderOptions {
 // teeperf_record wrapper.
 u32 pick_shard_count(i64 requested, u64 max_entries);
 
+// Spill sessions: drainer health fed into the watchdog's log sample. The
+// embedding tool owns the drain::Drainer (core sits below drain in the
+// layering) and supplies it through a callback.
+struct DrainSample {
+  u64 lag_entries = 0;
+  u64 spilled_bytes = 0;
+  u64 drained_entries = 0;
+};
+
+// The one wiring of a session's telemetry, shared by Recorder and
+// teeperf_record: journals the attach, publishes the log capacity, and
+// starts a watchdog that every `interval_ms` publishes `counter`'s health
+// sample and `log`'s occupancy (with drainer health from `drain`, if set).
+std::unique_ptr<obs::Watchdog> start_session_watchdog(
+    obs::SelfTelemetry* telemetry, ProfileLog* log, CounterService* counter,
+    u64 interval_ms, std::function<DrainSample()> drain = {});
+
 class Recorder {
  public:
   // Creates the shared memory and formats the log. Null on failure.
@@ -110,20 +125,6 @@ class Recorder {
   // configured). False if another session is already attached.
   bool attach();
   void detach();
-
-  // Spill sessions: drainer health fed into the watchdog's log sample. The
-  // embedding tool owns the drain::Drainer (core sits below drain in the
-  // layering) and registers this callback before attach(); without it the
-  // watchdog still suppresses wrap/saturation alarms for spill logs but
-  // publishes no drain.* gauges.
-  struct DrainSample {
-    u64 lag_entries = 0;
-    u64 spilled_bytes = 0;
-    u64 drained_entries = 0;
-  };
-  void set_drain_sampler(std::function<DrainSample()> sampler) {
-    drain_sampler_ = std::move(sampler);
-  }
 
   // Dynamic de/activation (§II-B: flags are changed atomically while the
   // application executes). Toggles are journaled as telemetry events.
@@ -140,8 +141,8 @@ class Recorder {
     u64 attempted = 0;       // appends tried, including dropped/wrapped
     u64 torn_tail = 0;       // tombstone slots found at the written tail
     u32 shards = 0;          // shard directory size (>= 1 once created)
-    bool counter_stalled = false;  // watchdog's live verdict (false when
-                                   // telemetry is off or not attached)
+    bool counter_stalled = false;  // the counter service's live verdict
+                                   // (false until a watchdog window)
     u32 counter_replicas = 0;      // replica block size (0 = single counter)
     u64 counter_failovers = 0;     // primary elections since attach
     u64 counter_backjumps = 0;     // replica words seen moving backwards
@@ -155,8 +156,8 @@ class Recorder {
   // anonymous sessions, publish_session=false, or a failed publish).
   const std::string& session_name() const { return session_name_; }
 
-  // Writes "<prefix>.log" (raw header + entries, with ns_per_tick measured
-  // and stored into the header) and "<prefix>.sym" (registered symbols plus
+  // Writes "<prefix>.log" (raw header + entries, with the counter
+  // service's ns_per_tick stored into the header) and "<prefix>.sym" (registered symbols plus
   // dladdr resolutions of raw addresses found in the log). Returns false on
   // I/O failure.
   bool dump(const std::string& prefix);
@@ -169,14 +170,11 @@ class Recorder {
   std::string session_dir_;
   SharedMemoryRegion shm_;
   ProfileLog log_;
-  std::function<DrainSample()> drain_sampler_;
-  std::unique_ptr<SoftwareCounter> counter_;
-  std::unique_ptr<ReplicatedCounter> replicated_;
   std::unique_ptr<obs::SelfTelemetry> telemetry_;
+  // Lives as long as the recorder, so dump() after detach() keeps the
+  // finished run's calibration.
+  std::unique_ptr<CounterService> counter_;
   std::unique_ptr<obs::Watchdog> watchdog_;
-  // Calibration of the counter run detach() stopped (nullopt while
-  // attached, and for hardware counters), used by dump().
-  std::optional<double> stopped_ns_per_tick_;
   bool attached_ = false;
 };
 

@@ -19,8 +19,8 @@ enum class EventType : u32 {
   kDeactivate = 4,     // measurement toggled off
   kCounterStall = 5,   // counter word stopped advancing (arg0 = stuck value,
                        // arg1 = stalled-for ns)
-  kCounterDrift = 6,   // ns/tick deviated from baseline (arg0 = measured
-                       // ps/tick, arg1 = baseline ps/tick)
+  kCounterDrift = 6,   // ns/tick deviated from the calibration (arg0 =
+                       // window ps/tick, arg1 = calibrated ps/tick)
   kCounterRecover = 7, // counter advancing again after a stall
   kEpcPressure = 8,    // EPC evictions crossed a power of two (arg0 = total
                        // evictions, arg1 = resident limit)

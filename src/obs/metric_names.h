@@ -26,8 +26,8 @@ inline constexpr char kCounterStalled[] = "counter.stalled";
 inline constexpr char kCounterDrifting[] = "counter.drifting";
 inline constexpr char kWatchdogBackjumpEvents[] = "watchdog.backjump_events";
 
-// Replicated trusted time (core/replicated_counter.cc, published through
-// the watchdog's replica sample — DESIGN.md §13).
+// Replicated trusted time (core/counter.cc, published through the
+// watchdog from the counter service's health sample — DESIGN.md §13).
 inline constexpr char kCounterReplicas[] = "counter.replicas";
 inline constexpr char kCounterReplicaPrimary[] = "counter.replica.primary";
 inline constexpr char kCounterReplicaDrift[] = "counter.replica.drift";

@@ -1,7 +1,6 @@
 #include "obs/watchdog.h"
 
 #include <chrono>
-#include <cmath>
 
 #include "common/spin.h"
 #include "common/stringutil.h"
@@ -17,14 +16,18 @@ static u64 to_pico(double ns_per_tick) {
   return p > 0 ? static_cast<u64>(p) : 0;
 }
 
+// Consecutive windows with published-but-unconsumed work and no drain
+// progress before the drainer counts as stalled.
+constexpr u32 kDrainStallWindows = 2;
+
 Watchdog::Watchdog(MetricsRegistry* registry, EventJournal* journal,
-                   std::function<u64()> read_counter, std::string mode_name,
-                   WatchdogOptions options)
+                   std::function<CounterSample()> sample_counter,
+                   std::string mode_name, u64 interval_ms)
     : registry_(registry),
       journal_(journal),
-      read_counter_(std::move(read_counter)),
+      sample_counter_(std::move(sample_counter)),
       mode_name_(std::move(mode_name)),
-      options_(options) {
+      interval_ms_(interval_ms) {
   wd_ticks_ = registry_->counter(metric_names::kWatchdogTicks);
   stall_events_ = registry_->counter(metric_names::kWatchdogStallEvents);
   drift_events_ = registry_->counter(metric_names::kWatchdogDriftEvents);
@@ -48,21 +51,10 @@ void Watchdog::watch_log(std::function<LogSample()> sample_log) {
   g_active_ = registry_->gauge(metric_names::kLogActive);
 }
 
-void Watchdog::watch_replicas(std::function<ReplicaSample()> sample_replicas) {
-  sample_replicas_ = std::move(sample_replicas);
-  g_replicas_ = registry_->gauge(metric_names::kCounterReplicas);
-  g_replica_primary_ = registry_->gauge(metric_names::kCounterReplicaPrimary);
-  g_replica_drift_ = registry_->gauge(metric_names::kCounterReplicaDrift);
-  g_replica_stalled_ = registry_->gauge(metric_names::kCounterReplicaStalled);
-  g_failover_ = registry_->gauge(metric_names::kCounterFailover);
-}
-
 void Watchdog::start() {
   if (running_) return;
   stop_requested_ = false;
-  last_counter_ = read_counter_ ? read_counter_() : 0;
-  last_ns_ = monotonic_ns();
-  last_tail_ns_ = last_ns_;
+  last_tail_ns_ = monotonic_ns();
   running_ = true;
   thread_ = std::thread([this] { run(); });
 }
@@ -81,12 +73,10 @@ void Watchdog::stop() {
 void Watchdog::run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_requested_) {
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms));
+    cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_));
     if (stop_requested_) break;
-    u64 now = monotonic_ns();
-    observe_counter(now);
+    if (sample_counter_) publish(sample_counter_());
     observe_log();
-    observe_replicas();
     // Pick up fault arms published through the obs region by an external
     // controller (see obs/session.cc). No-op unless a bridge is installed.
     fault::Registry::instance().poll_external();
@@ -94,81 +84,51 @@ void Watchdog::run() {
   }
 }
 
-void Watchdog::observe_counter(u64 now_ns) {
-  if (!read_counter_) return;
-  u64 c = read_counter_();
-  if (c < last_counter_) {
-    // Backjump: the counter word moved backwards (tampered or wrapped time
-    // source). The unsigned delta below used to wrap to ~2^64 here and feed
-    // a near-zero ns/tick into the drift baseline, poisoning every later
-    // comparison — so this window is excluded from ns/tick and baseline
-    // entirely and journaled as its own event class.
-    backjump_events_.inc();
-    journal_->record(EventType::kCounterBackjump, c, last_counter_,
-                     mode_name_);
-    if (stalled_) {
-      stalled_ = false;
-      g_stalled_.set(0);
-      journal_->record(EventType::kCounterRecover, c, now_ns - stall_start_ns_,
-                       mode_name_);
-    }
-    zero_windows_ = 0;
-    last_counter_ = c;
-    last_ns_ = now_ns;
-    return;
-  }
-  u64 dc = c - last_counter_;
-  u64 dt = now_ns - last_ns_;
-  last_counter_ = c;
-  last_ns_ = now_ns;
-  if (dt == 0) return;
-
-  if (dc == 0) {
-    if (zero_windows_ == 0) stall_start_ns_ = now_ns - dt;
-    ++zero_windows_;
-    if (!stalled_ && zero_windows_ >= options_.stall_windows) {
-      stalled_ = true;
-      g_stalled_.set(1);
+void Watchdog::publish(const CounterSample& s) {
+  g_stalled_.set(s.stalled ? 1 : 0);
+  g_drifting_.set(s.drifting ? 1 : 0);
+  switch (s.verdict) {
+    case CounterVerdict::kAdvanced:
+      g_ns_per_tick_.set(to_pico(s.window_ns_per_tick));
+      h_ns_per_tick_.add(to_pico(s.window_ns_per_tick));
+      break;
+    case CounterVerdict::kStalled:
       stall_events_.inc();
-      journal_->record(EventType::kCounterStall, c, now_ns - stall_start_ns_,
+      journal_->record(EventType::kCounterStall, s.value, s.stall_ns,
                        mode_name_);
-    }
-    return;
+      break;
+    case CounterVerdict::kBackjump:
+      backjump_events_.inc();
+      journal_->record(EventType::kCounterBackjump, s.value, s.previous,
+                       mode_name_);
+      break;
+    case CounterVerdict::kZeroWindow:
+      break;
   }
-
-  if (stalled_) {
-    stalled_ = false;
-    g_stalled_.set(0);
-    journal_->record(EventType::kCounterRecover, c, now_ns - stall_start_ns_,
+  if (s.recovered) {
+    journal_->record(EventType::kCounterRecover, s.value, s.stall_ns,
                      mode_name_);
   }
-  zero_windows_ = 0;
-
-  ns_per_tick_ = static_cast<double>(dt) / static_cast<double>(dc);
-  g_ns_per_tick_.set(to_pico(ns_per_tick_));
-  h_ns_per_tick_.add(to_pico(ns_per_tick_));
-
-  if (baseline_samples_ < options_.calibration_windows) {
-    // Running mean over the calibration windows.
-    baseline_ = (baseline_ * baseline_samples_ + ns_per_tick_) /
-                (baseline_samples_ + 1);
-    ++baseline_samples_;
-    return;
+  if (s.drift_began) {
+    // One event per drift episode; the gauge carries the live state.
+    drift_events_.inc();
+    journal_->record(EventType::kCounterDrift, to_pico(s.window_ns_per_tick),
+                     to_pico(s.ns_per_tick), mode_name_);
   }
-  double deviation = std::abs(ns_per_tick_ - baseline_) / baseline_;
-  if (deviation > options_.drift_threshold) {
-    if (!drifting_) {
-      // One event per drift episode; the gauge carries the live state.
-      drifting_ = true;
-      g_drifting_.set(1);
-      drift_events_.inc();
-      journal_->record(EventType::kCounterDrift, to_pico(ns_per_tick_),
-                       to_pico(baseline_), mode_name_);
-    }
-  } else if (drifting_) {
-    drifting_ = false;
-    g_drifting_.set(0);
+  if (s.replicas == 0) return;
+  if (!replica_gauges_ready_) {
+    replica_gauges_ready_ = true;
+    g_replicas_ = registry_->gauge(metric_names::kCounterReplicas);
+    g_replica_primary_ = registry_->gauge(metric_names::kCounterReplicaPrimary);
+    g_replica_drift_ = registry_->gauge(metric_names::kCounterReplicaDrift);
+    g_replica_stalled_ = registry_->gauge(metric_names::kCounterReplicaStalled);
+    g_failover_ = registry_->gauge(metric_names::kCounterFailover);
   }
+  g_replicas_.set(s.replicas);
+  g_replica_primary_.set(s.primary);
+  g_replica_drift_.set(s.drift_permille);
+  g_replica_stalled_.set(s.stalled_replicas);
+  g_failover_.set(s.failovers);
 }
 
 void Watchdog::observe_log() {
@@ -224,7 +184,7 @@ void Watchdog::observe_log() {
     // wait and then start force-dropping, so this alarms ahead of loss.
     if (s.drain_lag > 0 && s.drained_entries == last_drained_) {
       ++drain_idle_windows_;
-      if (!drain_stalled_ && drain_idle_windows_ >= options_.stall_windows) {
+      if (!drain_stalled_ && drain_idle_windows_ >= kDrainStallWindows) {
         drain_stalled_ = true;
         g_drain_stall_.set(1);
         journal_->record(EventType::kDrainStall, s.drain_lag,
@@ -255,16 +215,6 @@ void Watchdog::observe_log() {
     saturation_reported_ = true;
     journal_->record(EventType::kLogSaturated, s.tail, s.capacity);
   }
-}
-
-void Watchdog::observe_replicas() {
-  if (!sample_replicas_) return;
-  ReplicaSample s = sample_replicas_();
-  g_replicas_.set(s.replicas);
-  g_replica_primary_.set(s.primary);
-  g_replica_drift_.set(s.drift_permille);
-  g_replica_stalled_.set(s.stalled_replicas);
-  g_failover_.set(s.failovers);
 }
 
 }  // namespace teeperf::obs

@@ -1,14 +1,13 @@
-// Counter-health watchdog (Triad's observation, PAPERS.md: untrusted time
-// sources drift and stall, so a TEE profiler must actively health-check its
-// clock). A background thread re-measures ns/tick for the session's counter
-// against CLOCK_MONOTONIC every interval, detects stalls (the counter word
-// not advancing — e.g. the software-counter thread descheduled or dead) and
-// drift beyond a threshold from the calibrated baseline, publishes gauges,
-// and journals alarm events.
+// Session watchdog (Triad's observation, PAPERS.md: untrusted time sources
+// drift and stall, so a TEE profiler must actively health-check its clock).
+// A background thread asks the session's counter service for one health
+// sample per interval, publishes the service's verdicts as gauges and
+// journal events, and samples log occupancy and drainer health. It does no
+// counter arithmetic of its own: the service's classifier (core/counter.h)
+// decides what a window means (DESIGN.md §7).
 //
-// The watchdog reads the counter and the log through callbacks, so it works
-// for any CounterMode without depending on core (the recorder supplies
-// `read_counter(mode, header)` as the callback).
+// The watchdog reads the counter and the log through callbacks, so obs does
+// not depend on core.
 #pragma once
 
 #include <condition_variable>
@@ -23,19 +22,6 @@
 #include "obs/metrics.h"
 
 namespace teeperf::obs {
-
-struct WatchdogOptions {
-  u64 interval_ms = 50;
-  // Consecutive zero-delta windows before a stall alarm is raised.
-  u32 stall_windows = 2;
-  // Relative ns/tick deviation from the calibrated baseline that counts as
-  // drift. Generous by default: software-counter rates legitimately wobble
-  // with scheduling; the watchdog flags sustained gross deviation, not jitter.
-  double drift_threshold = 0.5;
-  // Healthy windows averaged into the ns/tick baseline before drift
-  // detection arms.
-  u32 calibration_windows = 4;
-};
 
 // Occupancy/rate sample of the profiling log, provided by the owner.
 struct LogSample {
@@ -59,26 +45,49 @@ struct LogSample {
   std::vector<u64> shard_tails;
 };
 
-// Replicated-counter health sample, provided by the owner from
-// ReplicatedCounter::health() (DESIGN.md §13). Published verbatim as the
-// counter.replica.* / counter.failover gauges.
-struct ReplicaSample {
+// What one window of a counter word showed, as classified by the counter
+// service (core/counter.h, CounterClassifier).
+enum class CounterVerdict : u8 {
+  kAdvanced,    // the word moved forward
+  kZeroWindow,  // the word did not move (not, or no longer newly, a stall)
+  kStalled,     // the window that completed a stall: still for k windows
+  kBackjump,    // the word moved backwards; excluded from calibration
+};
+
+// The counter service's health sample (DESIGN.md §7, §13): one classified
+// window of the probe-visible word plus the replica block's state. The
+// watchdog publishes it verbatim.
+struct CounterSample {
+  CounterVerdict verdict = CounterVerdict::kZeroWindow;
+  bool recovered = false;    // this window ended a stall
+  bool drift_began = false;  // this window started a drift episode
+  bool stalled = false;      // live state after this window
+  bool drifting = false;
+  u64 value = 0;             // the word at the window's end
+  u64 previous = 0;          // the word at the window's start
+  u64 stall_ns = 0;          // length of the stall this window is in or ended
+  double window_ns_per_tick = 0.0;  // kAdvanced windows; 0 otherwise
+  double deviation = 0.0;    // |window - calibrated| / calibrated, once armed
+  double ns_per_tick = 0.0;  // the calibrator's Σdt/Σdc; 0 before any tick
+
+  // Replica block (DESIGN.md §13); replicas == 0 for a single counter.
   u32 replicas = 0;
-  u32 primary = 0;
-  u64 failovers = 0;
-  u64 backjumps = 0;
-  u32 stalled_replicas = 0;
-  u64 drift_permille = 0;
+  u32 primary = 0;           // currently elected replica index
+  u64 failovers = 0;         // elections after the initial one
+  u64 backjumps = 0;         // replica words observed moving backwards
+  u32 stalled_replicas = 0;  // replicas currently stalled
+  u64 drift_permille = 0;    // max replica window deviation, in permille
 };
 
 class Watchdog {
  public:
-  // `read_counter` returns the session counter's current value; `mode_name`
-  // labels events ("software", "tsc", ...). Both metrics and journal must
-  // outlive the watchdog.
+  // `sample_counter` classifies one window of the session's counter and
+  // returns the service's health sample (null: no counter to watch);
+  // `mode_name` labels events ("software", "tsc", ...). Both metrics and
+  // journal must outlive the watchdog.
   Watchdog(MetricsRegistry* registry, EventJournal* journal,
-           std::function<u64()> read_counter, std::string mode_name,
-           WatchdogOptions options = {});
+           std::function<CounterSample()> sample_counter,
+           std::string mode_name, u64 interval_ms);
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -88,52 +97,33 @@ class Watchdog {
   // Must be called before start().
   void watch_log(std::function<LogSample()> sample_log);
 
-  // Also publish replicated-counter health gauges each tick (sessions with
-  // counter_replicas > 0). Must be called before start().
-  void watch_replicas(std::function<ReplicaSample()> sample_replicas);
-
   void start();
   void stop();
   bool running() const { return running_; }
 
-  // Exposed for tests: the most recent measured ns/tick (0 before the first
-  // healthy window) and whether the counter is currently considered stalled.
-  double ns_per_tick() const { return ns_per_tick_; }
-  bool stalled() const { return stalled_; }
+  // Completed watchdog ticks.
   u64 ticks() const { return wd_ticks_.value(); }
-  // Counter-word backjumps observed (each journaled as kCounterBackjump).
-  u64 backjumps() const { return backjump_events_.value(); }
+
+  // One tick's publishing, run by the watchdog thread; exposed so tests can
+  // publish a scripted sample without a thread.
+  void publish(const CounterSample& s);
 
  private:
   void run();
-  void observe_counter(u64 now_ns);
   void observe_log();
-  void observe_replicas();
 
   MetricsRegistry* registry_;
   EventJournal* journal_;
-  std::function<u64()> read_counter_;
+  std::function<CounterSample()> sample_counter_;
   std::string mode_name_;
-  WatchdogOptions options_;
+  u64 interval_ms_;
   std::function<LogSample()> sample_log_;
-  std::function<ReplicaSample()> sample_replicas_;
 
   std::thread thread_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_requested_ = false;
   bool running_ = false;
-
-  // Counter-health state (watchdog thread only).
-  u64 last_counter_ = 0;
-  u64 last_ns_ = 0;
-  u64 stall_start_ns_ = 0;
-  u32 zero_windows_ = 0;
-  bool stalled_ = false;
-  bool drifting_ = false;
-  double ns_per_tick_ = 0.0;
-  double baseline_ = 0.0;
-  u32 baseline_samples_ = 0;
 
   // Log-watch state.
   u64 last_tail_ = 0;
@@ -148,6 +138,9 @@ class Watchdog {
   u64 last_drained_ = 0;
   u32 drain_idle_windows_ = 0;
   bool drain_stalled_ = false;
+
+  // Replica gauges register lazily on the first sample with a replica block.
+  bool replica_gauges_ready_ = false;
 
   // Published metrics.
   Counter wd_ticks_, stall_events_, drift_events_, backjump_events_;

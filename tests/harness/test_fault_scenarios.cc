@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -380,10 +381,8 @@ TEST_F(FaultScenarioTest, DroppedCountIsVisibleAcrossProcesses) {
   obs::TelemetryOptions topts;  // no shm_name → anonymous region
   auto t = obs::SelfTelemetry::create(topts);
   ASSERT_NE(t, nullptr);
-  obs::WatchdogOptions wopts;
-  wopts.interval_ms = 1;
-  obs::Watchdog wd(&t->registry(), &t->journal(),
-                   [n = u64{0}]() mutable { return ++n; }, "test", wopts);
+  obs::Watchdog wd(&t->registry(), &t->journal(), nullptr, "test",
+                   /*interval_ms=*/1);
   wd.watch_log([&] {
     obs::LogSample s;
     s.tail = log.size();
@@ -537,9 +536,14 @@ TEST_F(FaultScenarioTest, CounterStallTripsWatchdog) {
 
 TEST_F(FaultScenarioTest, CounterBackjumpDrivesCounterBackwards) {
   fault::Registry::instance().arm_from_spec("counter.backjump:nth=2,sticky");
-  LogHeader header;
+  std::vector<u8> buf(ProfileLog::bytes_for(1024, 1));
+  ProfileLog log;
+  ASSERT_TRUE(log.init(buf.data(), buf.size(), 42, log_flags::kActive));
+  LogHeader& header = *log.header();
   header.counter.store(1'000'000'000ull, std::memory_order_relaxed);
-  SoftwareCounter counter(&header, /*yield_every=*/1024);
+  CounterServiceOptions copts;
+  copts.yield_every = 1024;
+  CounterService counter(&log, CounterMode::kSoftware, copts);
   counter.start();
   // Sticky backjumps subtract more per batch than the batch adds, so the
   // shared word trends downwards — observable without racing a single jump.
@@ -576,12 +580,13 @@ TEST_F(FaultScenarioTest, ValidateFlagsBackwardsCounter) {
 
 // --- watchdog backjump handling ---------------------------------------------
 
-// Regression for the unsigned-delta wrap: `dc = c - last_counter_` on a
+// Regression for the unsigned-delta wrap: `dc = c - last` on a
 // backwards-moving counter used to wrap to ~2^64, making the window look
 // like an absurdly fast (≈1e-13 ns/tick) healthy window that fed the drift
-// baseline and poisoned every later comparison. The watchdog must instead
-// classify the window as a backjump — its own journal event class and
-// counter — and exclude it from ns/tick and the baseline entirely.
+// baseline and poisoned every later comparison. The classifier must instead
+// call the window a backjump — its own journal event class and counter —
+// and leave it out of the calibration entirely. Scripted windows: no clock,
+// no thread.
 class WatchdogBackjumpTest : public FaultScenarioTest,
                              public ::testing::WithParamInterface<u64> {};
 
@@ -590,49 +595,52 @@ TEST_P(WatchdogBackjumpTest, BackjumpIsJournaledAndExcludedFromBaseline) {
   obs::TelemetryOptions topts;  // anonymous region
   auto t = obs::SelfTelemetry::create(topts);
   ASSERT_NE(t, nullptr);
-  obs::WatchdogOptions wopts;
-  wopts.interval_ms = 1;
-  // Keep the orthogonal detectors out of the way: the scripted counter's
-  // rate jitters with scheduling (drift must not trip on that — pre-fix the
-  // wrapped window deviated by ~1e12×, which still trips 10.0), and pauses
-  // between the scripted advances must not read as stalls.
-  wopts.drift_threshold = 10.0;
-  wopts.stall_windows = 1'000'000;
-  std::atomic<u64> val{1'000'000};
-  obs::Watchdog wd(&t->registry(), &t->journal(),
-                   [&val] { return val.load(std::memory_order_relaxed); },
-                   "scripted", wopts);
-  wd.start();
+  obs::Watchdog wd(&t->registry(), &t->journal(), nullptr, "scripted",
+                   /*interval_ms=*/1);
+  CounterClassifier c;
+  u64 val = 1'000'000, ns = 0;
+  c.open(val, ns);
   auto advance = [&](int windows) {
     for (int i = 0; i < windows; ++i) {
-      val.fetch_add(10'000, std::memory_order_relaxed);
-      usleep(2'000);
+      val += 10'000;
+      ns += 2'000'000;
+      wd.publish(c.observe(val, ns));
     }
   };
-  advance(8);  // healthy windows; arms the calibrated baseline
-  val.fetch_sub(100'000 * seed, std::memory_order_relaxed);  // the backjump
-  u64 deadline = monotonic_ns() + 5'000'000'000ull;
-  while (wd.backjumps() == 0 && monotonic_ns() < deadline) usleep(1000);
+  advance(8);  // healthy windows; arms the drift check
+  std::optional<double> before = c.ns_per_tick(val, ns);
+  val -= 100'000 * seed;  // the backjump
+  ns += 2'000'000;
+  obs::CounterSample jump = c.observe(val, ns);
+  wd.publish(jump);
+  EXPECT_EQ(jump.verdict, obs::CounterVerdict::kBackjump);
+  // The backjump window's time and (wrapped) ticks stay out.
+  EXPECT_EQ(c.ns_per_tick(val, ns), before);
   advance(8);  // recovery: forward progress from the lower value
-  wd.stop();
 
-  EXPECT_GE(wd.backjumps(), 1u);
-  EXPECT_FALSE(wd.stalled());
-  // The wrapped window never reached the drift detector.
+  EXPECT_EQ(t->registry()
+                .counter(obs::metric_names::kWatchdogBackjumpEvents)
+                .value(),
+            1u);
+  EXPECT_EQ(t->registry().gauge(obs::metric_names::kCounterStalled).value(),
+            0u);
+  // The wrapped window never reached the drift check.
   EXPECT_EQ(t->registry().counter(obs::metric_names::kWatchdogDriftEvents)
                 .value(),
             0u);
   EXPECT_EQ(t->registry().gauge(obs::metric_names::kCounterDrifting).value(),
             0u);
+  EXPECT_DOUBLE_EQ(*c.ns_per_tick(val, ns), 200.0);
   // Distinct journal event class, with the regressed value in arg0.
-  bool journaled = false;
+  int journaled = 0;
   for (const obs::Event& ev : t->journal().snapshot()) {
     if (ev.type == obs::EventType::kCounterBackjump) {
-      journaled = true;
+      ++journaled;
       EXPECT_LT(ev.arg0, ev.arg1);  // new value < previous value
+      EXPECT_EQ(ev.arg1 - ev.arg0, 100'000 * seed);
     }
   }
-  EXPECT_TRUE(journaled);
+  EXPECT_EQ(journaled, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WatchdogBackjumpTest, ::testing::Values(1, 2, 3));

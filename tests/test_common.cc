@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <utility>
 #include <vector>
@@ -343,6 +344,27 @@ TEST_F(FileUtilTest, AppendAccumulates) {
   ASSERT_TRUE(append_file(path, "ab"));
   ASSERT_TRUE(append_file(path, "cd"));
   EXPECT_EQ(*read_file(path), "abcd");
+}
+
+// A short fwrite (disk full) must still close the file: every failed call
+// used to leak one FILE and its descriptor.
+TEST_F(FileUtilTest, FailedWritesLeakNoDescriptors) {
+  auto open_fds = [] {
+    usize n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      ++n;
+    }
+    return n;
+  };
+  if (!file_exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::string block(64 << 10, 'x');
+  usize before = open_fds();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(write_file("/dev/full", block));
+    EXPECT_FALSE(append_file("/dev/full", block));
+  }
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST_F(FileUtilTest, ExistsAndRemove) {

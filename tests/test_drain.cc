@@ -545,7 +545,7 @@ TEST(Drain, SoftwareCounterSessionWritesDeterministicChunkHeaders) {
   remove_session(prefix);
   SpillLog s;
   s.log.header()->counter_mode = static_cast<u32>(CounterMode::kSoftware);
-  SoftwareCounter counter(s.log.header());
+  CounterService counter(&s.log, CounterMode::kSoftware);
   counter.start();
   drain::DrainerOptions dopts;
   dopts.prefix = prefix;

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "analyzer/report.h"
+#include "core/counter.h"
 #include "common/fileutil.h"
 #include "common/histogram.h"
 #include "obs/events.h"
@@ -214,76 +215,88 @@ TEST(ObsSession, InstallUninstallBumpsEpoch) {
   EXPECT_EQ(t->journal().total(), 1u);
 }
 
+// The watchdog publishes the counter service's verdicts and derives
+// nothing: a scripted classifier feed, published tick by tick without a
+// thread, must land in the gauges, counters and journal.
+struct ScriptedCounter {
+  CounterClassifier classifier;
+  u64 value = 0;
+  u64 ns = 0;
+  ScriptedCounter() { classifier.open(value, ns); }
+  CounterSample window(u64 ticks, u64 ms = 50) {
+    value += ticks;
+    ns += ms * 1'000'000;
+    return classifier.observe(value, ns);
+  }
+};
+
+std::vector<Event> journaled(const SelfTelemetry& t, EventType type) {
+  std::vector<Event> out;
+  for (const Event& e : t.journal().snapshot()) {
+    if (e.type == type) out.push_back(e);
+  }
+  return out;
+}
+
 TEST(ObsWatchdog, FrozenCounterJournalsStall) {
   auto t = anon_session();
-  std::atomic<u64> sim_counter{0};
-  std::atomic<bool> advance{true};
-  // Simulated software counter: advances until frozen.
-  std::thread ticker([&] {
-    while (advance.load(std::memory_order_relaxed)) {
-      sim_counter.fetch_add(1, std::memory_order_relaxed);
-      usleep(100);
-    }
-  });
+  Watchdog wd(&t->registry(), &t->journal(), nullptr, "software", 50);
+  ScriptedCounter c;
+  for (int i = 0; i < 4; ++i) wd.publish(c.window(500));
+  EXPECT_EQ(t->registry().gauge("counter.stalled").value(), 0u);
 
-  WatchdogOptions wopts;
-  wopts.interval_ms = 5;
-  wopts.stall_windows = 2;
-  Watchdog wd(&t->registry(), &t->journal(),
-              [&] { return sim_counter.load(std::memory_order_relaxed); },
-              "software", wopts);
-  wd.start();
-
-  // Let it calibrate on the healthy counter...
-  for (int i = 0; i < 400 && wd.ticks() < 4; ++i) usleep(1000);
-  EXPECT_FALSE(wd.stalled());
-
-  // ...then freeze the counter and wait for the stall verdict.
-  advance.store(false);
-  ticker.join();
-  for (int i = 0; i < 2000 && !wd.stalled(); ++i) usleep(1000);
-  EXPECT_TRUE(wd.stalled());
-  wd.stop();
-
-  bool saw_stall = false;
-  for (const Event& e : t->journal().snapshot()) {
-    if (e.type == EventType::kCounterStall) {
-      saw_stall = true;
-      EXPECT_STREQ(e.detail, "software");
-    }
-  }
-  EXPECT_TRUE(saw_stall);
-  EXPECT_GE(t->registry().counter("watchdog.stall_events").value(), 1u);
+  wd.publish(c.window(0));
+  EXPECT_EQ(t->registry().gauge("counter.stalled").value(), 0u);
+  wd.publish(c.window(0));  // the second zero window is the stall
+  wd.publish(c.window(0));
   EXPECT_EQ(t->registry().gauge("counter.stalled").value(), 1u);
+  EXPECT_EQ(t->registry().counter("watchdog.stall_events").value(), 1u);
+  std::vector<Event> stalls = journaled(*t, EventType::kCounterStall);
+  ASSERT_EQ(stalls.size(), 1u);
+  EXPECT_STREQ(stalls[0].detail, "software");
+  EXPECT_EQ(stalls[0].arg0, 2'000u);        // the stuck value
+  EXPECT_EQ(stalls[0].arg1, 100'000'000u);  // stalled for two windows
+
+  wd.publish(c.window(500));
+  EXPECT_EQ(t->registry().gauge("counter.stalled").value(), 0u);
+  std::vector<Event> recovers = journaled(*t, EventType::kCounterRecover);
+  ASSERT_EQ(recovers.size(), 1u);
+  EXPECT_EQ(recovers[0].arg1, 200'000'000u);  // the whole stall
 }
 
 TEST(ObsWatchdog, HealthyCounterPublishesRate) {
   auto t = anon_session();
-  std::atomic<u64> sim_counter{0};
-  std::atomic<bool> advance{true};
-  std::thread ticker([&] {
-    while (advance.load(std::memory_order_relaxed)) {
-      sim_counter.fetch_add(1, std::memory_order_relaxed);
-      usleep(100);
-    }
-  });
+  Watchdog wd(&t->registry(), &t->journal(), nullptr, "software", 50);
+  ScriptedCounter c;
+  for (int i = 0; i < 3; ++i) wd.publish(c.window(500));  // 100 µs per tick
+  // ns/tick published in picoseconds, each window into the histogram.
+  EXPECT_EQ(t->registry().gauge("counter.ns_per_tick_pico").value(),
+            100'000'000u);
+  EXPECT_EQ(t->registry().histogram("counter.ns_per_tick_pico").count(), 3u);
+  EXPECT_EQ(t->registry().gauge("counter.stalled").value(), 0u);
+  EXPECT_EQ(t->journal().total(), 0u);
+}
 
-  WatchdogOptions wopts;
-  wopts.interval_ms = 5;
-  Watchdog wd(&t->registry(), &t->journal(),
-              [&] { return sim_counter.load(std::memory_order_relaxed); },
-              "software", wopts);
-  wd.start();
-  for (int i = 0; i < 2000 && wd.ns_per_tick() == 0.0; ++i) usleep(1000);
-  wd.stop();
-  advance.store(false);
-  ticker.join();
-
-  EXPECT_GT(wd.ns_per_tick(), 0.0);
-  EXPECT_FALSE(wd.stalled());
-  // ~100µs per tick published in picoseconds.
-  EXPECT_GT(t->registry().gauge("counter.ns_per_tick_pico").value(), 0u);
-  EXPECT_GE(wd.ticks(), 1u);
+TEST(ObsWatchdog, DriftWindowJournalsOnceAndClears) {
+  auto t = anon_session();
+  Watchdog wd(&t->registry(), &t->journal(), nullptr, "software", 50);
+  ScriptedCounter c;
+  for (u32 i = 0; i <= CounterClassifier::kCalibrationWindows; ++i) {
+    wd.publish(c.window(500));
+  }
+  // Two windows at a third of the rate: 300 µs per tick, +200%.
+  wd.publish(c.window(500, 150));
+  wd.publish(c.window(500, 150));
+  EXPECT_EQ(t->registry().gauge("counter.drifting").value(), 1u);
+  EXPECT_EQ(t->registry().counter("watchdog.drift_events").value(), 1u);
+  std::vector<Event> drifts = journaled(*t, EventType::kCounterDrift);
+  ASSERT_EQ(drifts.size(), 1u);
+  EXPECT_EQ(drifts[0].arg0, 300'000'000u);  // the window, ps/tick
+  // The running calibration, this window included: 400 ms over 3,000 ticks.
+  EXPECT_EQ(drifts[0].arg1, 133'333'333u);
+  wd.publish(c.window(500));
+  EXPECT_EQ(t->registry().gauge("counter.drifting").value(), 0u);
+  EXPECT_EQ(journaled(*t, EventType::kCounterDrift).size(), 1u);
 }
 
 TEST(ObsExport, TextAndJsonl) {

@@ -465,10 +465,35 @@ TEST_F(RecorderTest, SoftwareCounterSessionRecords) {
   EXPECT_GE(e[99].counter(), e[0].counter());
 }
 
+TEST_F(RecorderTest, OneCounterReplicaIsTheSingleCounter) {
+  // The replica count alone shapes the counter: 0 and 1 build the same
+  // session, one tick thread and no replica block.
+  for (u32 replicas : {0u, 1u}) {
+    RecorderOptions opts;
+    opts.counter_mode = CounterMode::kSoftware;
+    opts.counter_replicas = replicas;
+    opts.software_counter_yield = 1024;  // single-core safety
+    auto rec = Recorder::create(opts);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->log().counter_replica_count(), 0u) << replicas;
+    EXPECT_EQ(rec->log().replica_directory(), nullptr) << replicas;
+    ASSERT_TRUE(rec->attach());
+    u64 deadline = monotonic_ns() + 2'000'000'000ull;
+    while (rec->log().header()->counter.load(std::memory_order_relaxed) == 0 &&
+           monotonic_ns() < deadline) {
+      std::this_thread::yield();
+    }
+    rec->detach();
+    EXPECT_GT(rec->log().header()->counter.load(std::memory_order_relaxed), 0u)
+        << replicas;
+    EXPECT_EQ(rec->stats().counter_replicas, 0u) << replicas;
+  }
+}
+
 TEST_F(RecorderTest, DumpAfterDetachKeepsSoftwareCounterCalibration) {
   // detach() stops the software counter, so dump() can no longer measure
-  // it; it must write the finished run's own rate instead of calibrating a
-  // stopped counter into ns_per_tick = 0.
+  // it; it must write the finished run's calibration instead of calibrating
+  // a stopped counter into ns_per_tick = 0.
   RecorderOptions opts;
   opts.counter_mode = CounterMode::kSoftware;
   opts.software_counter_yield = 1024;  // single-core safety
@@ -488,8 +513,8 @@ TEST_F(RecorderTest, DumpAfterDetachKeepsSoftwareCounterCalibration) {
   remove_tree(dir);
   double ns_per_tick = rec->log().header()->ns_per_tick;
   ASSERT_GT(ns_per_tick, 0.0);
-  // 1e9 / the run's measured tick rate: the counter word started at 0, so
-  // ticks × ns_per_tick is the counter thread's own run time, which lies
+  // Σdt/Σdc from start() to stop(): the counter word started at 0, so
+  // ticks × ns_per_tick is the counter's calibrated run time, which lies
   // inside attach()..detach() and spans most of the spin.
   double ticks = static_cast<double>(
       rec->log().header()->counter.load(std::memory_order_relaxed));

@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "common/spin.h"
 #include "core/counter.h"
@@ -93,31 +95,51 @@ TEST(Counter, SteadyClockAdvances) {
   EXPECT_GT(b, a);
 }
 
+// A one-shard log with no replica block: the single-counter session.
+struct CounterLog {
+  std::vector<u8> buf = std::vector<u8>(ProfileLog::bytes_for(1024, 1));
+  ProfileLog log;
+  CounterLog() { log.init(buf.data(), buf.size(), 42, log_flags::kActive); }
+};
+
 TEST(Counter, NsPerTickSane) {
-  LogHeader h;
-  std::optional<double> tsc = counter_ns_per_tick(CounterMode::kTsc, &h);
-  ASSERT_TRUE(tsc.has_value());
-  EXPECT_GT(*tsc, 0.0);
-  EXPECT_LT(*tsc, 1000.0);  // >1 MHz
-  std::optional<double> steady =
-      counter_ns_per_tick(CounterMode::kSteadyClock, &h);
-  ASSERT_TRUE(steady.has_value());
-  EXPECT_DOUBLE_EQ(*steady, 1.0);
+  // A hardware counter needs no spin at dump: the service calibrates the
+  // window from start() to the dump.
+  CounterLog l;
+  CounterService tsc(&l.log, CounterMode::kTsc);
+  tsc.start();
+  spin_for_ns(2'000'000);
+  std::optional<double> npt = tsc.ns_per_tick();
+  tsc.stop();
+  ASSERT_TRUE(npt.has_value());
+  EXPECT_GT(*npt, 0.0);
+  EXPECT_LT(*npt, 1000.0);  // >1 MHz
+  CounterService steady(&l.log, CounterMode::kSteadyClock);
+  ASSERT_TRUE(steady.ns_per_tick().has_value());
+  EXPECT_DOUBLE_EQ(*steady.ns_per_tick(), 1.0);
 }
 
 TEST(Counter, NsPerTickFailsOnDegenerateWindow) {
-  // A software counter with no thread behind it never advances: the 2 ms
-  // measurement window sees zero ticks. The old code mapped that to 1.0 —
-  // indistinguishable from a real 1 ns/tick calibration — which poisoned
-  // every downstream time conversion; it must be an explicit failure.
-  LogHeader h;
-  EXPECT_FALSE(counter_ns_per_tick(CounterMode::kSoftware, &h).has_value());
+  // A software counter whose word never advances calibrates to nothing.
+  // The old code mapped that to 1.0 — indistinguishable from a real
+  // 1 ns/tick calibration — which poisoned every downstream time
+  // conversion; it must be an explicit failure.
+  CounterLog l;
+  CounterService never_started(&l.log, CounterMode::kSoftware);
+  EXPECT_FALSE(never_started.ns_per_tick().has_value());
+  CounterClassifier frozen;
+  frozen.open(500, 1'000);
+  frozen.observe(500, 2'000'000);
+  EXPECT_FALSE(frozen.ns_per_tick(500, 4'000'000).has_value());
 }
 
 TEST(Counter, SoftwareCounterIncrementsHeaderWord) {
-  LogHeader h;
+  CounterLog l;
+  LogHeader& h = *l.log.header();
   // Yield aggressively so this passes on a single-core machine.
-  SoftwareCounter counter(&h, /*yield_every=*/1024);
+  CounterServiceOptions opts;
+  opts.yield_every = 1024;
+  CounterService counter(&l.log, CounterMode::kSoftware, opts);
   counter.start();
   EXPECT_TRUE(counter.running());
   u64 deadline = monotonic_ns() + 500'000'000;  // up to 500 ms
@@ -130,7 +152,10 @@ TEST(Counter, SoftwareCounterIncrementsHeaderWord) {
   counter.stop();
   EXPECT_FALSE(counter.running());
   EXPECT_GT(seen, 100'000u) << "software counter made no progress";
-  EXPECT_GT(counter.ticks_per_second(), 0.0);
+  ASSERT_TRUE(counter.ns_per_tick().has_value());
+  EXPECT_GT(*counter.ns_per_tick(), 0.0);
+  // The single counter owns no replica block.
+  EXPECT_EQ(counter.health().replicas, 0u);
 
   // Stopped counter stays still.
   u64 frozen = h.counter.load(std::memory_order_relaxed);

@@ -15,12 +15,12 @@
 //   -n <entries>   log capacity                 (default: 1048576)
 //   -c <counter>   tsc | software | steady_clock (default: tsc)
 //   --counter-replicas N   replicated trusted time (DESIGN.md §13, software
-//                  counter only): run N counter replicas on distinct cores,
+//                  counter only): run N counter replicas, each on its own
+//                  CPU of the inherited affinity mask where it has enough,
 //                  each with a cache-line-isolated shm word; a detector
-//                  cross-checks them, fails over when the elected primary
-//                  stalls or jumps backwards, and continuously calibrates
-//                  ticks→ns so the dump carries wall-clock-accurate time.
-//                  0 (default) keeps the classic single counter thread
+//                  cross-checks them and fails over when the elected
+//                  primary stalls or jumps backwards. 0 (default) and 1 are
+//                  the same session: one counter thread, no replica block
 //   --shards N     log shard count: per-thread shard segments with
 //                  cache-line-private tails (see DESIGN.md "Log format
 //                  v2"). 0 or 1 = one shard, the paper's single shared
@@ -49,8 +49,8 @@
 //                        watchdog) alive N ms after the child exits — lets
 //                        teeperf_stats scrape a finished-but-held session
 //   --freeze-counter-after-ms N   fault injection: stop the software
-//                        counter thread N ms into the run so the watchdog's
-//                        stall detection can be demonstrated end to end
+//                        counter N ms into the run so the watchdog's stall
+//                        verdict can be demonstrated end to end
 //   --faults <spec>      arm deterministic fault points (see TESTING.md),
 //                        e.g. "dump.torn:nth=1;counter.stall:nth=1" — armed
 //                        in this wrapper and exported to the child via
@@ -62,8 +62,8 @@
 // "<base>.obs" next to the "<base>.log" segment (base =
 // "/teeperf.<pid>.<nonce>", the multi-session naming scheme) holds live
 // metrics (ring occupancy, entry rates, counter health) plus a structured
-// event journal; a watchdog thread re-measures the counter against
-// CLOCK_MONOTONIC continuously. The session is announced in the on-disk
+// event journal; a watchdog thread publishes the counter service's health
+// verdicts continuously. The session is announced in the on-disk
 // session registry ($TEEPERF_SESSION_DIR), which is how teeperf_stats and
 // teeperf_monitord discover it. At exit the wrapper persists
 // "<prefix>.health" (human snapshot) and "<prefix>.events.jsonl", which
@@ -90,7 +90,6 @@
 #include "core/counter.h"
 #include "core/log_format.h"
 #include "core/recorder.h"
-#include "core/replicated_counter.h"
 #include "drain/drainer.h"
 #include "obs/export.h"
 #include "obs/metric_names.h"
@@ -104,7 +103,8 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: teeperf_record [-o prefix] [-n entries] [-c tsc|software|"
-               "steady_clock] [--counter-replicas n] [--shards n] [--ring] "
+               "steady_clock] [--counter-replicas n (0|1: one counter thread)] "
+               "[--shards n] [--ring] "
                "[--spill dir] [--inactive] [--calls-only|--returns-only] "
                "[--faults spec] [--fault-seed n] -- <command> [args...]\n");
 }
@@ -251,7 +251,9 @@ int main(int argc, char** argv) {
                          "-c software\n");
     return 2;
   }
-  u32 replica_count = static_cast<u32>(counter_replicas);
+  // One replica is the single counter thread, which needs no block.
+  u32 replica_count =
+      counter_replicas >= 2 ? static_cast<u32>(counter_replicas) : 0;
 
   std::string shm_base;
   std::string shm_name;
@@ -338,85 +340,28 @@ int main(int argc, char** argv) {
                  session_dir.c_str());
   }
 
-  // The software counter runs here, on the host — the measured application
-  // only ever reads the header word. With --counter-replicas the replicated
-  // subsystem replaces the single thread: the elected primary mirrors into
-  // the same header word, so the child's probe path is identical.
-  std::unique_ptr<SoftwareCounter> sw;
-  std::unique_ptr<ReplicatedCounter> replicated;
-  if (mode == CounterMode::kSoftware) {
-    if (log.counter_replica_count() > 0) {
-      replicated = std::make_unique<ReplicatedCounter>(
-          log.header(), log.replica_directory(), log.replica_slot(0));
-      if (telem) {
-        obs::EventJournal* journal = &telem->journal();
-        replicated->set_failover_callback(
-            [journal](u32 from, u32 to, u64) {
-              journal->record(obs::EventType::kCounterFailover, from, to,
-                              "replica");
-            });
-        replicated->set_backjump_callback(
-            [journal](u32, u64 from, u64 to) {
-              journal->record(obs::EventType::kCounterBackjump, to, from,
-                              "replica");
-            });
-      }
-      replicated->start();
-    } else {
-      sw = std::make_unique<SoftwareCounter>(log.header(), /*yield_every=*/4096);
-      sw->start();
-    }
-  }
+  // The counter service runs here, on the host — the measured application
+  // only ever reads the header word. With --counter-replicas the elected
+  // primary mirrors into the same header word, so the child's probe path is
+  // identical.
+  CounterService counter_service(&log, mode, {},
+                                 telem ? &telem->journal() : nullptr);
+  counter_service.start();
 
   std::unique_ptr<obs::Watchdog> watchdog;
   if (telem) {
-    telem->journal().record(obs::EventType::kAttach,
-                            static_cast<u64>(getpid()), 0, counter);
-    if (active) telem->journal().record(obs::EventType::kActivate);
-    telem->registry().gauge(obs::metric_names::kLogCapacity).set(max_entries);
-    LogHeader* header = log.header();
-    watchdog = std::make_unique<obs::Watchdog>(
-        &telem->registry(), &telem->journal(),
-        [mode, header] { return read_counter(mode, header); }, counter);
-    drain::Drainer* dr = drainer.get();
-    watchdog->watch_log([&log, ring, dr] {
-      obs::LogSample s;
-      s.tail = log.attempted();
-      s.capacity = log.capacity();
-      s.active = log.active();
-      s.ring = ring;
-      s.spill = log.spill();
-      s.dropped = log.dropped();
-      for (u32 si = 0; si < log.shard_count(); ++si) {
-        s.shard_tails.push_back(
-            log.shard(si)->tail.load(std::memory_order_relaxed));
-      }
-      if (dr) {
+    std::function<DrainSample()> drain_sample;
+    if (drain::Drainer* dr = drainer.get()) {
+      drain_sample = [dr] {
         drain::Drainer::Stats st = dr->stats();
-        s.drain_lag = st.lag_entries;
-        s.drain_spilled_bytes = st.spilled_bytes;
-        s.drained_entries = st.drained_entries;
-      }
-      return s;
-    });
-    if (replicated) {
-      ReplicatedCounter* rc = replicated.get();
-      watchdog->watch_replicas([rc] {
-        ReplicatedCounter::Health h = rc->health();
-        obs::ReplicaSample s;
-        s.replicas = h.replicas;
-        s.primary = h.primary;
-        s.failovers = h.failovers;
-        s.backjumps = h.backjumps;
-        s.stalled_replicas = h.stalled_replicas;
-        s.drift_permille = h.drift_permille;
-        return s;
-      });
-      telem->registry()
-          .gauge(obs::metric_names::kCounterReplicas)
-          .set(log.counter_replica_count());
+        return DrainSample{st.lag_entries, st.spilled_bytes,
+                           st.drained_entries};
+      };
     }
-    watchdog->start();
+    watchdog = start_session_watchdog(telem.get(), &log, &counter_service,
+                                      RecorderOptions().watchdog_interval_ms,
+                                      drain_sample);
+    if (active) telem->journal().record(obs::EventType::kActivate);
   }
 
   pid_t child = fork();
@@ -468,12 +413,12 @@ int main(int argc, char** argv) {
   // surface as a counter_stall event (the acceptance check for the
   // counter-health path; see DESIGN.md "Observability").
   std::thread freezer;
-  if (freeze_counter_after_ms >= 0 && sw) {
+  if (freeze_counter_after_ms >= 0 && mode == CounterMode::kSoftware) {
     freezer = std::thread([&] {
       for (long waited = 0; waited < freeze_counter_after_ms; waited += 10) {
         usleep(10'000);
       }
-      sw->stop();
+      counter_service.stop();
     });
   }
 
@@ -503,19 +448,10 @@ int main(int argc, char** argv) {
   if (freezer.joinable()) freezer.join();
   log.header()->pid = static_cast<u64>(child);
 
-  // Measure tick rate before the counter stops, then persist. A replicated
-  // session has been calibrating continuously across the whole run; a plain
-  // session takes a fresh spot measurement, retried because one stalled 2 ms
-  // window must not mark the dump uncalibrated (and must never silently
-  // pretend 1 ns/tick, the old failure mode). 0 = "uncalibrated" downstream.
-  std::optional<double> npt;
-  if (replicated) npt = replicated->calibrated_ns_per_tick();
-  for (int attempt = 0; attempt < 3 && !npt; ++attempt) {
-    npt = counter_ns_per_tick(mode, log.header());
-  }
-  log.header()->ns_per_tick = npt.value_or(0.0);
-  if (sw) sw->stop();
-  if (replicated) replicated->stop();
+  // The counter service's calibration of the header word over the whole
+  // run, closed when the counter stops. 0 = "uncalibrated" downstream.
+  counter_service.stop();
+  log.header()->ns_per_tick = counter_service.ns_per_tick().value_or(0.0);
   log.set_active(false);
   if (drainer) {
     // Writers are gone: drain every remaining published window to chunks.
