@@ -108,7 +108,7 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
   // discover and attach without guessing shm names. Withdrawn in the
   // destructor; a crashed session is reclaimed by stale-session GC.
   if (!log_name.empty() && options.publish_session) {
-    session_registry::SessionDescriptor desc;
+    session_registry::SessionDescriptor& desc = rec->session_;
     std::string name = obs_base;
     for (char& c : name) {
       if (c == '/') c = '.';
@@ -124,8 +124,8 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
     rec->session_dir_ = options.session_dir.empty()
                             ? session_registry::registry_dir()
                             : options.session_dir;
-    if (session_registry::publish_session(rec->session_dir_, desc)) {
-      rec->session_name_ = desc.name;
+    if (!session_registry::publish_session(rec->session_dir_, desc)) {
+      desc = {};
     }
   }
   return rec;
@@ -133,26 +133,48 @@ std::unique_ptr<Recorder> Recorder::create(const RecorderOptions& options) {
 
 Recorder::~Recorder() {
   detach();
-  if (!session_name_.empty()) {
-    session_registry::unpublish_session(session_dir_, session_name_);
+  if (!session_.name.empty()) {
+    session_registry::unpublish_session(session_dir_, session_.name);
   }
   if (telemetry_) obs::uninstall(telemetry_.get());
 }
 
-std::unique_ptr<obs::Watchdog> start_session_watchdog(
-    obs::SelfTelemetry* telemetry, ProfileLog* log, CounterService* counter,
-    u64 interval_ms, std::function<DrainSample()> drain) {
-  telemetry->journal().record(obs::EventType::kAttach,
-                              static_cast<u64>(getpid()), 0,
-                              counter_mode_name(counter->mode()));
-  telemetry->registry()
+bool Recorder::attach() {
+  if (attached_) return true;
+  if (!runtime::attach(&log_, options_.counter_mode, options_.filter)) return false;
+  attached_ = symbolize_ = true;
+  serve();
+  return true;
+}
+
+void Recorder::serve(const std::string& dump_prefix,
+                     std::function<DrainSample()> drain) {
+  if (serving_) return;
+  serving_ = true;
+  counter_->start();
+  // Republished (tmp + rename) so a monitor's late .sym load finds the
+  // file the application writes next to the dump.
+  if (!dump_prefix.empty() && !session_.name.empty()) {
+    session_.prefix = dump_prefix;
+    session_registry::publish_session(session_dir_, session_);
+  }
+  if (!telemetry_) return;
+  // Publish for the hook instrumentation (runtime.cc) and the external
+  // fault-arming bridge, then start the watchdog against the live counter
+  // and log.
+  obs::install(telemetry_.get());
+  CounterService* counter = counter_.get();
+  const char* mode = counter_mode_name(counter->mode());
+  telemetry_->journal().record(obs::EventType::kAttach,
+                               static_cast<u64>(getpid()), 0, mode);
+  telemetry_->registry()
       .gauge(obs::metric_names::kLogCapacity)
-      .set(log->capacity());
-  auto watchdog = std::make_unique<obs::Watchdog>(
-      &telemetry->registry(), &telemetry->journal(),
-      [counter] { return counter->observe(); },
-      counter_mode_name(counter->mode()), interval_ms);
-  watchdog->watch_log([log, drain = std::move(drain)] {
+      .set(log_.capacity());
+  watchdog_ = std::make_unique<obs::Watchdog>(
+      &telemetry_->registry(), &telemetry_->journal(),
+      [counter] { return counter->observe(); }, mode,
+      options_.watchdog_interval_ms);
+  watchdog_->watch_log([log = &log_, drain = std::move(drain)] {
     obs::LogSample s;
     s.tail = log->attempted();
     s.capacity = log->capacity();
@@ -172,28 +194,13 @@ std::unique_ptr<obs::Watchdog> start_session_watchdog(
     }
     return s;
   });
-  watchdog->start();
-  return watchdog;
-}
-
-bool Recorder::attach() {
-  if (attached_) return true;
-  if (!runtime::attach(&log_, options_.counter_mode, options_.filter)) return false;
-  counter_->start();
-  if (telemetry_) {
-    // Publish for the in-process hook instrumentation (runtime.cc), then
-    // start the watchdog against the live counter and log.
-    obs::install(telemetry_.get());
-    watchdog_ = start_session_watchdog(telemetry_.get(), &log_, counter_.get(),
-                                       options_.watchdog_interval_ms);
-  }
-  attached_ = true;
-  return true;
+  watchdog_->start();
 }
 
 void Recorder::detach() {
-  if (!attached_) return;
-  runtime::detach();
+  if (attached_) runtime::detach();
+  attached_ = false;
+  if (!serving_) return;
   if (watchdog_) {
     watchdog_->stop();
     watchdog_.reset();
@@ -203,7 +210,10 @@ void Recorder::detach() {
                                  log_.dropped());
   }
   counter_->stop();
-  attached_ = false;
+  // The finished run's calibration, for a spill session's final chunks
+  // (drained between detach() and dump()).
+  log_.header()->ns_per_tick = counter_->ns_per_tick().value_or(0.0);
+  serving_ = false;
 }
 
 void Recorder::start() {
@@ -273,8 +283,10 @@ bool Recorder::dump(const std::string& prefix) {
 
   // Symbol file: every registered symbol, then dladdr resolutions for raw
   // addresses recorded via the -finstrument-functions route. dladdr plays
-  // the role of the paper's addr2line/DWARF lookup (see DESIGN.md).
-  return write_file(prefix + ".sym", build_symbol_file(log_));
+  // the role of the paper's addr2line/DWARF lookup (see DESIGN.md). Only
+  // an attached process can resolve its own addresses; a served
+  // application writes the .sym itself at exit.
+  return !symbolize_ || write_file(prefix + ".sym", build_symbol_file(log_));
 }
 
 }  // namespace teeperf

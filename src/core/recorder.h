@@ -1,11 +1,15 @@
-// The recorder wrapper (§II-B, stage #2): sets up the shared-memory log,
-// manages the counter, installs the runtime session, and persists the log
-// (plus a symbol file) for the offline analyzer.
+// The recorder (§II-B, stage #2): sets up the shared-memory log, runs the
+// counter, serves the session's telemetry and persists the log (plus a
+// symbol file) for the offline analyzer. The one session owner: in-process
+// sessions attach() it, and the teeperf_record wrapper serve()s it for an
+// application that runs in a child process.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
+#include "common/session_registry.h"
 #include "common/shm.h"
 #include "common/types.h"
 #include "core/counter.h"
@@ -91,8 +95,7 @@ struct RecorderOptions {
 
 // The shard count a log of `max_entries` gets for a requested count: -1
 // auto-sizes (RecorderOptions::shards), 0 means 1, larger values clamp to
-// kMaxLogShards. The one policy for the in-process Recorder and the
-// teeperf_record wrapper.
+// kMaxLogShards.
 u32 pick_shard_count(i64 requested, u64 max_entries);
 
 // Spill sessions: drainer health fed into the watchdog's log sample. The
@@ -104,14 +107,6 @@ struct DrainSample {
   u64 drained_entries = 0;
 };
 
-// The one wiring of a session's telemetry, shared by Recorder and
-// teeperf_record: journals the attach, publishes the log capacity, and
-// starts a watchdog that every `interval_ms` publishes `counter`'s health
-// sample and `log`'s occupancy (with drainer health from `drain`, if set).
-std::unique_ptr<obs::Watchdog> start_session_watchdog(
-    obs::SelfTelemetry* telemetry, ProfileLog* log, CounterService* counter,
-    u64 interval_ms, std::function<DrainSample()> drain = {});
-
 class Recorder {
  public:
   // Creates the shared memory and formats the log. Null on failure.
@@ -121,9 +116,25 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
-  // Installs the runtime session (starts the software counter thread if
-  // configured). False if another session is already attached.
+  // Installs the runtime session in this process and serves it:
+  // runtime::attach plus serve(). False if another session is already
+  // attached.
   bool attach();
+
+  // Serves a session whose application runs in another process (the
+  // teeperf_record wrapper's child, which attaches through TEEPERF_SHM):
+  // starts the counter service, installs the obs bridge (live telemetry,
+  // external fault arming) and starts the watchdog, which journals the
+  // attach and samples the counter and the log. `drain` adds the drainer's
+  // health to a spill session's log sample. A non-empty `dump_prefix` is
+  // republished in the session descriptor, so monitors find the
+  // "<prefix>.sym" the application writes at exit.
+  void serve(const std::string& dump_prefix = {},
+             std::function<DrainSample()> drain = {});
+
+  // Ends what attach()/serve() started: the runtime session, the watchdog
+  // (journaling the detach) and the counter, whose closed calibration is
+  // stored in the header for whatever is persisted after it.
   void detach();
 
   // Dynamic de/activation (§II-B: flags are changed atomically while the
@@ -149,24 +160,34 @@ class Recorder {
   };
   Stats stats() const;
 
-  // The live telemetry region (null when options.telemetry is false).
+  // The live telemetry region (null when options.telemetry is false, or
+  // when the region could not be created).
   obs::SelfTelemetry* telemetry() { return telemetry_.get(); }
+
+  // The session's time source; the wrapper's --freeze-counter-after-ms
+  // stops it early.
+  CounterService& counter() { return *counter_; }
+
+  // The log segment's shm name ("" for an anonymous log); "auto" resolved.
+  const std::string& shm_name() const { return options_.shm_name; }
 
   // The registry key this session published under ("" when unpublished —
   // anonymous sessions, publish_session=false, or a failed publish).
-  const std::string& session_name() const { return session_name_; }
+  const std::string& session_name() const { return session_.name; }
 
   // Writes "<prefix>.log" (raw header + entries, with the counter
-  // service's ns_per_tick stored into the header) and "<prefix>.sym" (registered symbols plus
-  // dladdr resolutions of raw addresses found in the log). Returns false on
-  // I/O failure.
+  // service's ns_per_tick stored into the header), the telemetry sidecars
+  // "<prefix>.health" and "<prefix>.events.jsonl", and, when this process
+  // was attached, "<prefix>.sym" (registered symbols plus dladdr
+  // resolutions of raw addresses found in the log); a served application
+  // writes its own .sym. Returns false on I/O failure.
   bool dump(const std::string& prefix);
 
  private:
   Recorder() = default;
 
   RecorderOptions options_;
-  std::string session_name_;
+  session_registry::SessionDescriptor session_;  // empty when unpublished
   std::string session_dir_;
   SharedMemoryRegion shm_;
   ProfileLog log_;
@@ -175,7 +196,9 @@ class Recorder {
   // finished run's calibration.
   std::unique_ptr<CounterService> counter_;
   std::unique_ptr<obs::Watchdog> watchdog_;
-  bool attached_ = false;
+  bool serving_ = false;   // serve() until detach()
+  bool attached_ = false;  // attach() until detach()
+  bool symbolize_ = false;  // attach() ever ran: dump() writes the .sym
 };
 
 }  // namespace teeperf

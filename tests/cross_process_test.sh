@@ -244,6 +244,22 @@ FLEET_SES=$(grep -o 'session="teeperf\.[^"]*"' "$OUT/fleet.scrape" \
     > "$OUT/fleet.folded" || {
   echo "FAIL: /flamegraph/$FLEET_SES not served"; cat "$OUT/mon.err"; exit 1; }
 
+# The session descriptor carries the wrapper's dump prefix: once fleet app 1
+# has exited (writing its .sym) while its wrapper still holds the session,
+# monitord finds that .sym through the descriptor and names the functions.
+F1_SES=$(grep "pid=\"$F1\"" "$OUT/fleet.scrape" \
+    | grep -o 'session="teeperf\.[^"]*"' | head -1 | sed 's/session="//; s/"//')
+NAMED=0
+for attempt in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
+  sleep 0.2
+  "$BIN/tools/teeperf_monitord" --get "$MON_URL/flamegraph/$F1_SES" \
+      > "$OUT/fleet1.folded" 2>/dev/null || continue
+  if grep -q "fibonacci" "$OUT/fleet1.folded"; then NAMED=1; break; fi
+done
+[ "$NAMED" = 1 ] || {
+  echo "FAIL: /flamegraph/$F1_SES never named fibonacci (.sym not found via the descriptor)"
+  cat "$OUT/fleet1.folded"; exit 1; }
+
 # The short-hold app exits; its series must disappear within a poll cycle.
 wait "$F3"
 GONE=0

@@ -256,6 +256,53 @@ TEST_F(ToolsTest, RecordWithAppendDieFaultStillWritesLoadableDump) {
   EXPECT_EQ(run_cmd({analyze_, prefix}, &out), 0) << out;
 }
 
+TEST_F(ToolsTest, RecordDumpFaultsFireInTheWrapper) {
+  // The wrapper dumps through Recorder::dump, so its dump fault points fire
+  // exactly as in an in-process session.
+  std::string failed = dir_ + "/failed";
+  std::string out;
+  EXPECT_NE(run_cmd({record_, "-o", failed, "-n", "262144", "--faults",
+                     "dump.fail:nth=1", "--", app_, dir_ + "/fa"},
+                    &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("writing " + failed + ".log failed"), std::string::npos)
+      << out;
+
+  std::string whole = record_run();
+  std::string torn = dir_ + "/torn";
+  EXPECT_EQ(run_cmd({record_, "-o", torn, "-n", "262144", "--faults",
+                     "dump.torn:nth=1", "--", app_, dir_ + "/ft"},
+                    &out),
+            0)
+      << out;
+  auto whole_log = read_file(whole + ".log");
+  auto torn_log = read_file(torn + ".log");
+  ASSERT_TRUE(whole_log && torn_log);
+  EXPECT_LT(torn_log->size(), whole_log->size());
+}
+
+TEST_F(ToolsTest, RecordRunsEveryWrapperThread) {
+  // Software counter, watchdog, toggler, freezer and spill drainer all run
+  // in one wrapper session (the case the TSan job needs covered).
+  std::string prefix = dir_ + "/threads";
+  std::string out;
+  ASSERT_EQ(run_cmd({record_, "-o", prefix, "-n", "4096", "-c", "software",
+                     "--spill", dir_, "--spill-chunk-entries", "512",
+                     "--start-after-ms", "0", "--stop-after-ms", "5000",
+                     "--freeze-counter-after-ms", "20", "--hold-ms", "100",
+                     "--", app_, dir_ + "/tx"},
+                    &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("spilled"), std::string::npos) << out;
+  auto events = read_file(prefix + ".events.jsonl");
+  ASSERT_TRUE(events.has_value());
+  EXPECT_NE(events->find("\"event\":\"activate\""), std::string::npos);
+  EXPECT_NE(events->find("\"event\":\"detach\""), std::string::npos);
+  EXPECT_EQ(run_cmd({analyze_, prefix, "--validate"}, &out), 0) << out;
+}
+
 TEST_F(ToolsTest, StatsRejectsBadArgsAndMissingSession) {
   std::string out;
   EXPECT_EQ(run_cmd({stats_}, &out), 2);

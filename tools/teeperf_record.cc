@@ -3,12 +3,14 @@
 //
 //   teeperf_record -o run -- ./my_instrumented_app args...
 //
-// The wrapper creates the shared-memory log, optionally runs the software
-// counter (in this process, on the host — the TEE never needs a timer),
-// launches the application with TEEPERF_SHM/TEEPERF_COUNTER/TEEPERF_SYM
-// set, waits for it, and persists "run.log". The application (anything
-// linking teeperf_core, instrumented via -finstrument-functions or
-// TEEPERF_SCOPE) self-attaches before main() and writes "run.sym" at exit.
+// The wrapper owns a Recorder session (core/recorder.h): the shared-memory
+// log, the counter (in this process, on the host — the TEE never needs a
+// timer), the telemetry and the dump. It serves that session, launches the
+// application with TEEPERF_SHM/TEEPERF_COUNTER/TEEPERF_SYM set, toggles
+// measurement, supervises the spill drainer, waits for the application and
+// dumps "run.log". The application (anything linking teeperf_core,
+// instrumented via -finstrument-functions or TEEPERF_SCOPE) self-attaches
+// before main() and writes "run.sym" at exit.
 //
 // Options:
 //   -o <prefix>    output prefix                (default: teeperf)
@@ -53,48 +55,38 @@
 //                        verdict can be demonstrated end to end
 //   --faults <spec>      arm deterministic fault points (see TESTING.md),
 //                        e.g. "dump.torn:nth=1;counter.stall:nth=1" — armed
-//                        in this wrapper and exported to the child via
-//                        TEEPERF_FAULTS
+//                        in this wrapper (counter, drain and dump points) and
+//                        exported to the child via TEEPERF_FAULTS
 //   --fault-seed N       seed for probabilistic / value-drawing faults
 //                        (default: 1; exported as TEEPERF_FAULT_SEED)
 //
-// The wrapper also publishes self-telemetry: a second shared-memory region
+// The session publishes self-telemetry: a second shared-memory region
 // "<base>.obs" next to the "<base>.log" segment (base =
 // "/teeperf.<pid>.<nonce>", the multi-session naming scheme) holds live
 // metrics (ring occupancy, entry rates, counter health) plus a structured
 // event journal; a watchdog thread publishes the counter service's health
 // verdicts continuously. The session is announced in the on-disk
 // session registry ($TEEPERF_SESSION_DIR), which is how teeperf_stats and
-// teeperf_monitord discover it. At exit the wrapper persists
+// teeperf_monitord discover it. At exit the dump also writes
 // "<prefix>.health" (human snapshot) and "<prefix>.events.jsonl", which
 // teeperf_analyze folds into its report as the "recorder health" section.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/fileutil.h"
 #include "common/session_registry.h"
-#include "common/shm.h"
-#include "common/spin.h"
-#include "faultsim/fault.h"
-#include "common/stringutil.h"
-#include "core/counter.h"
-#include "core/log_format.h"
 #include "core/recorder.h"
 #include "drain/drainer.h"
-#include "obs/export.h"
-#include "obs/metric_names.h"
-#include "obs/session.h"
-#include "obs/watchdog.h"
+#include "faultsim/fault.h"
 
 using namespace teeperf;
 
@@ -113,19 +105,16 @@ void usage() {
 
 int main(int argc, char** argv) {
   std::string prefix = "teeperf";
-  u64 max_entries = 1u << 20;
+  // The session's settings; Recorder builds and serves the session from
+  // these. shards -1 = auto, 0 or 1 = one shard, >1 = explicit.
+  RecorderOptions ro;
+  ro.shm_name = "auto";
   std::string counter = "tsc";
-  bool active = true;
-  bool calls = true, returns = true;
   std::string filter_spec;
   long start_after_ms = -1, stop_after_ms = -1;
-  long shards = -1;  // -1 = auto, 0 or 1 = one shard, >1 = explicit
-  bool ring = false;
   std::string spill_dir;
   u64 spill_chunk_entries = 1u << 15;
-  bool telemetry = true;
   long hold_ms = 0, freeze_counter_after_ms = -1;
-  long counter_replicas = 0;
   std::string fault_spec;
   u64 fault_seed = 1;
 
@@ -138,23 +127,24 @@ int main(int argc, char** argv) {
     } else if (arg == "-o" && i + 1 < argc) {
       prefix = argv[++i];
     } else if (arg == "-n" && i + 1 < argc) {
-      max_entries = static_cast<u64>(std::atoll(argv[++i]));
+      ro.max_entries = static_cast<u64>(std::atoll(argv[++i]));
     } else if (arg == "-c" && i + 1 < argc) {
       counter = argv[++i];
     } else if (arg == "--inactive") {
-      active = false;
+      ro.start_active = false;
     } else if (arg == "--calls-only") {
-      returns = false;
+      ro.record_returns = false;
     } else if (arg == "--returns-only") {
-      calls = false;
+      ro.record_calls = false;
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = std::atol(argv[++i]);
+      long shards = std::atol(argv[++i]);
       if (shards < 0 || shards > static_cast<long>(kMaxLogShards)) {
         usage();
         return 2;
       }
+      ro.shards = static_cast<i32>(shards);
     } else if (arg == "--ring") {
-      ring = true;
+      ro.ring_buffer = true;
     } else if (arg == "--spill" && i + 1 < argc) {
       spill_dir = argv[++i];
     } else if (arg == "--spill-chunk-entries" && i + 1 < argc) {
@@ -164,14 +154,14 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--counter-replicas" && i + 1 < argc) {
-      counter_replicas = std::atol(argv[++i]);
-      if (counter_replicas < 0 ||
-          counter_replicas > static_cast<long>(kMaxCounterReplicas)) {
+      long replicas = std::atol(argv[++i]);
+      if (replicas < 0 || replicas > static_cast<long>(kMaxCounterReplicas)) {
         usage();
         return 2;
       }
+      ro.counter_replicas = static_cast<u32>(replicas);
     } else if (arg == "--no-telemetry") {
-      telemetry = false;
+      ro.telemetry = false;
     } else if (arg == "--hold-ms" && i + 1 < argc) {
       hold_ms = std::atol(argv[++i]);
     } else if (arg == "--freeze-counter-after-ms" && i + 1 < argc) {
@@ -184,7 +174,7 @@ int main(int argc, char** argv) {
       filter_spec = argv[++i];
     } else if (arg == "--start-after-ms" && i + 1 < argc) {
       start_after_ms = std::atol(argv[++i]);
-      active = false;
+      ro.start_active = false;
     } else if (arg == "--stop-after-ms" && i + 1 < argc) {
       stop_after_ms = std::atol(argv[++i]);
     } else {
@@ -192,11 +182,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (i >= argc || max_entries == 0) {
+  if (i >= argc || ro.max_entries == 0) {
     usage();
     return 2;
   }
-  if (!spill_dir.empty() && ring) {
+  ro.spill_drain = !spill_dir.empty();
+  if (ro.spill_drain && ro.ring_buffer) {
     std::fprintf(stderr, "teeperf_record: --spill excludes --ring (the two "
                          "reclaim policies cannot coexist)\n");
     return 2;
@@ -215,15 +206,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  CounterMode mode = CounterMode::kTsc;
-  if (counter == "software") mode = CounterMode::kSoftware;
-  else if (counter == "steady_clock") mode = CounterMode::kSteadyClock;
+  if (counter == "software") ro.counter_mode = CounterMode::kSoftware;
+  else if (counter == "steady_clock") ro.counter_mode = CounterMode::kSteadyClock;
   else if (counter != "tsc") {
     usage();
     return 2;
   }
 
-  u32 shard_count = pick_shard_count(shards, max_entries);
+  // Replication only applies to the software counter (hardware sources have
+  // nothing to replicate); silently dropping the request would hide a typo'd
+  // command line, so reject it.
+  if (ro.counter_replicas > 0 && ro.counter_mode != CounterMode::kSoftware) {
+    std::fprintf(stderr, "teeperf_record: --counter-replicas requires "
+                         "-c software\n");
+    return 2;
+  }
 
   // Stale-session GC on the way in: reclaim descriptors and shm segments
   // orphaned by crashed sessions, so a host that loops crashing recorders
@@ -240,49 +237,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Shared-memory log, owned by this wrapper. The session base
-  // "/teeperf.<pid>.<nonce>" is collision-free across concurrent sessions
-  // (and pid reuse); creation is O_EXCL so a nonce collision just retries.
-  // Replication only applies to the software counter (hardware sources have
-  // nothing to replicate); silently dropping the request would hide a typo'd
-  // command line, so reject it.
-  if (counter_replicas > 0 && mode != CounterMode::kSoftware) {
-    std::fprintf(stderr, "teeperf_record: --counter-replicas requires "
-                         "-c software\n");
-    return 2;
-  }
-  // One replica is the single counter thread, which needs no block.
-  u32 replica_count =
-      counter_replicas >= 2 ? static_cast<u32>(counter_replicas) : 0;
-
-  std::string shm_base;
-  std::string shm_name;
-  SharedMemoryRegion shm;
-  usize bytes =
-      ProfileLog::bytes_for_replicated(max_entries, shard_count, replica_count);
-  for (int attempt = 0; attempt < 4 && !shm.valid(); ++attempt) {
-    shm_base = session_registry::shm_base(static_cast<u64>(getpid()),
-                                          session_registry::make_nonce());
-    shm_name = shm_base + ".log";
-    shm.create(shm_name, bytes);
-  }
-  if (!shm.valid()) {
-    std::fprintf(stderr, "teeperf_record: shm_open(%s, %zu bytes) failed\n",
-                 shm_name.c_str(), bytes);
+  // The session, owned by this wrapper: the shm log under a fresh
+  // collision-free base "/teeperf.<pid>.<nonce>", the telemetry region
+  // "<base>.obs" that teeperf_stats scrapes live and both processes write,
+  // and the descriptor in the on-disk session registry, through which
+  // teeperf_stats and teeperf_monitord discover it.
+  std::unique_ptr<Recorder> rec = Recorder::create(ro);
+  if (!rec) {
+    std::fprintf(stderr, "teeperf_record: cannot create the shared-memory "
+                         "log (%llu entries)\n",
+                 static_cast<unsigned long long>(ro.max_entries));
     return 1;
   }
-  ProfileLog log;
-  u64 flags = log_flags::kMultithread;
-  if (ring) flags |= log_flags::kRingBuffer;
-  if (!spill_dir.empty()) flags |= log_flags::kSpillDrain;
-  if (active) flags |= log_flags::kActive;
-  if (calls) flags |= log_flags::kRecordCalls;
-  if (returns) flags |= log_flags::kRecordReturns;
-  if (!log.init(shm.data(), bytes, 0, flags, shard_count, replica_count)) {
-    std::fprintf(stderr, "teeperf_record: log init failed\n");
-    return 1;
+  if (ro.telemetry && !rec->telemetry()) {
+    std::fprintf(stderr, "teeperf_record: telemetry shm failed, continuing "
+                         "without\n");
   }
-  log.header()->counter_mode = static_cast<u32>(mode);
+  if (rec->session_name().empty()) {
+    std::fprintf(stderr,
+                 "teeperf_record: cannot publish session descriptor under %s "
+                 "(monitoring tools will not discover this session)\n",
+                 session_dir.c_str());
+  }
 
   // Spill-drain mode: the drainer thread runs in this wrapper for the whole
   // session, consuming published windows into "<dir>/<prefix-base>.seg.NNNN"
@@ -290,6 +266,7 @@ int main(int argc, char** argv) {
   // before the fork so the child's very first batches already have a
   // consumer.
   std::unique_ptr<drain::Drainer> drainer;
+  std::function<DrainSample()> drain_sample;
   if (!spill_dir.empty()) {
     std::string base = prefix;
     if (auto slash = base.find_last_of('/'); slash != std::string::npos) {
@@ -298,82 +275,32 @@ int main(int argc, char** argv) {
     drain::DrainerOptions dopts;
     dopts.prefix = spill_dir + "/" + base;
     dopts.chunk_entries = spill_chunk_entries;
-    drainer = std::make_unique<drain::Drainer>(&log, dopts);
+    drainer = std::make_unique<drain::Drainer>(&rec->log(), dopts);
     drainer->start();
+    drain_sample = [dr = drainer.get()] {
+      drain::Drainer::Stats st = dr->stats();
+      return DrainSample{st.lag_entries, st.spilled_bytes, st.drained_entries};
+    };
   }
 
-  // Self-telemetry region, scraped live by teeperf_stats and written to by
-  // both this wrapper (watchdog gauges, journal) and the child (per-thread
-  // entry counters).
-  std::unique_ptr<obs::SelfTelemetry> telem;
-  if (telemetry) {
-    obs::TelemetryOptions topts;
-    topts.shm_name = shm_base + ".obs";
-    telem = obs::SelfTelemetry::create(topts);
-    if (!telem) {
-      std::fprintf(stderr, "teeperf_record: telemetry shm failed, continuing "
-                           "without\n");
-    } else {
-      // Publishes the region process-wide and bridges external fault arming
-      // (teeperf_stats --arm → "fault.arm.*" gauges → watchdog poll).
-      obs::install(telem.get());
-    }
-  }
-
-  // Announce the session in the on-disk registry so host-side observers
-  // (teeperf_monitord, teeperf_stats --list / <pid>) can discover it
-  // without guessing shm names. Withdrawn at exit; a crashed wrapper's
-  // descriptor is reclaimed by the stale-session GC above.
-  session_registry::SessionDescriptor session_desc;
-  session_desc.name = shm_base.substr(1);  // drop the leading '/'
-  session_desc.pid = static_cast<u64>(getpid());
-  session_desc.log_shm = shm_name;
-  if (telem) session_desc.obs_shm = telem->shm_name();
-  session_desc.prefix = prefix;
-  session_desc.capacity = max_entries;
-  session_desc.shards = log.shard_count();
-  session_desc.start_ns = monotonic_ns();
-  if (!session_registry::publish_session(session_dir, session_desc)) {
-    std::fprintf(stderr,
-                 "teeperf_record: cannot publish session descriptor under %s "
-                 "(monitoring tools will not discover this session)\n",
-                 session_dir.c_str());
-  }
-
-  // The counter service runs here, on the host — the measured application
-  // only ever reads the header word. With --counter-replicas the elected
-  // primary mirrors into the same header word, so the child's probe path is
-  // identical.
-  CounterService counter_service(&log, mode, {},
-                                 telem ? &telem->journal() : nullptr);
-  counter_service.start();
-
-  std::unique_ptr<obs::Watchdog> watchdog;
-  if (telem) {
-    std::function<DrainSample()> drain_sample;
-    if (drain::Drainer* dr = drainer.get()) {
-      drain_sample = [dr] {
-        drain::Drainer::Stats st = dr->stats();
-        return DrainSample{st.lag_entries, st.spilled_bytes,
-                           st.drained_entries};
-      };
-    }
-    watchdog = start_session_watchdog(telem.get(), &log, &counter_service,
-                                      RecorderOptions().watchdog_interval_ms,
-                                      drain_sample);
-    if (active) telem->journal().record(obs::EventType::kActivate);
-  }
+  // The counter service and the watchdog run here, on the host: the
+  // measured application only ever reads the header word.
+  rec->serve(prefix, std::move(drain_sample));
+  if (ro.start_active) rec->start();
 
   pid_t child = fork();
   if (child < 0) {
     std::perror("fork");
+    rec->detach();  // the watchdog samples the drainer, which dies first
     return 1;
   }
   if (child == 0) {
-    setenv("TEEPERF_SHM", shm_name.c_str(), 1);
+    setenv("TEEPERF_SHM", rec->shm_name().c_str(), 1);
     setenv("TEEPERF_COUNTER", counter.c_str(), 1);
     setenv("TEEPERF_SYM", (prefix + ".sym").c_str(), 1);
-    if (telem) setenv("TEEPERF_OBS", telem->shm_name().c_str(), 1);
+    if (obs::SelfTelemetry* t = rec->telemetry()) {
+      setenv("TEEPERF_OBS", t->shm_name().c_str(), 1);
+    }
     if (!fault_spec.empty()) {
       setenv("TEEPERF_FAULTS", fault_spec.c_str(), 1);
       setenv("TEEPERF_FAULT_SEED", std::to_string(fault_seed).c_str(), 1);
@@ -395,17 +322,11 @@ int main(int argc, char** argv) {
     };
     if (start_after_ms >= 0) {
       wait_ms(start_after_ms);
-      if (!child_done.load(std::memory_order_acquire)) {
-        log.set_active(true);
-        if (telem) telem->journal().record(obs::EventType::kActivate);
-      }
+      if (!child_done.load(std::memory_order_acquire)) rec->start();
     }
     if (stop_after_ms >= 0) {
       wait_ms(stop_after_ms - (start_after_ms > 0 ? start_after_ms : 0));
-      if (!child_done.load(std::memory_order_acquire)) {
-        log.set_active(false);
-        if (telem) telem->journal().record(obs::EventType::kDeactivate);
-      }
+      if (!child_done.load(std::memory_order_acquire)) rec->stop();
     }
   });
 
@@ -413,12 +334,13 @@ int main(int argc, char** argv) {
   // surface as a counter_stall event (the acceptance check for the
   // counter-health path; see DESIGN.md "Observability").
   std::thread freezer;
-  if (freeze_counter_after_ms >= 0 && mode == CounterMode::kSoftware) {
+  if (freeze_counter_after_ms >= 0 &&
+      ro.counter_mode == CounterMode::kSoftware) {
     freezer = std::thread([&] {
       for (long waited = 0; waited < freeze_counter_after_ms; waited += 10) {
         usleep(10'000);
       }
-      counter_service.stop();
+      rec->counter().stop();
     });
   }
 
@@ -446,12 +368,12 @@ int main(int argc, char** argv) {
   child_done.store(true, std::memory_order_release);
   toggler.join();
   if (freezer.joinable()) freezer.join();
+  ProfileLog& log = rec->log();
   log.header()->pid = static_cast<u64>(child);
 
-  // The counter service's calibration of the header word over the whole
-  // run, closed when the counter stops. 0 = "uncalibrated" downstream.
-  counter_service.stop();
-  log.header()->ns_per_tick = counter_service.ns_per_tick().value_or(0.0);
+  // Stops the watchdog (journaling the detach) and the counter, whose
+  // calibration over the whole run goes into the header.
+  rec->detach();
   log.set_active(false);
   if (drainer) {
     // Writers are gone: drain every remaining published window to chunks.
@@ -461,42 +383,14 @@ int main(int argc, char** argv) {
     drainer->final_drain();
   }
 
-  u64 tail = log.attempted();
-  u64 n = log.size();
-  // Compact form (windows packed back-to-back, ring order normalized) so
-  // offline loaders see plain order with no gaps. The wrapper applies no
-  // byte faults: those belong to the in-process Recorder::dump.
-  if (!log.write_compact(prefix + ".log")) {
+  // The compact .log (and the telemetry sidecars), exactly as an
+  // in-process session dumps, dump fault points included. The .sym is the
+  // application's, written at its exit.
+  if (!rec->dump(prefix)) {
     std::fprintf(stderr, "teeperf_record: writing %s.log failed\n",
                  prefix.c_str());
     return 1;
   }
-
-  // Telemetry teardown: final health snapshot + event journal become sidecar
-  // files next to the log, which teeperf_analyze folds into its report.
-  if (telem) {
-    obs::MetricsRegistry& reg = telem->registry();
-    if (u64 torn = log.count_torn_tail()) {
-      reg.gauge(obs::metric_names::kLogTornTail).set(torn);
-      telem->journal().record(obs::EventType::kTornTail, torn, tail);
-    }
-    if (watchdog) watchdog->stop();
-    // The shard drop counters live in shared memory, so the child's drops
-    // are visible here directly — no reconstruction from the tail.
-    telem->journal().record(obs::EventType::kDetach, n, log.dropped());
-    if (!write_file(prefix + ".health",
-                    obs::health_text(reg, telem->journal()))) {
-      std::fprintf(stderr, "teeperf_record: writing %s.health failed\n",
-                   prefix.c_str());
-    }
-    if (!write_file(prefix + ".events.jsonl",
-                    obs::events_jsonl(telem->journal()))) {
-      std::fprintf(stderr, "teeperf_record: writing %s.events.jsonl failed\n",
-                   prefix.c_str());
-    }
-    obs::uninstall(telem.get());
-  }
-  session_registry::unpublish_session(session_dir, session_desc.name);
 
   if (drainer) {
     drain::Drainer::Stats st = drainer->stats();
@@ -511,13 +405,13 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "teeperf_record: %llu entries (%llu attempted), counter=%s, "
                "wrote %s.log%s%s\n",
-               static_cast<unsigned long long>(n),
-               static_cast<unsigned long long>(tail), counter.c_str(),
+               static_cast<unsigned long long>(log.size()),
+               static_cast<unsigned long long>(log.attempted()), counter.c_str(),
                prefix.c_str(),
                file_exists(prefix + ".sym") ? (" + " + prefix + ".sym").c_str()
                                             : " (no .sym — did the app link "
                                               "teeperf_core?)",
-               telem ? " + .health + .events.jsonl" : "");
+               rec->telemetry() ? " + .health + .events.jsonl" : "");
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   return 1;
 }
