@@ -1,5 +1,10 @@
 #include "analyzer/fold.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -98,6 +103,32 @@ class ChunkReader {
   std::thread thread_;  // last: starts once the state above exists
 };
 
+// An open file descriptor, closed on scope exit.
+struct Fd {
+  explicit Fd(int f) : fd(f) {}
+  ~Fd() {
+    if (fd >= 0) ::close(fd);
+  }
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  int fd;
+};
+
+// Reads exactly `n` bytes at `off`; false if the file ends first or a read
+// fails.
+bool pread_all(int fd, void* buf, usize n, u64 off) {
+  auto* at = static_cast<char*>(buf);
+  while (n > 0) {
+    ssize_t got = ::pread(fd, at, n, static_cast<off_t>(off));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    at += got;
+    n -= static_cast<usize>(got);
+    off += static_cast<u64>(got);
+  }
+  return true;
+}
+
 }  // namespace
 
 void PathTree::grow() {
@@ -124,6 +155,39 @@ void feed_log(const ProfileLog& log, SpanConsumer& out) {
   }
 }
 
+DumpFeed feed_dump_file(const std::string& path, SpillStitcher& stitcher,
+                        SpanConsumer& out) {
+  Fd file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (file.fd < 0) return DumpFeed::kMissing;
+  struct stat st;
+  if (::fstat(file.fd, &st) != 0 || st.st_size < 0) return DumpFeed::kShortRead;
+  u64 size = static_cast<u64>(st.st_size);
+
+  std::string head(static_cast<usize>(std::min<u64>(size, kDumpHeadBytes)), '\0');
+  if (!pread_all(file.fd, head.data(), head.size(), 0)) return DumpFeed::kShortRead;
+  auto layout = dump_layout(head, size);
+  std::vector<WindowTake> takes;
+  if (!layout || !stitcher.stitch(*layout, &takes)) return DumpFeed::kBad;
+
+  u64 largest = 0;
+  for (const WindowTake& t : takes) largest = std::max(largest, t.take);
+  std::vector<LogEntry> block(static_cast<usize>(std::min(largest, kDumpBlockEntries)));
+  for (const WindowTake& t : takes) {
+    u64 first = layout->windows[t.shard].offset + t.skip;
+    for (u64 done = 0; done < t.take;) {
+      u64 n = std::min(t.take - done, kDumpBlockEntries);
+      u64 at = layout->entries_at + (first + done) * sizeof(LogEntry);
+      if (!pread_all(file.fd, block.data(), static_cast<usize>(n) * sizeof(LogEntry), at)) {
+        return DumpFeed::kShortRead;
+      }
+      ShardSpan span{t.shard, block.data(), n};
+      out.consume({&span, 1});
+      done += n;
+    }
+  }
+  return DumpFeed::kOk;
+}
+
 std::optional<SessionInfo> walk_session(const std::string& prefix,
                                         SpanConsumer& out, std::string* error) {
   auto fail = [&](const char* why) -> std::optional<SessionInfo> {
@@ -132,13 +196,6 @@ std::optional<SessionInfo> walk_session(const std::string& prefix,
   };
   bool spill = file_exists(drain::chunk_path(prefix, 0));
   SpillStitcher stitcher;
-  std::vector<ShardSpan> spans;
-  auto absorb = [&](std::string_view bytes) {
-    auto pd = parse_dump(bytes);
-    if (!pd || !stitcher.absorb(*pd, &spans)) return false;
-    out.consume(spans);
-    return true;
-  };
 
   if (spill) {
     // The reader thread reads and verifies chunk k+1 while this thread
@@ -147,8 +204,11 @@ std::optional<SessionInfo> walk_session(const std::string& prefix,
     {
       ChunkReader reader(prefix);
       std::string chunk;
+      std::vector<ShardSpan> spans;
       while (!bad && reader.next(&chunk)) {
-        bad = !absorb(std::string_view(chunk).substr(sizeof(drain::ChunkFrame)));
+        auto pd = parse_dump(std::string_view(chunk).substr(sizeof(drain::ChunkFrame)));
+        bad = !pd || !stitcher.absorb(*pd, &spans);
+        if (!bad) out.consume(spans);
       }
       bad = bad || reader.status() == drain::ChunkRead::kCorrupt;
     }
@@ -157,11 +217,16 @@ std::optional<SessionInfo> walk_session(const std::string& prefix,
 
   // A spill session's residue dump is optional: a session killed before
   // dump time still analyzes from its chunks alone.
-  std::string raw;
-  if (read_file(prefix + ".log", &raw)) {
-    if (!absorb(raw)) return fail(spill ? "bad residue dump" : "unparseable dump");
-  } else if (!spill) {
-    return fail("cannot read log");
+  switch (feed_dump_file(prefix + ".log", stitcher, out)) {
+    case DumpFeed::kOk:
+      break;
+    case DumpFeed::kMissing:
+      if (!spill) return fail("cannot read log");
+      break;
+    case DumpFeed::kBad:
+      return fail(spill ? "bad residue dump" : "unparseable dump");
+    case DumpFeed::kShortRead:
+      return fail(spill ? "short read of residue dump" : "short read of dump");
   }
   if (!stitcher.any()) return fail("no chunks and no residue dump");
 

@@ -5,8 +5,9 @@
 // ShardFold<Sink> is one shard's fold and the whole repair policy; its
 // compile-time sink is either PathTree (aggregates per distinct path, for
 // StreamAnalyzer) or InvocationSink (every Invocation, for Profile).
-// SessionFold folds a dump's shards in parallel, walk_session() feeds it a
-// recorded session, and SessionTree carries the result to the reports.
+// SessionFold folds the shards of each span set in parallel, walk_session()
+// feeds it a recorded session, and SessionTree carries the result to the
+// reports.
 #pragma once
 
 #include <algorithm>
@@ -314,8 +315,10 @@ struct InvocationSink {
   std::vector<Invocation> invocations;
 };
 
-// One dump's deduplicated spans, at most one per shard, each a view valid
-// only for the call; dumps arrive in session order.
+// Receives a session's shard streams: each call brings spans of distinct
+// shards, in shard order, each a view valid only for the call. Calls
+// arrive in session order, so each shard's entries arrive in stream order,
+// and together they are shard-major within each dump.
 class SpanConsumer {
  public:
   virtual ~SpanConsumer() = default;
@@ -377,6 +380,26 @@ class SessionFold final : public SpanConsumer {
 // wrap, so each batch names distinct shards.
 void feed_log(const ProfileLog& log, SpanConsumer& out);
 
+// Entries per block when a dump file is read into memory: 256 KiB.
+inline constexpr u64 kDumpBlockEntries = 8192;
+
+// How feed_dump_file ended.
+enum class DumpFeed {
+  kOk,
+  kMissing,    // the file cannot be opened
+  kBad,        // not a dump, or its shard count differs from the stitched one
+  kShortRead,  // a read came up short (the file shrank) or failed
+};
+
+// Feeds the dump file at `path` into `out` without reading it whole: its
+// header and shard directory are laid out by dump_layout(), `stitcher`
+// decides what of each window continues its shard's stream, and each take
+// is read shard-major in blocks of kDumpBlockEntries into one reused
+// buffer, one consume() per block: the order parse_dump()'s spans give. A
+// short read fails the feed; no partial block is fed.
+DumpFeed feed_dump_file(const std::string& path, SpillStitcher& stitcher,
+                        SpanConsumer& out);
+
 // What walk_session found besides the entries.
 struct SessionInfo {
   std::unordered_map<u64, std::string> symbols;  // "<prefix>.sym", if any
@@ -387,9 +410,9 @@ struct SessionInfo {
 // (detected by "<prefix>.seg.0000") is read one chunk file ahead on a
 // reader thread, stitched by SpillStitcher, and finished by the optional
 // residue dump "<prefix>.log"; any other session is the dump
-// "<prefix>.log". A torn trailing chunk ends the sequence; a corrupt chunk
-// in the middle fails the walk. On failure returns nullopt and, if `error`
-// is given, says why.
+// "<prefix>.log". Dumps are read in blocks (feed_dump_file). A torn
+// trailing chunk ends the sequence; a corrupt chunk in the middle fails
+// the walk. On failure returns nullopt and, if `error` is given, says why.
 std::optional<SessionInfo> walk_session(const std::string& prefix,
                                         SpanConsumer& out,
                                         std::string* error = nullptr);

@@ -18,7 +18,7 @@ std::optional<Profile> Profile::load_bytes(
   one.absorb(*dump, &spans);
   SessionFold<InvocationSink> fold;
   fold.consume(spans);
-  return from_fold(fold, std::move(symbols), dump->ns_per_tick);
+  return from_fold(fold, std::move(symbols), dump->layout.ns_per_tick);
 }
 
 std::optional<Profile> Profile::load(const std::string& prefix) {

@@ -1,15 +1,16 @@
 // Streaming, bounded-memory analysis (DESIGN.md §12).
 //
 // StreamAnalyzer runs the reconstruction engine (fold.h) with the path-tree
-// sink: a spill session of any size is folded in one pass over its chunk
-// sequence, holding only
+// sink: a session of any size is folded in one pass over its chunk
+// sequence and its dump, holding only
 //
 //   - per-shard open-frame stacks (bounded by live call depth),
 //   - a per-shard path tree: one node, with its rolling aggregate, per
 //     distinct root-to-frame path (bounded by the number of *distinct*
 //     folded paths),
 //   - two chunk files: the one being folded and the one a reader thread
-//     reads and verifies ahead of it.
+//     reads and verifies ahead of it; or, for the `.log` dump, one block
+//     of kDumpBlockEntries entries (256 KiB).
 //
 // No Invocation is ever materialized. Shards fold in parallel (a thread's
 // entries are confined to one shard, and every aggregate is a sum/min/max,

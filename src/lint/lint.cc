@@ -394,7 +394,8 @@ int lint_main(int argc, char** argv) {
           "                    [--baseline FILE] [--dump-manifest] [--keys]\n"
           "                    PATH...\n"
           "Rules: r1 probe purity, r2 explicit memory order, r3 shm layout\n"
-          "manifest, r4 name-registry consistency. Exits 1 on findings not\n"
+          "manifest, r4 name-registry consistency, r5 fold hot-loop purity.\n"
+          "Exits 1 on findings not\n"
           "covered by the baseline, 2 on input errors.\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {

@@ -73,79 +73,55 @@ bool function_waived(const FileIndex& fi, const FunctionDef& fn,
   return fi.waived_in(rule, fn.line - 3, fn.line);
 }
 
-void check_r1(const Corpus& corpus, std::vector<Finding>* out) {
-  // Index every probe-scope function by last name.
+bool is_ident(const std::vector<Token>& toks, usize i, const char* text) {
+  return i < toks.size() && toks[i].kind == Tok::kIdent && toks[i].text == text;
+}
+bool is_punct(const std::vector<Token>& toks, usize i, const char* text) {
+  return i < toks.size() && toks[i].kind == Tok::kPunct && toks[i].text == text;
+}
+
+// Visits every function reachable from the roots (is_root) through the
+// functions of the files in scope (in_scope), breadth first, as
+// visit(ref, chain) with chain the "root -> ... -> fn" path that reached
+// it. The graph is over-approximated: a call resolves to every in-scope
+// definition with that last name, narrowed by a spelled qualifier when one
+// matches the owning class. A function waived for `rule` is trusted
+// wholesale: it is not visited and its callees are not pulled in.
+template <typename InScope, typename IsRoot, typename Visit>
+void walk_call_graph(const Corpus& corpus, InScope in_scope, IsRoot is_root,
+                     const std::string& rule, Visit visit) {
   std::map<std::string, std::vector<FnRef>> by_name;
-  std::vector<FnRef> roots;
+  std::vector<FnRef> queue;
   for (const FileIndex& fi : corpus.files) {
-    if (!in_probe_scope(fi.path)) continue;
+    if (!in_scope(fi.path)) continue;
     for (const FunctionDef& fn : fi.functions) {
       by_name[fn.last_name()].push_back(FnRef{&fi, &fn});
-      bool is_root = fn.last_name() == "on_enter" ||
-                     fn.last_name() == "on_exit" ||
-                     (fn.last_name() == "flush" &&
-                      (fn.name.find("LogBatch") != std::string::npos ||
-                       fn.scope.find("LogBatch") != std::string::npos));
-      if (is_root) roots.push_back(FnRef{&fi, &fn});
+      if (is_root(fn)) queue.push_back(FnRef{&fi, &fn});
     }
   }
 
   std::set<const FunctionDef*> visited;
   std::map<const FunctionDef*, const FunctionDef*> parent;
-  std::vector<FnRef> queue = roots;
+  auto chain = [&](const FunctionDef* fn) {
+    std::string c = fn->last_name();
+    for (const FunctionDef* p = fn; parent.count(p);) {
+      p = parent.at(p);
+      c = p->last_name() + " -> " + c;
+    }
+    return c;
+  };
+  // Member calls spelled with ubiquitous STL method names are not
+  // resolved to project functions — `entries.size()` aliasing onto, say,
+  // SymbolRegistry::size would drag unrelated subsystems into the graph.
+  static const std::set<std::string> kStlMethodNames = {
+      "size",  "empty", "begin", "end",       "data",     "front",   "back",
+      "c_str", "find",  "count", "push_back", "reserve", "resize",
+  };
   for (usize qi = 0; qi < queue.size(); ++qi) {
     FnRef ref = queue[qi];
     if (!visited.insert(ref.fn).second) continue;
-    // A waived function is trusted wholesale: its body is not scanned and
-    // its callees are not pulled into the probe graph.
-    if (function_waived(*ref.file, *ref.fn, "r1")) continue;
-
-    auto chain = [&](const FunctionDef* fn) {
-      std::string c = fn->last_name();
-      for (const FunctionDef* p = fn; parent.count(p);) {
-        p = parent.at(p);
-        c = p->last_name() + " -> " + c;
-      }
-      return c;
-    };
-
-    // Body scan: banned calls.
-    for (const CallSite& cs : ref.fn->calls) {
-      if (banned_calls().count(cs.name)) {
-        if (ref.file->waived_at("r1", cs.line)) continue;
-        add(out, "r1", ref.file->path, cs.line,
-            "call to '" + cs.name + "' on probe path (" + chain(ref.fn) + ")");
-      }
-    }
-    // Body scan: operator new/delete and allocating std:: types.
-    const std::vector<Token>& toks = ref.file->tokens;
-    for (usize i = ref.fn->body_begin; i < ref.fn->body_end && i < toks.size();
-         ++i) {
-      const Token& t = toks[i];
-      if (t.kind != Tok::kIdent) continue;
-      if (t.text == "new" || t.text == "delete") {
-        if (ref.file->waived_at("r1", t.line)) continue;
-        add(out, "r1", ref.file->path, t.line,
-            "operator " + t.text + " on probe path (" + chain(ref.fn) + ")");
-        continue;
-      }
-      if (banned_std_types().count(t.text) && i >= 2 &&
-          toks[i - 1].kind == Tok::kPunct && toks[i - 1].text == "::" &&
-          toks[i - 2].kind == Tok::kIdent && toks[i - 2].text == "std") {
-        if (ref.file->waived_at("r1", t.line)) continue;
-        add(out, "r1", ref.file->path, t.line,
-            "std::" + t.text + " constructed on probe path (" + chain(ref.fn) +
-                ")");
-      }
-    }
-    // Traverse callees (over-approximate: every same-last-name definition).
-    // Member calls spelled with ubiquitous STL method names are not
-    // resolved to project functions — `entries.size()` aliasing onto, say,
-    // SymbolRegistry::size would drag unrelated subsystems into the graph.
-    static const std::set<std::string> kStlMethodNames = {
-        "size",  "empty", "begin", "end",   "data",  "front", "back",
-        "c_str", "find",  "count", "push_back", "reserve", "resize",
-    };
+    if (function_waived(*ref.file, *ref.fn, rule)) continue;
+    visit(ref, chain(ref.fn));
     for (const CallSite& cs : ref.fn->calls) {
       if (cs.is_member && kStlMethodNames.count(cs.name)) continue;
       auto it = by_name.find(cs.name);
@@ -174,6 +150,150 @@ void check_r1(const Corpus& corpus, std::vector<Finding>* out) {
       }
     }
   }
+}
+
+// `std::<name>` at token i.
+bool is_std_name(const std::vector<Token>& toks, usize i) {
+  return toks[i].kind == Tok::kIdent && i >= 2 && is_punct(toks, i - 1, "::") &&
+         is_ident(toks, i - 2, "std");
+}
+
+void check_r1(const Corpus& corpus, std::vector<Finding>* out) {
+  auto is_root = [](const FunctionDef& fn) {
+    return fn.last_name() == "on_enter" || fn.last_name() == "on_exit" ||
+           (fn.last_name() == "flush" &&
+            (fn.name.find("LogBatch") != std::string::npos ||
+             fn.scope.find("LogBatch") != std::string::npos));
+  };
+  walk_call_graph(corpus, in_probe_scope, is_root, "r1", [&](FnRef ref, const std::string& chain) {
+    const FileIndex& fi = *ref.file;
+    auto report = [&](int line, const std::string& what) {
+      if (!fi.waived_at("r1", line)) {
+        add(out, "r1", fi.path, line, what + " on probe path (" + chain + ")");
+      }
+    };
+    // Banned calls.
+    for (const CallSite& cs : ref.fn->calls) {
+      if (banned_calls().count(cs.name)) report(cs.line, "call to '" + cs.name + "'");
+    }
+    // Operator new/delete and allocating std:: types.
+    const std::vector<Token>& toks = fi.tokens;
+    for (usize i = ref.fn->body_begin; i < ref.fn->body_end && i < toks.size(); ++i) {
+      const Token& t = toks[i];
+      if (t.kind != Tok::kIdent) continue;
+      if (t.text == "new" || t.text == "delete") {
+        report(t.line, "operator " + t.text);
+      } else if (banned_std_types().count(t.text) && is_std_name(toks, i)) {
+        report(t.line, "std::" + t.text + " constructed");
+      }
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// r5: fold hot-loop purity.
+
+// Directories whose functions participate in the fold's call graph: the
+// reconstruction engine and its sinks live in the analyzer.
+bool in_fold_scope(const std::string& path) {
+  return path_contains(path, "/analyzer/");
+}
+
+// Calls that allocate outright; amortized container growth (push_back,
+// assign) is the sinks' business and is not flagged.
+const std::set<std::string>& allocating_calls() {
+  static const std::set<std::string> kAlloc = {
+      "malloc",        "calloc",        "realloc",     "free",
+      "posix_memalign", "aligned_alloc", "strdup",     "make_unique",
+      "make_shared",
+  };
+  return kAlloc;
+}
+
+const std::set<std::string>& allocating_std_types() {
+  static const std::set<std::string> kAlloc = {
+      "string", "vector", "map",  "unordered_map", "set", "unordered_set",
+      "deque",  "list",   "ostringstream",         "stringstream",
+  };
+  return kAlloc;
+}
+
+// Names of the functions a fold-scope file declares `virtual` or marks
+// `override`/`final`: a call by one of those names may go through a vtable.
+std::set<std::string> virtual_names(const Corpus& corpus) {
+  std::set<std::string> out;
+  for (const FileIndex& fi : corpus.files) {
+    if (!in_fold_scope(fi.path)) continue;
+    const std::vector<Token>& toks = fi.tokens;
+    for (usize i = 0; i < toks.size(); ++i) {
+      if (is_ident(toks, i, "virtual")) {
+        // The first name followed by its parameter list.
+        for (usize j = i + 1; j + 1 < toks.size() && !is_punct(toks, j, ";"); ++j) {
+          if (toks[j].kind == Tok::kIdent && is_punct(toks, j + 1, "(")) {
+            out.insert(toks[j].text);
+            break;
+          }
+        }
+      } else if (is_ident(toks, i, "override") || is_ident(toks, i, "final")) {
+        // Back over the qualifiers to the parameter list's ')', then to its
+        // '(' and the name in front of it. `class X final` has no ')'.
+        usize j = i;
+        while (j > 0 && toks[j - 1].kind == Tok::kIdent) --j;
+        if (j == 0 || !is_punct(toks, j - 1, ")")) continue;
+        int depth = 0;
+        for (usize k = j - 1; k > 0; --k) {
+          if (is_punct(toks, k, ")")) ++depth;
+          if (is_punct(toks, k, "(") && --depth == 0) {
+            if (toks[k - 1].kind == Tok::kIdent) out.insert(toks[k - 1].text);
+            break;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Everything reachable from ShardFold::feed runs once per log entry: no
+// indirect call (virtual dispatch, function or member pointers,
+// std::function) and no allocation may sit on it.
+void check_r5(const Corpus& corpus, std::vector<Finding>* out) {
+  const std::set<std::string> virtuals = virtual_names(corpus);
+  auto is_root = [](const FunctionDef& fn) {
+    return fn.last_name() == "feed" && fn.qualified().find("ShardFold") != std::string::npos;
+  };
+  walk_call_graph(corpus, in_fold_scope, is_root, "r5", [&](FnRef ref, const std::string& chain) {
+    const FileIndex& fi = *ref.file;
+    auto report = [&](int line, const std::string& what) {
+      if (!fi.waived_at("r5", line)) {
+        add(out, "r5", fi.path, line, what + " in the fold's per-entry loop (" + chain + ")");
+      }
+    };
+    for (const CallSite& cs : ref.fn->calls) {
+      if (allocating_calls().count(cs.name)) {
+        report(cs.line, "allocating call '" + cs.name + "'");
+      } else if (cs.is_member && virtuals.count(cs.name)) {
+        report(cs.line, "virtual call '" + cs.name + "'");
+      }
+    }
+    const std::vector<Token>& toks = fi.tokens;
+    for (usize i = ref.fn->body_begin; i < ref.fn->body_end && i < toks.size(); ++i) {
+      const Token& t = toks[i];
+      if (is_punct(toks, i, "->*") || (is_punct(toks, i, ".") && is_punct(toks, i + 1, "*"))) {
+        report(t.line, "call through a member pointer");
+      } else if (is_punct(toks, i, "(") && is_punct(toks, i + 1, "*") &&
+                 i + 2 < toks.size() && toks[i + 2].kind == Tok::kIdent &&
+                 is_punct(toks, i + 3, ")") && is_punct(toks, i + 4, "(")) {
+        report(t.line, "call through a function pointer");
+      } else if (is_ident(toks, i, "new") || is_ident(toks, i, "delete")) {
+        report(t.line, "operator " + t.text);
+      } else if (is_std_name(toks, i) && t.text == "function") {
+        report(t.line, "std::function call");
+      } else if (is_std_name(toks, i) && allocating_std_types().count(t.text)) {
+        report(t.line, "std::" + t.text + " constructed");
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -493,6 +613,7 @@ std::vector<Finding> run_rules(const Corpus& corpus) {
   check_r2(corpus, &out);
   check_r3(corpus, &out);
   check_r4(corpus, &out);
+  check_r5(corpus, &out);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;

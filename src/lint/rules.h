@@ -1,4 +1,4 @@
-// The four project rules teeperf_lint enforces (DESIGN.md §9):
+// The five project rules teeperf_lint enforces (DESIGN.md §9):
 //
 //   r1  probe-path purity — nothing reachable from the probe roots
 //       (runtime::on_enter / on_exit, LogBatch::flush) may allocate, take a
@@ -33,7 +33,7 @@
 namespace teeperf::lint {
 
 struct Finding {
-  std::string rule;  // "r1".."r4"
+  std::string rule;  // "r1".."r5"
   std::string file;
   int line = 0;
   std::string message;

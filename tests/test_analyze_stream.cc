@@ -383,7 +383,7 @@ TEST(AnalyzeStream, SplitFeedMatchesOnePieceForBothSinks) {
         sa.feed(id, shards[s].data(), head);
         sa.feed(id, shards[s].data() + head, shards[s].size() - head);
       }
-      sa.set_ns_per_tick(dump->ns_per_tick);
+      sa.set_ns_per_tick(dump->layout.ns_per_tick);
       return sa.finish().save();
     };
     const std::string one_piece = mprof(shards.size(), 0);

@@ -144,6 +144,10 @@ TEST(LintFixtures, ExactRuleIdsAndLines) {
       {"r4", "r4_raw_names.cc", 14},            // counter("log.tail")
       {"r4", "r4_raw_names.cc", 15},            // family("log.dropped")
       {"r4", "r4_raw_names.cc", 23},            // byte-fault prefix "dump"
+      {"r5", "analyzer/r5_fold_hot_loop.cc", 17},  // std::string via note
+      {"r5", "analyzer/r5_fold_hot_loop.cc", 27},  // virtual call
+      {"r5", "analyzer/r5_fold_hot_loop.cc", 28},  // operator new
+      {"r5", "analyzer/r5_fold_hot_loop.cc", 29},  // function pointer
   };
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(rows(res.findings), expected);

@@ -72,6 +72,20 @@ class ToolsTest : public ::testing::Test {
   std::string synthetic_session(const std::string& stem, u32 chunks) {
     std::string prefix = dir_ + "/" + stem;
     write_synthetic_session(prefix, chunks, 2048);
+    write_synthetic_symbols(prefix);
+    return prefix;
+  }
+
+  // A wrapped ring dump (synthetic_session.h) of `capacity` entries, with
+  // the same "<prefix>.sym".
+  std::string ring_dump(const std::string& stem, u64 capacity) {
+    std::string prefix = dir_ + "/" + stem;
+    write_ring_dump(prefix, capacity);
+    write_synthetic_symbols(prefix);
+    return prefix;
+  }
+
+  static void write_synthetic_symbols(const std::string& prefix) {
     std::string sym;
     for (u64 level = 0; level < 3; ++level) {
       for (u64 fn = 0; fn < 16; ++fn) {
@@ -82,7 +96,6 @@ class ToolsTest : public ::testing::Test {
       }
     }
     EXPECT_TRUE(write_file(prefix + ".sym", sym));
-    return prefix;
   }
 
   std::string dir_, record_, analyze_, flamegraph_, stats_, fuzz_, app_;
@@ -430,30 +443,57 @@ bool in_child(F fn) {
          WEXITSTATUS(status) == 0;
 }
 
+// Peak RSS, in KiB, of the streamed aggregate commands on the session at
+// each of `prefixes`; 0 for a prefix whose run failed.
+std::vector<long> aggregate_peaks_kib(const std::string& analyze,
+                                      const std::vector<std::string>& prefixes) {
+  std::vector<long> peaks;
+  for (const std::string& p : prefixes) {
+    int code = -1;
+    long peak = peak_rss_kib({analyze, p, "--top", "10", "--tree", "--svg",
+                              p + ".svg"},
+                             &code);
+    EXPECT_EQ(code, 0) << p;
+    EXPECT_GT(peak, 0) << p;
+    peaks.push_back(code == 0 ? peak : 0);
+  }
+  return peaks;
+}
+
+// The margin a streamed command's peak RSS may grow by when its input
+// grows: the sessions below hold one tree of 48 distinct paths at any
+// size.
+constexpr long kFlatRssMarginKib = 4 << 10;
+
 TEST_F(ToolsTest, StreamedAggregatesPeakRssFlat) {
   // 8x the entries (65,536 vs 524,288; 1 MB vs 8 MB of chunks). Holding
   // every Invocation costs ~20 MB more at the larger size; the streamed
   // commands hold two chunk files and one tree of 48 distinct paths.
-  constexpr long kMarginKib = 4 << 10;
   std::string small = dir_ + "/small", large = dir_ + "/large";
   ASSERT_TRUE(in_child([&] {
     synthetic_session("small", 16);
     synthetic_session("large", 128);
   }));
-  long peak[2] = {0, 0};
-  int i = 0;
-  for (const std::string& p : {small, large}) {
-    int code = -1;
-    peak[i] = peak_rss_kib({analyze_, p, "--top", "10", "--tree", "--svg",
-                            p + ".svg"},
-                           &code);
-    ASSERT_EQ(code, 0) << p;
-    ASSERT_GT(peak[i], 0) << p;
-    ++i;
-  }
-  EXPECT_LE(peak[1], peak[0] + kMarginKib)
+  std::vector<long> peak = aggregate_peaks_kib(analyze_, {small, large});
+  EXPECT_LE(peak[1], peak[0] + kFlatRssMarginKib)
       << "peak RSS " << peak[0] << " KiB at 65,536 entries, " << peak[1]
       << " KiB at 524,288";
+}
+
+TEST_F(ToolsTest, PlainDumpPeakRssFlat) {
+  // 16x the entries (65,536 vs 1,048,576; 2 MiB vs 32 MiB of dump). The
+  // dump is read in fixed blocks, so reading it whole would cost ~30 MiB
+  // more at the larger size.
+  std::string small = dir_ + "/ring_small", large = dir_ + "/ring_large";
+  ASSERT_TRUE(in_child([&] {
+    ring_dump("ring_small", u64{1} << 16);
+    ring_dump("ring_large", u64{1} << 20);
+  }));
+  ASSERT_FALSE(file_exists(drain::chunk_path(large, 0)));  // not a spill session
+  std::vector<long> peak = aggregate_peaks_kib(analyze_, {small, large});
+  EXPECT_LE(peak[1], peak[0] + kFlatRssMarginKib)
+      << "peak RSS " << peak[0] << " KiB at 65,536 entries, " << peak[1]
+      << " KiB at 1,048,576";
 }
 
 }  // namespace

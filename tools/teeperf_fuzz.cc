@@ -7,10 +7,12 @@
 //
 //   1. Mutation fuzzing: every corpus file is mutated (bit flips, torn
 //      tails, header scrambles, entry splices, zero chunks, growth) and fed
-//      through the full analysis surface — load_bytes, reconstruction,
-//      reports, flame graph rendering, validation — inside a forked child,
-//      so a crash or sanitizer abort is contained, detected, minimized,
-//      and saved to the crashers directory as a regression input.
+//      through the full analysis surface — load_bytes, the walk of the
+//      same bytes as a `.log` file (read in blocks, held equal to
+//      load_bytes), reconstruction, reports, flame graph rendering,
+//      validation — inside a forked child, so a crash or sanitizer abort
+//      is contained, detected, minimized, and saved to the crashers
+//      directory as a regression input.
 //
 //   2. Differential checking: a benign mutation — any reordering of
 //      entries that preserves per-thread order, exactly the freedom the
@@ -31,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -40,6 +43,7 @@
 #include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/rng.h"
 #include "common/stringutil.h"
@@ -317,51 +321,6 @@ std::vector<std::pair<std::string, std::string>> build_mprof_seed_corpus() {
 
 // --------------------------------------------------------------- analysis --
 
-// The full analysis surface a hostile dump can reach. Runs inside a forked
-// child during fuzzing, so crashes and sanitizer aborts are contained.
-void exercise(const std::string& bytes) {
-  // The mergeable-profile surface: hostile `.mprof` bytes must be rejected
-  // or survive the full aggregate API — including another save/load cycle
-  // and self-merge (the operations a fleet rollup performs).
-  if (auto m = analyzer::MergeableProfile::load_bytes(bytes)) {
-    m->folded();
-    m->total_exclusive();
-    analyzer::mprof_summary(*m);
-    analyzer::method_report(*m);
-    analyzer::call_graph_report(*m);
-    analyzer::gprof_flat_report(*m);
-    analyzer::hottest_report(*m);
-    analyzer::diff_report(*m, *m);
-    flamegraph::render_profile_svg(*m);
-    analyzer::MergeableProfile::load_bytes(m->save());
-    analyzer::MergeableProfile acc;
-    acc.merge(*m);
-    acc.merge(*m);
-    acc.save();
-  }
-
-  auto profile = analyzer::Profile::load_bytes(bytes);
-  if (!profile) return;  // rejected: that is a pass
-  analyzer::SessionTree tree = profile->path_tree();
-  analyzer::MergeableProfile agg = analyzer::MergeableProfile::from_tree(tree);
-  agg.save();
-  analyzer::method_report(agg);
-  analyzer::call_graph_report(agg);
-  analyzer::gprof_flat_report(agg);
-  analyzer::hottest_report(agg);
-  analyzer::mprof_summary(agg);
-  analyzer::call_tree_report(tree);
-  analyzer::bottom_up_report(tree);
-  analyzer::thread_report(*profile);
-  analyzer::chrome_trace_json(*profile);
-  analyzer::csv_export(*profile);
-  analyzer::timeline_csv(*profile);
-  flamegraph::render_profile_svg(agg);
-  analyzer::InvocationTable table(*profile);
-  table.where_min_inclusive(1).sort_by(analyzer::SortKey::kExclusive).top(10);
-  table.group_by_method();
-}
-
 // A stats signature that must be invariant under benign mutations: the
 // aggregate's methods and folded stacks (both name-sorted) and the
 // reconstruction health.
@@ -390,6 +349,70 @@ std::string signature(const analyzer::Profile& p) {
       static_cast<unsigned long long>(r.tombstones),
       static_cast<unsigned long long>(p.thread_count()));
   return out;
+}
+
+// The full analysis surface a hostile dump can reach. Runs inside a forked
+// child during fuzzing, so crashes and sanitizer aborts are contained.
+void exercise(const std::string& bytes) {
+  // The mergeable-profile surface: hostile `.mprof` bytes must be rejected
+  // or survive the full aggregate API — including another save/load cycle
+  // and self-merge (the operations a fleet rollup performs).
+  if (auto m = analyzer::MergeableProfile::load_bytes(bytes)) {
+    m->folded();
+    m->total_exclusive();
+    analyzer::mprof_summary(*m);
+    analyzer::method_report(*m);
+    analyzer::call_graph_report(*m);
+    analyzer::gprof_flat_report(*m);
+    analyzer::hottest_report(*m);
+    analyzer::diff_report(*m, *m);
+    flamegraph::render_profile_svg(*m);
+    analyzer::MergeableProfile::load_bytes(m->save());
+    analyzer::MergeableProfile acc;
+    acc.merge(*m);
+    acc.merge(*m);
+    acc.save();
+  }
+
+  auto profile = analyzer::Profile::load_bytes(bytes);
+
+  // The same bytes as a `.log` dump on disk, walked the way
+  // teeperf_analyze reads one: laid out from its header and directory and
+  // read in blocks. It must accept what load_bytes accepts and analyze to
+  // the same signature; a divergence aborts like a crash.
+  std::string prefix = (std::filesystem::temp_directory_path() /
+                        ("teeperf_fuzz." + std::to_string(getpid())))
+                           .string();
+  if (write_file(prefix + ".log", bytes)) {
+    auto walked = analyzer::Profile::load(prefix);
+    analyzer::StreamAnalyzer::analyze(prefix);
+    analyzer::Profile::validate_file(prefix);
+    std::remove((prefix + ".log").c_str());
+    if (walked.has_value() != profile.has_value() ||
+        (walked && signature(*walked) != signature(*profile))) {
+      std::fprintf(stderr, "teeperf_fuzz: the file walk diverged from load_bytes\n");
+      std::abort();
+    }
+  }
+  if (!profile) return;  // rejected: that is a pass
+  analyzer::SessionTree tree = profile->path_tree();
+  analyzer::MergeableProfile agg = analyzer::MergeableProfile::from_tree(tree);
+  agg.save();
+  analyzer::method_report(agg);
+  analyzer::call_graph_report(agg);
+  analyzer::gprof_flat_report(agg);
+  analyzer::hottest_report(agg);
+  analyzer::mprof_summary(agg);
+  analyzer::call_tree_report(tree);
+  analyzer::bottom_up_report(tree);
+  analyzer::thread_report(*profile);
+  analyzer::chrome_trace_json(*profile);
+  analyzer::csv_export(*profile);
+  analyzer::timeline_csv(*profile);
+  flamegraph::render_profile_svg(agg);
+  analyzer::InvocationTable table(*profile);
+  table.where_min_inclusive(1).sort_by(analyzer::SortKey::kExclusive).top(10);
+  table.group_by_method();
 }
 
 // ---------------------------------------------------------------- mutants --

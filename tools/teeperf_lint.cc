@@ -1,7 +1,7 @@
 // teeperf_lint: the project's static checker (DESIGN.md §9). Enforces the
-// four repo rules — r1 probe-path purity, r2 explicit memory order, r3 shm
-// layout manifest, r4 name-registry consistency — over the given source
-// trees. See src/lint/rules.h for rule semantics and waiver syntax.
+// five repo rules — r1 probe-path purity, r2 explicit memory order, r3 shm
+// layout manifest, r4 name-registry consistency, r5 fold hot-loop purity —
+// over the given source trees. See src/lint/rules.h for rule semantics and waiver syntax.
 //
 //   teeperf_lint --check src tools
 //       --manifest tools/shm_manifest.json --testing TESTING.md
