@@ -10,7 +10,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "common/spin.h"
 #include "core/profiler.h"
@@ -51,17 +51,14 @@ double max_error_traced(u64 iteration_ns, int iterations) {
   workload(iteration_ns, iterations);
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log()));
   u64 total = 0;
   u64 per_phase[4] = {};
-  for (const auto& inv : profile.invocations()) {
-    for (int p = 0; p < 4; ++p) {
-      if (inv.method == g_phases[p].id) {
-        per_phase[p] += inv.exclusive();
-        total += inv.exclusive();
-      }
-    }
+  for (int p = 0; p < 4; ++p) {
+    auto it = agg.methods.find(g_phases[p].name);
+    per_phase[p] = it == agg.methods.end() ? 0 : it->second.exclusive_total;
+    total += per_phase[p];
   }
   double worst = 0;
   for (int p = 0; p < 4; ++p) {

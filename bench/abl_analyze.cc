@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/log_format.h"
@@ -92,6 +92,22 @@ bool write_session(const std::string& prefix, u64 total_entries) {
   return true;
 }
 
+// The aggregate of a table's rows: one path-tree node per distinct path,
+// each row recorded at its node (parents precede children).
+analyzer::MergeableProfile rollup(const analyzer::InvocationTable& t) {
+  analyzer::SessionTree st{{}, t.symbols(), t.ns_per_tick(), t.recon_stats(),
+                           t.thread_count()};
+  const std::vector<analyzer::Invocation>& rows = t.invocations();
+  std::vector<u32> node(rows.size());
+  for (usize i = 0; i < rows.size(); ++i) {
+    const analyzer::Invocation& r = rows[i];
+    node[i] = st.tree.child(r.parent < 0 ? 0 : node[static_cast<usize>(r.parent)],
+                            r.method);
+    st.tree.nodes()[node[i]].agg.record(r.inclusive(), r.exclusive());
+  }
+  return analyzer::MergeableProfile::from_tree(st);
+}
+
 // One forked measurement. The child runs the named pipeline once and pipes
 // back its wall time and consumed-entry count; the parent reads the child's
 // peak RSS from wait4. Returns false if the child failed or disagreed on
@@ -119,12 +135,10 @@ bool measure(const std::string& prefix, u64 total_entries, bool streaming,
       auto m = analyzer::StreamAnalyzer::analyze_spill(prefix);
       if (m) entries = m->stats.entries;
     } else {
-      auto p = analyzer::Profile::load(prefix);
-      if (p) {
-        // The same fold with the invocation sink: load, materialize every
-        // Invocation, then canonicalize to the same mergeable aggregate.
-        analyzer::MergeableProfile m = analyzer::MergeableProfile::from_profile(*p);
-        entries = m.stats.entries;
+      if (auto t = analyzer::InvocationTable::load(prefix)) {
+        // The same fold with the invocation sink: collect every row, then
+        // roll the rows up into the same mergeable aggregate.
+        entries = rollup(*t).stats.entries;
       }
     }
     auto t1 = std::chrono::steady_clock::now();

@@ -10,7 +10,7 @@
 // the exact insight a developer needs to shrink the working set.
 #include <cstdio>
 
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/spin.h"
@@ -59,9 +59,8 @@ double run_case(const char* label, usize buffer_pages, double* paging_frac) {
   double ms = static_cast<double>(monotonic_ns() - t0) / 1e6;
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  auto tree = flamegraph::build_frame_tree(profile.folded_stacks());
+  auto tree = flamegraph::build_frame_tree(analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log())));
   *paging_frac = flamegraph::frame_fraction(tree, "epc::secure_paging");
 
   std::printf("%-26s %10.1f ms   page_ins=%8llu   secure_paging share %5.1f%%\n",

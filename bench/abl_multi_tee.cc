@@ -12,8 +12,8 @@
 //               storage work lead.
 #include <cstdio>
 
-#include "analyzer/profile.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "core/profiler.h"
 #include "flamegraph/flamegraph.h"
@@ -52,9 +52,9 @@ void run_one(const TeeRow& row) {
       [&] { return kvs::bench::run_read_random_write_random(*db, cfg); });
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  auto tree = flamegraph::build_frame_tree(profile.folded_stacks());
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log()));
+  auto tree = flamegraph::build_frame_tree(agg);
 
   double now = flamegraph::frame_fraction(tree, "kvs::Stats::Now");
   double get = flamegraph::frame_fraction(tree, "kvs::DB::Get");
@@ -62,7 +62,6 @@ void run_one(const TeeRow& row) {
       flamegraph::frame_fraction(tree, "kvs::RandomGenerator::RandomGenerator");
 
   // The method with the most exclusive time; ties go to the first name.
-  auto agg = analyzer::MergeableProfile::from_profile(profile);
   const std::string* top = nullptr;
   for (const auto& [name, m] : agg.methods) {
     if (!top || m.exclusive_total > agg.methods.at(*top).exclusive_total) top = &name;

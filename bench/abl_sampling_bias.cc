@@ -12,7 +12,7 @@
 #include <atomic>
 #include <cstdio>
 
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "common/spin.h"
 #include "core/profiler.h"
@@ -114,13 +114,13 @@ int main() {
   pacer.stop();
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  u64 a_ticks = 0, b_ticks = 0;
-  for (const auto& inv : profile.invocations()) {
-    if (inv.method == g_phase_a_id) a_ticks += inv.exclusive();
-    if (inv.method == g_phase_b_id) b_ticks += inv.exclusive();
-  }
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log()));
+  auto excl = [&](const char* name) {
+    auto it = agg.methods.find(name);
+    return it == agg.methods.end() ? u64{0} : it->second.exclusive_total;
+  };
+  u64 a_ticks = excl("bias::phase_a"), b_ticks = excl("bias::phase_b");
   double traced_b =
       a_ticks + b_ticks
           ? static_cast<double>(b_ticks) / static_cast<double>(a_ticks + b_ticks)

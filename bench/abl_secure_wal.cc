@@ -15,7 +15,7 @@
 // secure::TrustedCounter::increment, and the async run shows the fix.
 #include <cstdio>
 
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "common/fileutil.h"
 #include "common/spin.h"
@@ -84,9 +84,8 @@ Row run_case(const std::string& dir, const char* label, bool secure_mode,
   row.per_record_us = row.seconds * 1e6 / static_cast<double>(records);
   row.hw_increments = counter.hardware_increments();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  auto tree = flamegraph::build_frame_tree(profile.folded_stacks());
+  auto tree = flamegraph::build_frame_tree(analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log())));
   row.counter_frac =
       flamegraph::frame_fraction(tree, "secure::TrustedCounter::increment");
   return row;

@@ -9,9 +9,9 @@
 // table with those two frames' shares.
 #include <cstdio>
 
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "core/profiler.h"
 #include "flamegraph/flamegraph.h"
@@ -52,8 +52,8 @@ int main() {
       [&] { return kvs::bench::run_read_random_write_random(*db, cfg); });
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log()));
 
   std::printf("Figure 5: db_bench readrandomwriterandom (80%% reads) in "
               "simulated SGX, recorded by TEE-Perf\n");
@@ -62,12 +62,10 @@ int main() {
               static_cast<unsigned long long>(result.ops),
               static_cast<unsigned long long>(result.reads),
               static_cast<unsigned long long>(result.writes), result.ops_per_sec);
-  auto agg = analyzer::MergeableProfile::from_profile(profile);
   std::printf("%s\n\n", analyzer::mprof_summary(agg).c_str());
   std::printf("%s\n", analyzer::method_report(agg, 12).c_str());
 
-  flamegraph::FoldedStacks folded(agg.stacks.begin(), agg.stacks.end());
-  auto tree = flamegraph::build_frame_tree(folded);
+  auto tree = flamegraph::build_frame_tree(agg);
   double now_frac = flamegraph::frame_fraction(tree, "kvs::Stats::Now");
   double gen_frac =
       flamegraph::frame_fraction(tree, "kvs::RandomGenerator::RandomGenerator");
@@ -79,19 +77,24 @@ int main() {
   std::printf("  kvs::Stats::Now                        %5.1f%%\n", now_frac * 100);
   std::printf("  kvs::RandomGenerator::RandomGenerator  %5.1f%%\n", gen_frac * 100);
   std::printf("  kvs::DB::Get (the actual storage work) %5.1f%%\n", get_frac * 100);
+  bool shape_ok = now_frac > gen_frac && gen_frac > get_frac;
+  std::printf("Shape checks: Stats::Now > RandomGenerator > DB::Get: %s\n",
+              shape_ok ? "ok" : "FAILED");
   print_rule('=');
 
   write_file(out + "/fig5_kvstore.folded", agg.folded());
   flamegraph::SvgOptions svg;
   svg.title = "Figure 5: db_bench readrandomwriterandom (80% reads) under TEE-Perf";
-  write_file(out + "/fig5_kvstore.svg", flamegraph::render_svg(folded, svg));
+  write_file(out + "/fig5_kvstore.svg",
+             flamegraph::render_svg({agg.stacks.begin(), agg.stacks.end()}, svg));
   flamegraph::TimelineOptions tl;
   tl.title = "db_bench in enclave: timeline";
   write_file(out + "/fig5_kvstore_timeline.svg",
-             flamegraph::render_timeline_svg(profile, tl));
+             flamegraph::render_timeline_svg(
+                 analyzer::InvocationTable::from_log(recorder->log()), tl));
   std::printf("wrote %s/fig5_kvstore.svg, .folded and _timeline.svg\n",
               out.c_str());
 
   remove_tree(db_dir);
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -13,7 +13,7 @@
 // plain runs); the flame-graph runs are separate recorded runs.
 #include <cstdio>
 
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "bench/bench_util.h"
 #include "common/stringutil.h"
 #include "core/profiler.h"
@@ -76,9 +76,8 @@ void record_flamegraph(const spdk::SpdkMode& mode, const std::string& path,
   enclave.ecall([&] { spdk::run_perf_tool(dev, cfg, mode); });
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log()));
   flamegraph::FoldedStacks folded(agg.stacks.begin(), agg.stacks.end());
   auto tree = flamegraph::build_frame_tree(folded);
   *getpid_frac = flamegraph::frame_fraction(tree, "getpid");
@@ -147,7 +146,11 @@ int main() {
   std::printf("  optimized: getpid %5.1f%% (paper ~0%%)    rdtsc %5.1f%% "
               "(paper ~0%%)\n",
               opt_getpid * 100, opt_rdtsc * 100);
+  bool shape_ok = naive_getpid > 0.5 && naive_rdtsc > 0.05 &&
+                  opt_getpid + opt_rdtsc < 0.1;
+  std::printf("Shape checks: naive getpid > 50%%, rdtsc > 5%%; optimized "
+              "getpid + rdtsc < 10%%: %s\n", shape_ok ? "ok" : "FAILED");
   std::printf("wrote %s/fig6_naive.svg and %s/fig6_optimized.svg\n", out.c_str(),
               out.c_str());
-  return 0;
+  return shape_ok ? 0 : 1;
 }

@@ -9,9 +9,8 @@
 #include <cstdio>
 #include <string>
 
-#include "analyzer/fold.h"
-#include "analyzer/profile.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/profiler.h"
 #include "flamegraph/flamegraph.h"
@@ -35,9 +34,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < kRounds; ++i) phoenix::run_word_count(input, 2);
   recorder->detach();
 
-  auto traced = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  analyzer::SessionTree tree = traced.path_tree();
+  analyzer::SessionTree tree = analyzer::StreamAnalyzer::analyze_log(recorder->log());
   auto agg = analyzer::MergeableProfile::from_tree(tree);
   std::printf("=== TEE-Perf (traced: %llu events, exact call counts) ===\n%s\n",
               static_cast<unsigned long long>(recorder->stats().entries),

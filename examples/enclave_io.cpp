@@ -6,8 +6,8 @@
 #include <cstdio>
 #include <string>
 
-#include "analyzer/profile.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
 #include "core/profiler.h"
@@ -67,19 +67,17 @@ int main(int argc, char** argv) {
   report("naive in enclave", naive);
 
   recorder->dump(out_dir + "/naive");
-  auto profile = analyzer::Profile::load(out_dir + "/naive");
-  if (!profile) return 1;
+  auto agg = analyzer::StreamAnalyzer::analyze(out_dir + "/naive");
+  if (!agg) return 1;
 
   // Step 3: read the bottlenecks off the flame graph data.
-  auto tree = flamegraph::build_frame_tree(profile->folded_stacks());
+  auto tree = flamegraph::build_frame_tree(*agg);
   double getpid_frac = flamegraph::frame_fraction(tree, "getpid");
   double rdtsc_frac = flamegraph::frame_fraction(tree, "rdtsc");
   std::printf("\nTEE-Perf finds: getpid %.1f%% of runtime, rdtsc %.1f%%\n",
               getpid_frac * 100, rdtsc_frac * 100);
   write_file(out_dir + "/naive_flame.svg",
-             flamegraph::render_profile_svg(
-                 analyzer::MergeableProfile::from_profile(*profile),
-                 {.title = "naive SPDK in enclave"}));
+             flamegraph::render_profile_svg(*agg, {.title = "naive SPDK in enclave"}));
 
   // Step 4: apply the paper's fixes and re-measure.
   spdk::SpdkMode optimized;

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "analyzer/profile.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/auto_attach.h"
 #include "core/profiler.h"
@@ -39,7 +39,7 @@ DEMO_FN u64 run_workload() {
   std::vector<u64> values(1000);
   for (usize i = 0; i < values.size(); ++i) values[i] = i;
   u64 result = sum_squares(values);
-  result += static_cast<u64>(fibonacci(16));
+  result += static_cast<u64>(fibonacci(19));
   return result;
 }
 
@@ -75,15 +75,14 @@ int main(int argc, char** argv) {
   std::string prefix = out_dir + "/instrumented";
   recorder->dump(prefix);
 
-  auto profile = analyzer::Profile::load(prefix);
-  if (!profile) return 1;
-  auto agg = analyzer::MergeableProfile::from_profile(*profile);
-  std::printf("\n%s\n\n%s\n", analyzer::mprof_summary(agg).c_str(),
-              analyzer::method_report(agg, 15).c_str());
+  auto agg = analyzer::StreamAnalyzer::analyze(prefix);
+  if (!agg) return 1;
+  std::printf("\n%s\n\n%s\n", analyzer::mprof_summary(*agg).c_str(),
+              analyzer::method_report(*agg, 15).c_str());
 
-  // fibonacci(16) makes 3193 calls; the dladdr symbolization must name it.
+  // fibonacci(19) makes 13529 calls; the dladdr symbolization must name it.
   bool found_fib = false;
-  for (const auto& [name, m] : agg.methods) {
+  for (const auto& [name, m] : agg->methods) {
     if (name.find("fibonacci") != std::string::npos) {
       found_fib = true;
       std::printf("fibonacci resolved via dladdr: %llu invocations\n",

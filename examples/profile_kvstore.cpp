@@ -1,4 +1,4 @@
-// Profile the LSM key-value store's db_bench workload inside the simulated
+// Profiles the LSM key-value store's db_bench workload inside the simulated
 // enclave — the Figure 5 scenario. Prints the method report and writes the
 // flame graph that exposes Stats::Now / RandomGenerator as the bottlenecks.
 //
@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <string>
 
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/profiler.h"
 #include "flamegraph/flamegraph.h"
@@ -56,17 +56,16 @@ int main(int argc, char** argv) {
 
   std::string prefix = out_dir + "/kvstore";
   recorder->dump(prefix);
-  auto profile = analyzer::Profile::load(prefix);
-  if (!profile) return 1;
-
-  auto agg = analyzer::MergeableProfile::from_profile(*profile);
-  std::printf("\n%s\n", analyzer::method_report(agg, 15).c_str());
+  auto agg = analyzer::StreamAnalyzer::analyze(prefix);
+  auto table = analyzer::InvocationTable::load(prefix);
+  if (!agg || !table) return 1;
+  std::printf("\n%s\n", analyzer::method_report(*agg, 15).c_str());
 
   // The query interface (§II-C): who calls Stats::Now, and how often?
   u64 now_id = SymbolRegistry::instance().intern("kvs::Stats::Now");
-  auto now_calls = analyzer::InvocationTable(*profile).where_method(now_id);
+  auto now_calls = table->where_method(now_id);
   std::printf("Stats::Now invocations: %zu, total %.1f ms\n", now_calls.count(),
-              profile->ticks_to_ns(now_calls.sum_inclusive()) / 1e6);
+              table->ticks_to_ns(now_calls.sum_inclusive()) / 1e6);
   for (auto& g : now_calls.group_by_caller()) {
     std::printf("  called %zu times by %s\n", g.count, g.key.c_str());
   }
@@ -74,7 +73,7 @@ int main(int argc, char** argv) {
   flamegraph::SvgOptions svg_opts;
   svg_opts.title = "db_bench readrandomwriterandom (80% reads) in enclave";
   write_file(out_dir + "/kvstore_flame.svg",
-             flamegraph::render_profile_svg(agg, svg_opts));
+             flamegraph::render_profile_svg(*agg, svg_opts));
   std::printf("\nflame graph: %s/kvstore_flame.svg\n", out_dir.c_str());
   return 0;
 }

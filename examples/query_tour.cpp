@@ -7,9 +7,9 @@
 // Run:  ./query_tour
 #include <cstdio>
 
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "core/profiler.h"
 #include "phoenix/phoenix.h"
 
@@ -28,19 +28,17 @@ int main() {
   phoenix::run_kmeans(input, 4, 10);
 
   recorder->detach();
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-
-  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(recorder->log()));
   std::printf("== sorted method report (the default analyzer output) ==\n%s\n",
               analyzer::method_report(agg, 10).c_str());
 
-  InvocationTable table(profile);
+  auto table = InvocationTable::from_log(recorder->log());
 
   std::printf("== which thread called which method how often ==\n");
   for (auto& g : table.where_name_contains("assign_point").group_by_tid()) {
     std::printf("  %-8s %8zu calls, %10.3f ms inclusive\n", g.key.c_str(), g.count,
-                profile.ticks_to_ns(g.inclusive_total) / 1e6);
+                table.ticks_to_ns(g.inclusive_total) / 1e6);
   }
 
   std::printf("\n== top 5 single invocations by exclusive time ==\n%s\n",

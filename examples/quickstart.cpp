@@ -7,8 +7,9 @@
 #include <cstdio>
 #include <string>
 
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/spin.h"
 #include "core/profiler.h"
@@ -68,25 +69,25 @@ int main(int argc, char** argv) {
   recorder->dump(prefix);
 
   // Stage 3: the analyzer — reconstruct stacks, report per-method timing.
-  auto profile = analyzer::Profile::load(prefix);
-  if (!profile) {
+  auto agg = analyzer::StreamAnalyzer::analyze(prefix);
+  auto table = analyzer::InvocationTable::load(prefix);  // every invocation
+  if (!agg || !table) {
     std::fprintf(stderr, "failed to load %s.log\n", prefix.c_str());
     return 1;
   }
-  auto agg = analyzer::MergeableProfile::from_profile(*profile);
-  std::printf("\n%s\n\n%s\n", analyzer::mprof_summary(agg).c_str(),
-              analyzer::method_report(agg).c_str());
+  std::printf("\n%s\n\n%s\n", analyzer::mprof_summary(*agg).c_str(),
+              analyzer::method_report(*agg).c_str());
 
   // Stage 4: the visualizer — a flame graph SVG.
   flamegraph::SvgOptions svg_opts;
   svg_opts.title = "quickstart pipeline";
   write_file(out_dir + "/quickstart.svg",
-             flamegraph::render_profile_svg(agg, svg_opts));
-  write_file(out_dir + "/quickstart.folded", agg.folded());
+             flamegraph::render_profile_svg(*agg, svg_opts));
+  write_file(out_dir + "/quickstart.folded", agg->folded());
   flamegraph::TimelineOptions tl;
   tl.title = "quickstart timeline";
   write_file(out_dir + "/quickstart_timeline.svg",
-             flamegraph::render_timeline_svg(*profile, tl));
+             flamegraph::render_timeline_svg(*table, tl));
   std::printf("flame graph: %s/quickstart.svg\n", out_dir.c_str());
   std::printf("timeline:    %s/quickstart_timeline.svg\n", out_dir.c_str());
   return 0;

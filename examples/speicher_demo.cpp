@@ -6,9 +6,8 @@
 #include <cstdio>
 #include <string>
 
-#include "analyzer/fold.h"
-#include "analyzer/profile.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/profiler.h"
 #include "kvstore/secure.h"
@@ -81,9 +80,7 @@ int main(int argc, char** argv) {
   });
   recorder->detach();
 
-  auto profile = analyzer::Profile::from_log(
-      recorder->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  analyzer::SessionTree tree = profile.path_tree();
+  analyzer::SessionTree tree = analyzer::StreamAnalyzer::analyze_log(recorder->log());
   std::printf("\nprofile of the *synchronous* counter design:\n%s\n",
               analyzer::method_report(analyzer::MergeableProfile::from_tree(tree), 6)
                   .c_str());

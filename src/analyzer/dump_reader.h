@@ -79,8 +79,8 @@ struct ParsedDump {
 };
 
 // Parses one serialized dump held in memory (a chunk payload, a fuzzer
-// input, Profile::load_bytes): dump_layout() over the bytes, whose windows
-// then view `bytes` (see ParsedDump).
+// input): dump_layout() over the bytes, whose windows then view `bytes`
+// (see ParsedDump).
 std::optional<ParsedDump> parse_dump(std::string_view bytes);
 
 // One span of one shard's stream, viewing a dump's buffer.

@@ -7,10 +7,12 @@
 #include <cerrno>
 #include <condition_variable>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <utility>
 
 #include "common/fileutil.h"
+#include "common/stringutil.h"
 #include "core/symbol_registry.h"
 #include "drain/chunk_format.h"
 
@@ -129,7 +131,66 @@ bool pread_all(int fd, void* buf, usize n, u64 off) {
   return true;
 }
 
+// The consistency checks of validate(), fed span by span in feed order;
+// per-thread state carries across spans.
+class Validator final : public SpanConsumer {
+ public:
+  void consume(std::span<const ShardSpan> spans) override {
+    for (const ShardSpan& sp : spans) {
+      for (u64 i = 0; i < sp.n; ++i, ++index_) check(sp.entries[i]);
+    }
+  }
+
+  std::vector<ValidationIssue> finish() {
+    for (const auto& [tid, t] : threads_) {
+      if (t.depth != 0) {
+        issues_.push_back({ValidationIssue::Kind::kUnbalancedThread, tid, index_,
+                           str_format("calls minus returns = %lld",
+                                      static_cast<long long>(t.depth))});
+      }
+    }
+    return std::move(issues_);
+  }
+
+ private:
+  void check(const LogEntry& e) {
+    ThreadCheck& t = threads_[e.tid];
+    if (e.addr == 0) {
+      issues_.push_back({ValidationIssue::Kind::kZeroAddress, e.tid, index_,
+                         "entry has null address"});
+    }
+    if (t.has_counter && e.counter() < t.last_counter) {
+      issues_.push_back(
+          {ValidationIssue::Kind::kNonMonotonicCounter, e.tid, index_,
+           str_format("counter %llu after %llu",
+                      static_cast<unsigned long long>(e.counter()),
+                      static_cast<unsigned long long>(t.last_counter))});
+    }
+    t.last_counter = e.counter();
+    t.has_counter = true;
+    t.depth += e.kind() == EventKind::kCall ? 1 : -1;
+  }
+
+  struct ThreadCheck {
+    u64 last_counter = 0;
+    bool has_counter = false;
+    i64 depth = 0;
+  };
+  std::map<u64, ThreadCheck> threads_;
+  std::vector<ValidationIssue> issues_;
+  u64 index_ = 0;  // entries checked so far
+};
+
 }  // namespace
+
+std::string resolve_name(const std::unordered_map<u64, std::string>& symbols,
+                         u64 method) {
+  auto it = symbols.find(method);
+  if (it != symbols.end()) return it->second;
+  std::string live = SymbolRegistry::instance().name_of(method);
+  if (!live.empty()) return live;
+  return str_format("0x%llx", static_cast<unsigned long long>(method));
+}
 
 void PathTree::grow() {
   slots_.assign(slots_.empty() ? 64 : slots_.size() * 2, Slot{});
@@ -234,6 +295,32 @@ std::optional<SessionInfo> walk_session(const std::string& prefix,
   if (auto sym = read_file(prefix + ".sym")) info.symbols = SymbolRegistry::parse(*sym);
   info.ns_per_tick = stitcher.ns_per_tick();
   return info;
+}
+
+std::vector<ValidationIssue> validate(const ProfileLog& log) {
+  // Shard by shard, each window oldest first: the snapshot_ordered() layout
+  // that entry_index points into.
+  Validator v;
+  for (u32 s = 0; s < log.shard_count(); ++s) {
+    for (std::span<const LogEntry> sp : log.window(s).spans) {
+      ShardSpan part{s, sp.data(), sp.size()};
+      v.consume({&part, 1});
+    }
+  }
+  return v.finish();
+}
+
+std::vector<ValidationIssue> validate(const LogEntry* entries, u64 n) {
+  Validator v;
+  ShardSpan all{0, entries, n};
+  v.consume({&all, 1});
+  return v.finish();
+}
+
+std::optional<std::vector<ValidationIssue>> validate_session(const std::string& prefix) {
+  Validator v;
+  if (!walk_session(prefix, v)) return std::nullopt;
+  return v.finish();
 }
 
 }  // namespace teeperf::analyzer

@@ -4,14 +4,16 @@
 // and rolling up inclusive and exclusive time, is written once, here:
 // ShardFold<Sink> is one shard's fold and the whole repair policy; its
 // compile-time sink is either PathTree (aggregates per distinct path, for
-// StreamAnalyzer) or InvocationSink (every Invocation, for Profile).
-// SessionFold folds the shards of each span set in parallel, walk_session()
-// feeds it a recorded session, and SessionTree carries the result to the
-// reports.
+// StreamAnalyzer) or InvocationSink (one row per closed frame, streamed by
+// InvocationStream to the invocation-level commands and to
+// InvocationTable). SessionFold folds the shards of each span set in
+// parallel, walk_session() feeds it a recorded session, and SessionTree
+// carries the result to the reports.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,11 +24,63 @@
 #include <vector>
 
 #include "analyzer/dump_reader.h"
-#include "analyzer/profile.h"
 #include "common/types.h"
 #include "core/log_format.h"
 
 namespace teeperf::analyzer {
+
+// Shared name resolution: the explicit symbol map first, then the live
+// registry (in-process analysis without a .sym file), then hex. Every
+// report names methods through it.
+std::string resolve_name(const std::unordered_map<u64, std::string>& symbols,
+                         u64 method);
+
+// One reconstructed function execution: a row of the invocation stream.
+struct Invocation {
+  u64 method = 0;       // function address / registered id
+  u64 tid = 0;
+  u64 start = 0;        // counter at entry
+  u64 end = 0;          // counter at exit (or last counter seen, if truncated)
+  u64 children = 0;     // sum of direct children's inclusive ticks
+  u64 caller = 0;       // the caller's method; 0 for a thread root
+  u64 calls_made = 0;   // number of direct callees
+  u64 seq = 0;          // open order within its shard, from 0
+  // The caller's row: its seq in a streamed row, its index in
+  // InvocationTable::invocations() once collected; -1 for roots.
+  i64 parent = -1;
+  u32 depth = 0;        // 0 = thread root
+  u32 shard = 0;
+  bool complete = true; // false when the log ended before the return
+
+  bool operator==(const Invocation&) const = default;
+  u64 inclusive() const { return end - start; }
+  // "Real time spent in the method" (§II-B stage #3): inclusive minus time
+  // attributed to callees.
+  u64 exclusive() const {
+    u64 inc = inclusive();
+    return children <= inc ? inc - children : 0;
+  }
+};
+
+// Defects found while reconstructing; a healthy log has all zeros except
+// possibly incomplete (threads still running when the log was dumped).
+struct ReconstructionStats {
+  u64 stray_returns = 0;     // return with an empty stack
+  u64 mismatched_returns = 0;  // return address not on the stack
+  u64 unwound_frames = 0;    // frames force-closed to match a return
+  u64 incomplete = 0;        // invocations open at end of log
+  u64 tombstones = 0;        // all-zero slots: reserved, never filled (dead writer)
+  u64 entries = 0;           // log entries consumed
+  bool operator==(const ReconstructionStats&) const = default;
+  void add(const ReconstructionStats& o) {
+    stray_returns += o.stray_returns;
+    mismatched_returns += o.mismatched_returns;
+    unwound_frames += o.unwound_frames;
+    incomplete += o.incomplete;
+    tombstones += o.tombstones;
+    entries += o.entries;
+  }
+};
 
 // Runs fn(0..n-1) on a small worker pool: the caller plus up to
 // hardware_concurrency - 1 threads, each taking the next index.
@@ -257,11 +311,18 @@ class PathTree {
   std::vector<Slot> slots_;
 };
 
+// `ticks` in nanoseconds at `ns_per_tick`, or in ticks when the rate is
+// unknown (0).
+inline double ticks_to_ns(double ns_per_tick, u64 ticks) {
+  return ns_per_tick > 0 ? static_cast<double>(ticks) * ns_per_tick
+                         : static_cast<double>(ticks);
+}
+
 // A session's path tree with what its reports need besides it: the names
 // its method ids resolve through (resolve_name), the tick rate and the
-// reconstruction health. StreamAnalyzer::finish_tree() and
-// Profile::path_tree() both build one; the aggregate every table report
-// reads is MergeableProfile::from_tree() of it.
+// reconstruction health. StreamAnalyzer::finish_tree() builds one; the
+// aggregate every table report reads is MergeableProfile::from_tree() of
+// it.
 struct SessionTree {
   PathTree tree;
   std::unordered_map<u64, std::string> symbols;
@@ -270,10 +331,12 @@ struct SessionTree {
   u64 thread_count = 0;
 };
 
-// A session tree's method names, each distinct id resolved once.
+// A symbol map's method names, each distinct id resolved once.
 class MethodNames {
  public:
-  explicit MethodNames(const SessionTree& t) : symbols_(t.symbols) {}
+  explicit MethodNames(const std::unordered_map<u64, std::string>& symbols)
+      : symbols_(symbols) {}
+  explicit MethodNames(const SessionTree& t) : MethodNames(t.symbols) {}
   const std::string& operator()(u64 method) {
     auto [it, fresh] = names_.try_emplace(method);
     if (fresh) it->second = resolve_name(symbols_, method);
@@ -285,34 +348,50 @@ class MethodNames {
   std::unordered_map<u64, std::string> names_;
 };
 
-// Materializes every Invocation, in call order per shard. Its handle is
-// the invocation's index.
-struct InvocationSink {
+// Holds a shard's open frames only: each frame becomes one row in `closed`
+// when it closes. Its handle is the frame's slot, reused once it closes.
+class InvocationSink {
+ public:
   using Handle = u64;
   static constexpr Handle kRoot = ~0ull;
 
   Handle open(u64 tid, u64 method, u64 start, Handle parent) {
-    Invocation inv;
-    inv.method = method;
-    inv.tid = tid;
-    inv.start = start;
+    Invocation row;
+    row.method = method;
+    row.tid = tid;
+    row.start = start;
+    row.seq = next_seq_++;
     if (parent != kRoot) {
-      Invocation& p = invocations[parent];
-      inv.depth = p.depth + 1;
-      inv.parent = static_cast<i64>(parent);
+      Invocation& p = open_[parent];
+      row.depth = p.depth + 1;
+      row.caller = p.method;
+      row.parent = static_cast<i64>(p.seq);
       ++p.calls_made;
     }
-    invocations.push_back(inv);
-    return invocations.size() - 1;
+    if (free_.empty()) {
+      open_.push_back(row);
+      return open_.size() - 1;
+    }
+    Handle h = free_.back();
+    free_.pop_back();
+    open_[h] = row;
+    return h;
   }
   void close(Handle h, u64 end, u64, u64, u64 children, bool complete) {
-    Invocation& inv = invocations[h];
-    inv.end = end;
-    inv.children = children;
-    inv.complete = complete;
+    Invocation& row = open_[h];
+    row.end = end;
+    row.children = children;
+    row.complete = complete;
+    closed.push_back(row);
+    free_.push_back(h);
   }
 
-  std::vector<Invocation> invocations;
+  std::vector<Invocation> closed;  // rows not yet handed over, in close order
+
+ private:
+  std::vector<Invocation> open_;  // slots; the free ones are in free_
+  std::vector<Handle> free_;
+  u64 next_seq_ = 0;
 };
 
 // Receives a session's shard streams: each call brings spans of distinct
@@ -375,6 +454,46 @@ class SessionFold final : public SpanConsumer {
   std::vector<std::unique_ptr<ShardFold<Sink>>> shards_;
 };
 
+// The invocation sink's session fold. After each consume() round, on the
+// caller's thread, it hands every row closed in that round to `visit`,
+// shard by shard, each in close order: it holds open frames, not rows.
+class InvocationStream final : public SpanConsumer {
+ public:
+  using Visit = std::function<void(const Invocation&)>;
+  explicit InvocationStream(Visit visit) : visit_(std::move(visit)) {}
+
+  void consume(std::span<const ShardSpan> spans) override {
+    fold_.consume(spans);
+    hand_over();
+  }
+
+  // Closes every open frame (incomplete), hands those rows over too, and
+  // returns the session's stats.
+  ReconstructionStats finish() {
+    ReconstructionStats r = fold_.close_all();
+    hand_over();
+    return r;
+  }
+
+  u64 thread_count() const { return fold_.thread_count(); }
+
+ private:
+  void hand_over() {
+    u32 shard = 0;
+    fold_.for_each_sink([&](InvocationSink& sink) {
+      for (Invocation& row : sink.closed) {
+        row.shard = shard;
+        visit_(row);
+      }
+      sink.closed.clear();
+      ++shard;
+    });
+  }
+
+  SessionFold<InvocationSink> fold_;
+  Visit visit_;
+};
+
 // Feeds every shard's window of a live log, oldest first: first every
 // window's first segment span, then the second spans of the windows that
 // wrap, so each batch names distinct shards.
@@ -416,5 +535,31 @@ struct SessionInfo {
 std::optional<SessionInfo> walk_session(const std::string& prefix,
                                         SpanConsumer& out,
                                         std::string* error = nullptr);
+
+// Consistency findings from validate(); a clean trace has no entries.
+struct ValidationIssue {
+  enum class Kind {
+    kNonMonotonicCounter,  // a thread's counter went backwards
+    kUnbalancedThread,     // calls != returns for a thread at end of log
+    kZeroAddress,          // an entry with address 0
+  };
+  Kind kind;
+  u64 tid = 0;
+  u64 entry_index = 0;
+  std::string detail;
+};
+
+// Pre-reconstruction consistency check of raw entries: per-thread counter
+// monotonicity, call/return balance, null addresses. Run it before
+// trusting a log from an unfamiliar recorder build. On a live log,
+// entry_index is the entry's position in snapshot_ordered(): shard by
+// shard, each window oldest first.
+std::vector<ValidationIssue> validate(const ProfileLog& log);
+std::vector<ValidationIssue> validate(const LogEntry* entries, u64 n);
+// Every entry of the session recorded at `prefix`, through walk_session,
+// so a spill session's chunks are checked too. Per-thread state carries
+// across spans; entry_index counts entries in feed order (dump by dump,
+// shard by shard). nullopt when the session does not load.
+std::optional<std::vector<ValidationIssue>> validate_session(const std::string& prefix);
 
 }  // namespace teeperf::analyzer

@@ -158,10 +158,6 @@ bool add_fits(u64 a, u64 b) {
 
 }  // namespace
 
-MergeableProfile MergeableProfile::from_profile(const Profile& p) {
-  return from_tree(p.path_tree());
-}
-
 MergeableProfile MergeableProfile::from_tree(const SessionTree& t) {
   MergeableProfile m;
   m.sessions = 1;

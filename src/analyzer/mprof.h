@@ -30,7 +30,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "analyzer/profile.h"
 #include "common/types.h"
 
 namespace teeperf::analyzer {
@@ -97,13 +96,8 @@ class MergeableProfile {
   // Names a session's path tree (fold.h): its per-method, per-edge and
   // folded-path rollups, by symbolized name (resolve_name), combining ids
   // that share a name, with the tree's tick rate and health and
-  // sessions == 1. Both from_profile and the streaming analyzer name their
-  // aggregates here.
+  // sessions == 1. Every aggregate of a log is named here.
   static MergeableProfile from_tree(const SessionTree& t);
-
-  // from_tree(p.path_tree()): the in-memory reference the streaming
-  // analyzer is held differentially equal to.
-  static MergeableProfile from_profile(const Profile& p);
 
   // Canonical serialization (frame + payload). Deterministic: equal
   // profiles serialize to equal bytes. Sized up front and written into one

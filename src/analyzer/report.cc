@@ -27,12 +27,6 @@ usize count_events(const std::string& jsonl, const char* name) {
   return n;
 }
 
-// Ticks in nanoseconds, or in ticks when the rate is unknown (0).
-double to_ns(double ns_per_tick, u64 ticks) {
-  return ns_per_tick > 0 ? static_cast<double>(ticks) * ns_per_tick
-                         : static_cast<double>(ticks);
-}
-
 // The aggregate's methods by exclusive time, descending; ties keep the
 // map's name order.
 std::vector<const std::pair<const std::string, MprofMethod>*> sorted_methods(
@@ -111,8 +105,8 @@ std::string method_report(const MergeableProfile& m, usize limit) {
     out += str_format("%-52s %10llu %12.3f %12.3f %6.1f%%\n",
                       ellipsize(row->first, 52).c_str(),
                       static_cast<unsigned long long>(mm.count),
-                      to_ns(m.ns_per_tick, mm.exclusive_total) / 1e6,
-                      to_ns(m.ns_per_tick, mm.inclusive_total) / 1e6, pct);
+                      ticks_to_ns(m.ns_per_tick, mm.exclusive_total) / 1e6,
+                      ticks_to_ns(m.ns_per_tick, mm.inclusive_total) / 1e6, pct);
   }
   return out;
 }
@@ -138,7 +132,7 @@ std::string call_graph_report(const MergeableProfile& m, usize limit) {
                       ellipsize(k.from_root ? "<root>" : k.caller, 40).c_str(),
                       ellipsize(k.callee, 40).c_str(),
                       static_cast<unsigned long long>(e->second.count),
-                      to_ns(m.ns_per_tick, e->second.inclusive_total) / 1e6);
+                      ticks_to_ns(m.ns_per_tick, e->second.inclusive_total) / 1e6);
   }
   return out;
 }
@@ -147,7 +141,7 @@ std::string gprof_flat_report(const MergeableProfile& m, usize limit) {
   auto rows = sorted_methods(m);
   double total_s = 0;
   for (const auto* row : rows) {
-    total_s += to_ns(m.ns_per_tick, row->second.exclusive_total) / 1e9;
+    total_s += ticks_to_ns(m.ns_per_tick, row->second.exclusive_total) / 1e9;
   }
 
   std::string out =
@@ -159,8 +153,8 @@ std::string gprof_flat_report(const MergeableProfile& m, usize limit) {
   for (const auto* row : rows) {
     if (shown++ >= limit) break;
     const MprofMethod& mm = row->second;
-    double self_s = to_ns(m.ns_per_tick, mm.exclusive_total) / 1e9;
-    double total_ms = to_ns(m.ns_per_tick, mm.inclusive_total) / 1e6;
+    double self_s = ticks_to_ns(m.ns_per_tick, mm.exclusive_total) / 1e9;
+    double total_ms = ticks_to_ns(m.ns_per_tick, mm.inclusive_total) / 1e6;
     cumulative += self_s;
     double pct = total_s > 0 ? 100.0 * self_s / total_s : 0;
     out += str_format(
@@ -184,12 +178,12 @@ std::string diff_report(const MergeableProfile& before,
   std::map<std::string, Entry> by_name;
   for (const auto& [name, mm] : before.methods) {
     Entry& e = by_name[name];
-    e.before_ms = to_ns(before.ns_per_tick, mm.exclusive_total) / 1e6;
+    e.before_ms = ticks_to_ns(before.ns_per_tick, mm.exclusive_total) / 1e6;
     e.before_calls = mm.count;
   }
   for (const auto& [name, mm] : after.methods) {
     Entry& e = by_name[name];
-    e.after_ms = to_ns(after.ns_per_tick, mm.exclusive_total) / 1e6;
+    e.after_ms = ticks_to_ns(after.ns_per_tick, mm.exclusive_total) / 1e6;
     e.after_calls = mm.count;
   }
 
@@ -232,7 +226,7 @@ std::string hottest_report(const MergeableProfile& m) {
     }
   }
   return str_format("hottest stack (%.3f ms exclusive):\n  %s\n",
-                    to_ns(m.ns_per_tick, ticks) / 1e6, path ? path->c_str() : "");
+                    ticks_to_ns(m.ns_per_tick, ticks) / 1e6, path ? path->c_str() : "");
 }
 
 std::string mprof_summary(const MergeableProfile& m) {
@@ -265,7 +259,7 @@ void render_tree(double ns_per_tick, const TreeNode& node,
                             static_cast<double>(total)
                       : 0.0;
   *out += str_format("%6.1f%% %10.3f ms  %*s%s\n", frac * 100,
-                     to_ns(ns_per_tick, node.inclusive) / 1e6, depth * 2, "",
+                     ticks_to_ns(ns_per_tick, node.inclusive) / 1e6, depth * 2, "",
                      name.c_str());
   // Children largest-first, ties in name order; tiny ones folded together.
   std::vector<std::pair<std::string, const TreeNode*>> kids;
@@ -291,7 +285,7 @@ void render_tree(double ns_per_tick, const TreeNode& node,
                        total ? 100.0 * static_cast<double>(folded) /
                                    static_cast<double>(total)
                              : 0.0,
-                       to_ns(ns_per_tick, folded) / 1e6, (depth + 1) * 2, "",
+                       ticks_to_ns(ns_per_tick, folded) / 1e6, (depth + 1) * 2, "",
                        folded_count);
   }
 }
@@ -360,7 +354,7 @@ std::string bottom_up_report(const SessionTree& t, usize leaf_limit,
     if (shown++ >= leaf_limit) break;
     u64 total = leaf->second.excl;
     out += str_format("%-56s %12.3f ms\n", ellipsize(leaf->first, 56).c_str(),
-                      to_ns(t.ns_per_tick, total) / 1e6);
+                      ticks_to_ns(t.ns_per_tick, total) / 1e6);
     std::vector<const std::pair<const std::string, CallerAgg>*> callers;
     for (const auto& c : leaf->second.callers) callers.push_back(&c);
     std::stable_sort(callers.begin(), callers.end(), by_excl);
@@ -382,104 +376,81 @@ std::string bottom_up_report(const SessionTree& t, usize leaf_limit,
   return out;
 }
 
-std::string thread_report(const Profile& profile) {
-  struct ThreadAgg {
-    u64 invocations = 0;
-    u64 root_inclusive = 0;
-    std::unordered_map<u64, u64> excl_by_method;
-  };
-  std::map<u64, ThreadAgg> threads;
-  for (const Invocation& inv : profile.invocations()) {
-    ThreadAgg& t = threads[inv.tid];
-    ++t.invocations;
-    if (inv.parent < 0) t.root_inclusive += inv.inclusive();
-    t.excl_by_method[inv.method] += inv.exclusive();
-  }
+void ThreadRollup::add(const Invocation& row) {
+  Thread& t = threads_[row.tid];
+  ++t.invocations;
+  if (row.depth == 0) t.root_inclusive += row.inclusive();
+  t.exclusive_by_method[row.method] += row.exclusive();
+}
 
+std::string ThreadRollup::report(const std::unordered_map<u64, std::string>& symbols,
+                                 double ns_per_tick) const {
   std::string out = str_format("%-6s %12s %12s  %-48s\n", "tid", "invocations",
                                "root(ms)", "busiest method (exclusive)");
-  for (const auto& [tid, t] : threads) {
-    u64 best_method = 0, best_excl = 0;
-    for (const auto& [m, e] : t.excl_by_method) {
-      if (e >= best_excl) {
-        best_excl = e;
-        best_method = m;
-      }
-    }
+  for (const auto& [tid, t] : threads_) {
+    auto busiest = std::max_element(
+        t.exclusive_by_method.begin(), t.exclusive_by_method.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
     out += str_format("%-6llu %12llu %12.3f  %-48s\n",
                       static_cast<unsigned long long>(tid),
                       static_cast<unsigned long long>(t.invocations),
-                      profile.ticks_to_ns(t.root_inclusive) / 1e6,
-                      ellipsize(profile.name(best_method), 48).c_str());
+                      ticks_to_ns(ns_per_tick, t.root_inclusive) / 1e6,
+                      ellipsize(resolve_name(symbols, busiest->first), 48).c_str());
   }
   return out;
 }
 
-std::string csv_export(const Profile& profile) {
-  std::string out =
-      "method,tid,depth,start,end,inclusive,exclusive,calls_made,complete\n";
-  for (const Invocation& inv : profile.invocations()) {
-    std::string name = profile.name(inv.method);
-    // Quote the method name; double any embedded quotes per RFC 4180.
-    std::string quoted = "\"";
-    for (char c : name) {
-      quoted += c;
-      if (c == '"') quoted += '"';
-    }
-    quoted += '"';
-    out += str_format(
-        "%s,%llu,%u,%llu,%llu,%llu,%llu,%llu,%d\n", quoted.c_str(),
-        static_cast<unsigned long long>(inv.tid), inv.depth,
-        static_cast<unsigned long long>(inv.start),
-        static_cast<unsigned long long>(inv.end),
-        static_cast<unsigned long long>(inv.inclusive()),
-        static_cast<unsigned long long>(inv.exclusive()),
-        static_cast<unsigned long long>(inv.calls_made), inv.complete ? 1 : 0);
+void CsvRows::add(const Invocation& row) {
+  // Quote the method name; double any embedded quotes per RFC 4180.
+  text += '"';
+  for (char c : name_(row.method)) {
+    text += c;
+    if (c == '"') text += '"';
   }
-  return out;
+  text += str_format("\",%llu,%u,%llu,%llu,%llu,%llu,%llu,%d\n",
+                     static_cast<unsigned long long>(row.tid), row.depth,
+                     static_cast<unsigned long long>(row.start),
+                     static_cast<unsigned long long>(row.end),
+                     static_cast<unsigned long long>(row.inclusive()),
+                     static_cast<unsigned long long>(row.exclusive()),
+                     static_cast<unsigned long long>(row.calls_made),
+                     row.complete ? 1 : 0);
 }
 
-std::string timeline_csv(const Profile& profile) {
-  std::vector<usize> order(profile.invocations().size());
-  for (usize i = 0; i < order.size(); ++i) order[i] = i;
-  const auto& all = profile.invocations();
-  std::sort(order.begin(), order.end(), [&](usize a, usize b) {
-    if (all[a].tid != all[b].tid) return all[a].tid < all[b].tid;
-    if (all[a].start != all[b].start) return all[a].start < all[b].start;
-    return all[a].depth < all[b].depth;
+void ChromeTrace::add(const Invocation& row) {
+  if (!first_) text += ",\n";
+  first_ = false;
+  std::string escaped;
+  for (char c : name_(row.method)) {
+    if (c == '"' || c == '\\') escaped.push_back('\\');
+    escaped.push_back(c);
+  }
+  text += str_format(
+      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%llu,"
+      "\"ts\":%.3f,\"dur\":%.3f}",
+      escaped.c_str(), static_cast<unsigned long long>(row.tid),
+      ticks_to_ns(ns_per_tick_, row.start) / 1e3,
+      ticks_to_ns(ns_per_tick_, row.inclusive()) / 1e3);
+}
+
+std::string timeline_csv(const InvocationTable& table) {
+  std::vector<const Invocation*> order;
+  order.reserve(table.count());
+  for (usize i = 0; i < table.count(); ++i) order.push_back(&table.row(i));
+  std::sort(order.begin(), order.end(), [](const Invocation* a, const Invocation* b) {
+    if (a->tid != b->tid) return a->tid < b->tid;
+    if (a->start != b->start) return a->start < b->start;
+    return a->depth < b->depth;
   });
+  MethodNames name(table.symbols());
   std::string out = "tid,method,start,end,depth\n";
-  for (usize i : order) {
-    const Invocation& inv = all[i];
+  for (const Invocation* inv : order) {
     out += str_format("%llu,\"%s\",%llu,%llu,%u\n",
-                      static_cast<unsigned long long>(inv.tid),
-                      profile.name(inv.method).c_str(),
-                      static_cast<unsigned long long>(inv.start),
-                      static_cast<unsigned long long>(inv.end), inv.depth);
+                      static_cast<unsigned long long>(inv->tid),
+                      name(inv->method).c_str(),
+                      static_cast<unsigned long long>(inv->start),
+                      static_cast<unsigned long long>(inv->end), inv->depth);
   }
-  return out;
-}
-
-std::string chrome_trace_json(const Profile& profile) {
-  std::string out = "[\n";
-  bool first = true;
-  for (const Invocation& inv : profile.invocations()) {
-    if (!first) out += ",\n";
-    first = false;
-    std::string name = profile.name(inv.method);
-    std::string escaped;
-    for (char c : name) {
-      if (c == '"' || c == '\\') escaped.push_back('\\');
-      escaped.push_back(c);
-    }
-    out += str_format(
-        "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%llu,"
-        "\"ts\":%.3f,\"dur\":%.3f}",
-        escaped.c_str(), static_cast<unsigned long long>(inv.tid),
-        profile.ticks_to_ns(inv.start) / 1e3,
-        profile.ticks_to_ns(inv.inclusive()) / 1e3);
-  }
-  out += "\n]\n";
   return out;
 }
 

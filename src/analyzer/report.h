@@ -2,24 +2,26 @@
 // function of one aggregate:
 //   - the table reports (method table, call graph, gprof flat profile,
 //     diff, hottest stack, summary) read a MergeableProfile, so a
-//     streamed session, an in-memory Profile (MergeableProfile::
-//     from_profile) and a `.mprof` file or fleet merge all print alike;
+//     streamed session, a live log and a `.mprof` file or fleet merge all
+//     print alike;
 //   - the path reports (call tree, bottom-up) read a session's path tree
-//     (SessionTree, fold.h), from StreamAnalyzer::finish_tree() or
-//     Profile::path_tree();
-//   - the invocation-level reports read a Profile's Invocations.
+//     (SessionTree, fold.h), from StreamAnalyzer::finish_tree();
+//   - the row reports take rows one at a time, as the invocation stream
+//     (fold.h) closes them or as an InvocationTable holds them, and keep
+//     only what their output needs; the timeline reads a whole table.
 // Table rows are keyed by symbolized name; rows that tie on their sort key
 // are ordered by name.
 #pragma once
 
+#include <map>
 #include <string>
+#include <unordered_map>
 
+#include "analyzer/fold.h"
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 
 namespace teeperf::analyzer {
-
-struct SessionTree;
 
 // Sorted method table: exclusive/inclusive time (ticks and, when the tick
 // rate is known, milliseconds), call counts, share of exclusive time.
@@ -61,21 +63,60 @@ std::string call_tree_report(const SessionTree& t, double min_fraction = 0.005);
 std::string bottom_up_report(const SessionTree& t, usize leaf_limit = 10,
                              usize callers_per_leaf = 5);
 
-// Per-thread rollup: invocations, inclusive root time, busiest method.
-std::string thread_report(const Profile& profile);
+// Per-thread rollup, fed row by row: invocations, inclusive root time,
+// busiest method (by exclusive time; the smallest id on a tie).
+class ThreadRollup {
+ public:
+  void add(const Invocation& row);
+  std::string report(const std::unordered_map<u64, std::string>& symbols,
+                     double ns_per_tick) const;
 
-// Machine-readable export of every invocation:
-// method,tid,depth,start,end,inclusive,exclusive,calls_made,complete
-std::string csv_export(const Profile& profile);
+ private:
+  struct Thread {
+    u64 invocations = 0;
+    u64 root_inclusive = 0;
+    std::map<u64, u64> exclusive_by_method;
+  };
+  std::map<u64, Thread> threads_;
+};
 
-// Per-thread timeline of invocation intervals as CSV
-// (tid,method,start,end,depth) sorted by start — importable into external
-// trace viewers.
-std::string timeline_csv(const Profile& profile);
+// Machine-readable export of rows as they arrive, one line each after a
+// header: method,tid,depth,start,end,inclusive,exclusive,calls_made,complete
+// `text` holds what is written and not yet taken; a caller may move it out
+// at any point.
+class CsvRows {
+ public:
+  explicit CsvRows(const std::unordered_map<u64, std::string>& symbols)
+      : name_(symbols) {}
+  void add(const Invocation& row);
+  void finish() {}
+  std::string text = "method,tid,depth,start,end,inclusive,exclusive,calls_made,complete\n";
 
-// Chrome trace-event JSON ("X" complete events, ts/dur in µs): load in
-// chrome://tracing or Perfetto. Uses the profile's tick→ns conversion.
-std::string chrome_trace_json(const Profile& profile);
+ private:
+  MethodNames name_;
+};
+
+// Chrome trace-event JSON ("X" complete events, ts/dur in µs) of rows as
+// they arrive: load in chrome://tracing or Perfetto. Times convert at
+// `ns_per_tick` (ticks when 0); finish() closes the array. `text` as in
+// CsvRows.
+class ChromeTrace {
+ public:
+  ChromeTrace(const std::unordered_map<u64, std::string>& symbols, double ns_per_tick)
+      : name_(symbols), ns_per_tick_(ns_per_tick) {}
+  void add(const Invocation& row);
+  void finish() { text += "\n]\n"; }
+  std::string text = "[\n";
+
+ private:
+  MethodNames name_;
+  double ns_per_tick_;
+  bool first_ = true;
+};
+
+// Per-thread timeline of a table's rows as CSV (tid,method,start,end,depth)
+// sorted by start — importable into external trace viewers.
+std::string timeline_csv(const InvocationTable& table);
 
 // Recorder-health section: folds the "<prefix>.health" snapshot and
 // "<prefix>.events.jsonl" journal sidecars (written by the recorder's

@@ -56,6 +56,17 @@ std::optional<MergeableProfile> StreamAnalyzer::analyze(const std::string& prefi
   return MergeableProfile::from_tree(*tree);
 }
 
+SessionTree StreamAnalyzer::analyze_log(const ProfileLog& log,
+                                        std::unordered_map<u64, std::string> symbols,
+                                        double ns_per_tick) {
+  StreamAnalyzer sa(std::move(symbols));
+  if (log.valid()) {
+    feed_log(log, sa.folds_);
+    sa.ns_per_tick_ = ns_per_tick != 0.0 ? ns_per_tick : log.header()->ns_per_tick;
+  }
+  return sa.finish_tree();
+}
+
 std::optional<MergeableProfile> StreamAnalyzer::analyze_spill(
     const std::string& prefix, std::string* error) {
   return analyze(prefix, error);

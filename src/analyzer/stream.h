@@ -17,9 +17,11 @@
 // so worker scheduling cannot change the result); finish_tree() merges
 // the shards' trees in shard order into the session tree that the path
 // reports read, and finish() names it into the MergeableProfile that the
-// table reports read. Profile runs the same fold with the invocation sink;
-// the differential tests in tests/test_analyze_stream.cc hold the two sinks
-// equal, and the golden `.mprof`s anchor the fold itself.
+// table reports read. It is the one route from a log, recorded or live, to
+// an aggregate. InvocationStream (fold.h) runs the same fold with the
+// invocation sink; the differential tests in tests/test_analyze_stream.cc
+// hold a rollup of its rows equal to this, and the golden `.mprof`s anchor
+// the fold itself.
 #pragma once
 
 #include <optional>
@@ -61,6 +63,12 @@ class StreamAnalyzer {
   // The same call, under the name spill-session callers use.
   static std::optional<MergeableProfile> analyze_spill(
       const std::string& prefix, std::string* error = nullptr);
+
+  // A live in-memory log (feed_log), no file round trip. A zero tick rate
+  // means the log header's. An invalid log yields an empty tree.
+  static SessionTree analyze_log(const ProfileLog& log,
+                                 std::unordered_map<u64, std::string> symbols = {},
+                                 double ns_per_tick = 0.0);
 
  private:
   SessionFold<PathTree> folds_;

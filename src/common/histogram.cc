@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/stringutil.h"
-
 namespace teeperf {
 
 namespace hist {
@@ -60,23 +58,12 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   max_ = std::max(max_, other.max_);
 }
 
-void LatencyHistogram::reset() { *this = LatencyHistogram(); }
-
 double LatencyHistogram::mean() const {
   return count_ ? static_cast<double>(sum_) / static_cast<double>(count_) : 0.0;
 }
 
 double LatencyHistogram::percentile(double p) const {
   return hist::percentile(buckets_.data(), kBuckets, count_, min(), max_, p);
-}
-
-std::string LatencyHistogram::summary(const char* unit) const {
-  return str_format(
-      "count=%llu min=%llu%s mean=%.1f%s p50=%.0f%s p99=%.0f%s max=%llu%s",
-      static_cast<unsigned long long>(count_),
-      static_cast<unsigned long long>(min()), unit, mean(), unit,
-      percentile(50), unit, percentile(99), unit,
-      static_cast<unsigned long long>(max_), unit);
 }
 
 }  // namespace teeperf

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 #include "common/types.h"
 
@@ -29,7 +28,6 @@ class LatencyHistogram {
 
   void add(u64 value);
   void merge(const LatencyHistogram& other);
-  void reset();
 
   u64 count() const { return count_; }
   u64 min() const { return count_ ? min_ : 0; }
@@ -37,8 +35,6 @@ class LatencyHistogram {
   double mean() const;
   // Linear interpolation within the matched bucket; p in [0, 100].
   double percentile(double p) const;
-
-  std::string summary(const char* unit = "ns") const;
 
  private:
   static constexpr usize kBuckets = hist::kLogBuckets;

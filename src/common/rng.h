@@ -30,11 +30,6 @@ class Xorshift64 {
   // Uniform in [0, bound). bound must be > 0.
   u64 next_below(u64 bound) { return next() % bound; }
 
-  // Uniform in [lo, hi] inclusive.
-  i64 next_in(i64 lo, i64 hi) {
-    return lo + static_cast<i64>(next_below(static_cast<u64>(hi - lo + 1)));
-  }
-
   // Uniform double in [0, 1).
   double next_double() {
     return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);

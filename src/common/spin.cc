@@ -58,8 +58,6 @@ double spin_iters_per_us() {
   return v;
 }
 
-void spin_recalibrate() { g_iters_per_us.store(calibrate(), std::memory_order_relaxed); }
-
 void spin_for_ns(u64 ns) {
   if (ns == 0) return;
   double iters = spin_iters_per_us() * static_cast<double>(ns) / 1000.0;

@@ -11,14 +11,11 @@
 namespace teeperf {
 
 // Busy-spins for approximately `ns` nanoseconds. Calibrated once per process
-// on first use; recalibration can be forced with spin_recalibrate().
+// on first use.
 void spin_for_ns(u64 ns);
 
 // Returns the calibrated number of loop iterations per microsecond.
 double spin_iters_per_us();
-
-// Re-runs calibration (used by tests; normal code never needs this).
-void spin_recalibrate();
 
 // Monotonic nanosecond clock (CLOCK_MONOTONIC).
 u64 monotonic_ns();

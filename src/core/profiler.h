@@ -9,7 +9,7 @@
 //   rec->detach();
 //   rec->dump("/tmp/run");                  // /tmp/run.log + /tmp/run.sym
 //
-// then analyze with analyzer/profile.h or visualize with flamegraph/.
+// then analyze with analyzer/stream.h or visualize with flamegraph/.
 #pragma once
 
 #include "core/counter.h"     // IWYU pragma: export

@@ -165,12 +165,6 @@ void detach() {
 
 bool attached() { return g_attached.load(std::memory_order_acquire); }
 
-ProfileLog* current_log() {
-  return g_attached.load(std::memory_order_acquire) ? g_session.log : nullptr;
-}
-
-CounterMode counter_mode() { return g_session.mode; }
-
 void on_enter(u64 addr) {
   if (!g_attached.load(std::memory_order_acquire)) return;
   ThreadState& t = thread_state();
@@ -218,8 +212,6 @@ void on_exit(u64 addr) {
 }
 
 u64 current_tid() { return tid_of(thread_state()); }
-
-u64 thread_count() { return g_next_tid.load(std::memory_order_relaxed); }
 
 int capture_own_stack(u64* out, int max) {
   ThreadState& t = thread_state();

@@ -60,9 +60,6 @@ bool attach(ProfileLog* log, CounterMode mode, const Filter* filter) TEEPERF_NO_
 void detach() TEEPERF_NO_INSTRUMENT;
 bool attached() TEEPERF_NO_INSTRUMENT;
 
-ProfileLog* current_log() TEEPERF_NO_INSTRUMENT;
-CounterMode counter_mode() TEEPERF_NO_INSTRUMENT;
-
 // The instrumentation entry points. `addr` is a raw function address (cyg
 // hooks) or a registered symbol id (scope API).
 void on_enter(u64 addr) TEEPERF_NO_INSTRUMENT;
@@ -70,9 +67,6 @@ void on_exit(u64 addr) TEEPERF_NO_INSTRUMENT;
 
 // This thread's profiler-assigned id (dense, assigned on first event).
 u64 current_tid() TEEPERF_NO_INSTRUMENT;
-
-// Number of threads that have produced at least one event this session.
-u64 thread_count() TEEPERF_NO_INSTRUMENT;
 
 // Copies the calling thread's shadow stack (bottom → top) into `out`,
 // returning the depth copied (≤ max). Async-signal-safe.

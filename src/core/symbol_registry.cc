@@ -62,17 +62,6 @@ std::unordered_map<u64, std::string> SymbolRegistry::parse(std::string_view text
   return out;
 }
 
-usize SymbolRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_.size();
-}
-
-void SymbolRegistry::reset_for_test() {
-  std::lock_guard<std::mutex> lock(mu_);
-  by_name_.clear();
-  names_.clear();
-}
-
 std::string demangle(const char* mangled) {
   int status = 0;
   char* out = abi::__cxa_demangle(mangled, nullptr, nullptr, &status);

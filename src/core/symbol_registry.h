@@ -43,12 +43,6 @@ class SymbolRegistry {
   // Loads "id\tname\n" lines into an id→name map (analyzer side).
   static std::unordered_map<u64, std::string> parse(std::string_view text);
 
-  usize size() const;
-
-  // Drops all registrations. Only for test isolation; ids handed out before
-  // a reset become dangling.
-  void reset_for_test();
-
  private:
   SymbolRegistry() = default;
 

@@ -74,8 +74,6 @@ void Registry::arm(const std::string& name, Spec spec) {
   if (!is_armed && was_armed) armed_points_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Registry::disarm(const std::string& name) { arm(name, Spec{}); }
-
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   points_.clear();

@@ -61,7 +61,6 @@ class Registry {
   // creates it (so tests can arm points added later without registration
   // ceremony).
   void arm(const std::string& name, Spec spec);
-  void disarm(const std::string& name);
   // Disarms everything and clears hit/fire counts. Seed is kept.
   void reset();
 

@@ -185,6 +185,10 @@ std::string render_svg(const FoldedStacks& stacks, const SvgOptions& options) {
   return svg;
 }
 
+Frame build_frame_tree(const analyzer::MergeableProfile& m) {
+  return build_frame_tree(FoldedStacks(m.stacks.begin(), m.stacks.end()));
+}
+
 std::string render_profile_svg(const analyzer::MergeableProfile& m,
                                const SvgOptions& options) {
   SvgOptions opt = options;
@@ -214,18 +218,19 @@ std::string timeline_color(const std::string& name) {
 
 }  // namespace
 
-std::string render_timeline_svg(const analyzer::Profile& profile,
+std::string render_timeline_svg(const analyzer::InvocationTable& table,
                                 const TimelineOptions& options) {
-  const auto& all = profile.invocations();
+  std::vector<const analyzer::Invocation*> all;
+  for (usize i = 0; i < table.count(); ++i) all.push_back(&table.row(i));
 
   // Global time range and per-thread max depth.
   u64 t_min = ~0ull, t_max = 0;
   std::map<u64, u32> lane_depth;
-  for (const auto& inv : all) {
-    t_min = std::min(t_min, inv.start);
-    t_max = std::max(t_max, inv.end);
-    u32& d = lane_depth[inv.tid];
-    d = std::max(d, inv.depth + 1);
+  for (const auto* inv : all) {
+    t_min = std::min(t_min, inv->start);
+    t_max = std::max(t_max, inv->end);
+    u32& d = lane_depth[inv->tid];
+    d = std::max(d, inv->depth + 1);
   }
   if (all.empty() || t_max <= t_min) {
     return "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"10\" "
@@ -259,17 +264,19 @@ std::string render_timeline_svg(const analyzer::Profile& profile,
         ly - 3, static_cast<unsigned long long>(tid));
   }
 
-  for (const auto& inv : all) {
+  analyzer::MethodNames names(table.symbols());
+  for (const auto* row : all) {
+    const analyzer::Invocation& inv = *row;
     double x = 10 + static_cast<double>(inv.start - t_min) * px_per_tick;
     double w = static_cast<double>(inv.inclusive()) * px_per_tick;
     if (w < options.min_width_px) continue;
     int ry = lane_y[inv.tid] + static_cast<int>(inv.depth) * options.row_height;
-    std::string name = xml_escape(profile.name(inv.method));
+    std::string name = xml_escape(names(inv.method));
     svg += str_format(
         "<g><title>%s (%.3f ms, tid %llu, depth %u)</title>"
         "<rect x=\"%.2f\" y=\"%d\" width=\"%.2f\" height=\"%d\" fill=\"%s\" "
         "stroke=\"#fff\" stroke-width=\"0.3\"/>",
-        name.c_str(), profile.ticks_to_ns(inv.inclusive()) / 1e6,
+        name.c_str(), table.ticks_to_ns(inv.inclusive()) / 1e6,
         static_cast<unsigned long long>(inv.tid), inv.depth, x, ry,
         std::max(w, 0.4), options.row_height - 1, timeline_color(name).c_str());
     usize fit = static_cast<usize>(w / 6.5);
@@ -278,7 +285,7 @@ std::string render_timeline_svg(const analyzer::Profile& profile,
           "<text x=\"%.2f\" y=\"%d\" font-size=\"9\" "
           "font-family=\"monospace\">%s</text>",
           x + 2, ry + options.row_height - 3,
-          xml_escape(ellipsize(profile.name(inv.method), fit)).c_str());
+          xml_escape(ellipsize(names(inv.method), fit)).c_str());
     }
     svg += "</g>\n";
   }

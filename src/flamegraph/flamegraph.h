@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "common/types.h"
 
 namespace teeperf::flamegraph {
@@ -54,10 +54,12 @@ struct Frame {
 };
 
 Frame build_frame_tree(const FoldedStacks& stacks);
+// An aggregate's folded stacks as a frame tree.
+Frame build_frame_tree(const analyzer::MergeableProfile& m);
 
 // --- timeline view (the second visualizer) -----------------------------------
-// Per-thread swim lanes with one rectangle per invocation, positioned by
-// counter value and stacked by call depth — a self-contained SVG trace
+// Per-thread swim lanes with one rectangle per row of a table, positioned
+// by counter value and stacked by call depth — a self-contained SVG trace
 // viewer for seeing *when* things ran, complementing the flame graph's
 // *how much* view.
 struct TimelineOptions {
@@ -68,7 +70,7 @@ struct TimelineOptions {
   double min_width_px = 0.3;
 };
 
-std::string render_timeline_svg(const analyzer::Profile& profile,
+std::string render_timeline_svg(const analyzer::InvocationTable& table,
                                 const TimelineOptions& options = {});
 
 // Finds a frame by name anywhere in the tree (first match, depth-first);

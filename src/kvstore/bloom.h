@@ -15,7 +15,6 @@ class BloomFilterBuilder {
   explicit BloomFilterBuilder(usize bits_per_key) : bits_per_key_(bits_per_key) {}
 
   void add(std::string_view key) { hashes_.push_back(hash_key(key)); }
-  usize key_count() const { return hashes_.size(); }
 
   // Serializes the filter: bit array followed by one byte holding k.
   std::string finish() const;

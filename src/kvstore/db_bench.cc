@@ -102,20 +102,6 @@ BenchResult finish_result(const Stats& stats, u64 t0, u64 t1, u64 reads, u64 wri
 
 }  // namespace
 
-BenchResult run_fill_seq(DB& db, const BenchConfig& config) {
-  TEEPERF_SCOPE("kvs::Benchmark::FillSeq");
-  RandomGenerator gen(config.seed, config.generator_buffer);
-  Stats stats;
-  WriteOptions wopts;
-  u64 t0 = monotonic_ns();
-  for (usize i = 0; i < config.num_ops; ++i) {
-    if (config.per_op_stats) stats.start();
-    db.put(wopts, make_key(i, config.key_size), gen.generate(config.value_size));
-    if (config.per_op_stats) stats.finished_single_op();
-  }
-  return finish_result(stats, t0, monotonic_ns(), 0, config.num_ops, 0);
-}
-
 BenchResult run_fill_random(DB& db, const BenchConfig& config) {
   TEEPERF_SCOPE("kvs::Benchmark::FillRandom");
   RandomGenerator gen(config.seed, config.generator_buffer);

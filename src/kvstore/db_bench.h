@@ -82,8 +82,6 @@ struct BenchResult {
   LatencyHistogram latency;
 };
 
-// Sequential fill: keys 0..num_ops-1 (prepares read workloads).
-BenchResult run_fill_seq(DB& db, const BenchConfig& config);
 // Random fill over the key space.
 BenchResult run_fill_random(DB& db, const BenchConfig& config);
 // 100% random point reads.

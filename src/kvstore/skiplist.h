@@ -63,12 +63,6 @@ class SkipList {
     void next() { node_ = node_->next(0); }
     void seek(const Key& target) { node_ = list_->find_greater_or_equal(target, nullptr); }
     void seek_to_first() { node_ = list_->head_->next(0); }
-    void seek_to_last() { node_ = list_->find_last(); }
-    void prev() {
-      // No back links: search for the last node before the current key.
-      node_ = list_->find_less_than(node_->key);
-      if (node_ == list_->head_) node_ = nullptr;
-    }
 
    private:
     const SkipList* list_;
@@ -121,36 +115,6 @@ class SkipList {
       } else {
         if (prev != nullptr) prev[level] = x;
         if (level == 0) return next;
-        --level;
-      }
-    }
-  }
-
-  Node* find_less_than(const Key& key) const {
-    Node* x = head_;
-    int level = height_.load(std::memory_order_relaxed) - 1;
-    while (true) {
-      Node* next = x->next(level);
-      if (next != nullptr && compare_(next->key, key) < 0) {
-        x = next;
-      } else if (level == 0) {
-        return x;
-      } else {
-        --level;
-      }
-    }
-  }
-
-  Node* find_last() const {
-    Node* x = head_;
-    int level = height_.load(std::memory_order_relaxed) - 1;
-    while (true) {
-      Node* next = x->next(level);
-      if (next != nullptr) {
-        x = next;
-      } else if (level == 0) {
-        return x == head_ ? nullptr : x;
-      } else {
         --level;
       }
     }

@@ -20,7 +20,6 @@ class Status {
   bool is_ok() const { return code_ == Code::kOk; }
   bool is_not_found() const { return code_ == Code::kNotFound; }
   bool is_corruption() const { return code_ == Code::kCorruption; }
-  bool is_io_error() const { return code_ == Code::kIoError; }
 
   std::string to_string() const {
     switch (code_) {

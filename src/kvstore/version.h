@@ -36,11 +36,6 @@ struct Version {
     for (const auto& f : levels[level]) b += f->size;
     return b;
   }
-  usize file_count() const {
-    usize n = 0;
-    for (const auto& l : levels) n += l.size();
-    return n;
-  }
 };
 
 // MANIFEST serialization: a small text file, rewritten atomically-enough

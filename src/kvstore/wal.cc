@@ -12,7 +12,6 @@ Status WalWriter::open(const std::string& path, bool truncate) {
   close();
   file_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
   if (!file_) return Status::io_error("open " + path);
-  bytes_ = 0;
   return Status::ok();
 }
 
@@ -35,7 +34,6 @@ Status WalWriter::append(std::string_view record) {
   if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
     return Status::io_error("wal write");
   }
-  bytes_ += frame.size();
   return Status::ok();
 }
 

@@ -26,12 +26,9 @@ class WalWriter {
   Status append(std::string_view record);
   Status flush();
   void close();
-  bool is_open() const { return file_ != nullptr; }
-  u64 bytes_written() const { return bytes_; }
 
  private:
   std::FILE* file_ = nullptr;
-  u64 bytes_ = 0;
 };
 
 class WalReader {

@@ -1,6 +1,5 @@
 #include "tee/sysapi.h"
 
-#include <sched.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -63,13 +62,6 @@ u64 clock_gettime_ns() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<u64>(ts.tv_sec) * 1'000'000'000ull + static_cast<u64>(ts.tv_nsec);
-}
-
-void yield() {
-  TEEPERF_SCOPE("sched_yield");
-  ++thread_trap_counts().yield;
-  charge_syscall();
-  sched_yield();
 }
 
 usize write_out(const void* data, usize len) {

@@ -26,9 +26,6 @@ u64 rdtsc();
 // Wall clock in nanoseconds (clock_gettime) — a syscall when inside.
 u64 clock_gettime_ns();
 
-// Yield (sched_yield) — a syscall when inside.
-void yield();
-
 // Simulated file write of `len` bytes (the generic I/O wrapper): charged as
 // one OCALL plus copy-out MEE traffic. Returns len.
 usize write_out(const void* data, usize len);
@@ -38,7 +35,6 @@ struct TrapCounts {
   u64 getpid = 0;
   u64 rdtsc = 0;
   u64 clock = 0;
-  u64 yield = 0;
   u64 write = 0;
 };
 TrapCounts& thread_trap_counts();

@@ -18,7 +18,8 @@
 #include <cmath>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/shm.h"
 #include "common/spin.h"
@@ -29,6 +30,7 @@
 #include "obs/watchdog.h"
 #include "tee/enclave.h"
 #include "tee/epc.h"
+#include "tests/row_rollup.h"
 
 namespace teeperf {
 namespace {
@@ -131,7 +133,7 @@ TEST_P(KillMidAppendTest, AnalyzerRecoversValidPrefix) {
 
   // The analyzer consumes the prefix and reports the tombstone instead of
   // inventing a phantom invocation of method 0.
-  auto profile = analyzer::Profile::from_log(log, {}, 1.0);
+  auto profile = analyzer::InvocationTable::from_log(log, {}, 1.0);
   EXPECT_EQ(profile.recon_stats().entries, fatal);
   EXPECT_EQ(profile.recon_stats().tombstones, 1u);
 
@@ -147,7 +149,7 @@ TEST_P(KillMidAppendTest, AnalyzerRecoversValidPrefix) {
     ref_log.append(script[i].kind, script[i].addr, script[i].tid,
                    script[i].counter);
   }
-  auto ref = analyzer::Profile::from_log(ref_log, {}, 1.0);
+  auto ref = analyzer::InvocationTable::from_log(ref_log, {}, 1.0);
   ASSERT_EQ(profile.invocations().size(), ref.invocations().size());
   for (usize i = 0; i < ref.invocations().size(); ++i) {
     EXPECT_EQ(profile.invocations()[i].method, ref.invocations()[i].method);
@@ -222,7 +224,7 @@ TEST_P(KillMidBatchFlushTest, PerShardTornTailAccountsWholeBatch) {
   EXPECT_EQ(log.count_torn_tail(), 32u);
 
   // The analyzer consumes the surviving shard and accounts every torn slot.
-  auto profile = analyzer::Profile::from_log(log, {}, 1.0);
+  auto profile = analyzer::InvocationTable::from_log(log, {}, 1.0);
   EXPECT_EQ(profile.recon_stats().tombstones, 32u);
 
   // Reference replay of the surviving thread's events (balanced calls and
@@ -237,7 +239,7 @@ TEST_P(KillMidBatchFlushTest, PerShardTornTailAccountsWholeBatch) {
       ref_log.append(e.kind, e.addr, e.tid, e.counter);
     }
   }
-  auto ref = analyzer::Profile::from_log(ref_log, {}, 1.0);
+  auto ref = analyzer::InvocationTable::from_log(ref_log, {}, 1.0);
   ASSERT_EQ(profile.invocations().size(), ref.invocations().size());
   for (usize i = 0; i < ref.invocations().size(); ++i) {
     EXPECT_EQ(profile.invocations()[i].method, ref.invocations()[i].method);
@@ -335,7 +337,7 @@ TEST_P(RingWrapTornTailTest, WrappedWindowScansPhysicalSlots) {
   }
 
   // The analyzer sees exactly the torn batch as tombstones.
-  auto profile = analyzer::Profile::from_log(log, {}, 1.0);
+  auto profile = analyzer::InvocationTable::from_log(log, {}, 1.0);
   EXPECT_EQ(profile.recon_stats().tombstones, 32u);
 }
 
@@ -444,7 +446,7 @@ TEST_F(FaultScenarioTest, TornDumpLoadsPrefixOrRejectsCleanly) {
 
   // An intact dump for reference.
   ASSERT_TRUE(rec->dump(dir + "/ok"));
-  auto intact = analyzer::Profile::load(dir + "/ok");
+  auto intact = analyzer::InvocationTable::load(dir + "/ok");
   ASSERT_TRUE(intact.has_value());
   ASSERT_EQ(intact->invocations().size(), 20u);
 
@@ -457,11 +459,13 @@ TEST_F(FaultScenarioTest, TornDumpLoadsPrefixOrRejectsCleanly) {
     std::string prefix = dir + "/torn" + std::to_string(seed);
     rec->dump(prefix);  // may report failure; the file may be partial
     fault::Registry::instance().reset();
-    auto loaded = analyzer::Profile::load(prefix);
+    auto loaded = analyzer::InvocationTable::load(prefix);
+    auto agg = analyzer::StreamAnalyzer::analyze(prefix);
+    ASSERT_EQ(agg.has_value(), loaded.has_value());
     if (loaded) {
       EXPECT_LE(loaded->invocations().size(), intact->invocations().size());
       EXPECT_LE(loaded->recon_stats().entries, intact->recon_stats().entries);
-      analyzer::MergeableProfile::from_profile(*loaded).save();
+      agg->save();
     }
   }
   remove_tree(dir);
@@ -490,9 +494,7 @@ TEST_F(FaultScenarioTest, BitflippedDumpNeverCrashesAnalyzer) {
     ASSERT_TRUE(fault::apply_byte_faults("dump", &mutant));
     fault::Registry::instance().reset();
     // Either rejected or analyzed; both are fine, crashing is not.
-    if (auto p = analyzer::Profile::load_bytes(mutant)) {
-      analyzer::MergeableProfile::from_profile(*p).save();
-    }
+    if (auto t = table_of_dump(mutant)) rollup(*t).save();
   }
   remove_tree(dir);
 }
@@ -568,7 +570,7 @@ TEST_F(FaultScenarioTest, ValidateFlagsBackwardsCounter) {
   entries[1].addr = 0x2;
   entries[2].kind_and_counter = LogEntry::pack(EventKind::kReturn, 95);
   entries[2].addr = 0x2;
-  auto issues = analyzer::Profile::validate(entries.data(), entries.size());
+  auto issues = analyzer::validate(entries.data(), entries.size());
   bool found = false;
   for (const auto& issue : issues) {
     if (issue.kind == analyzer::ValidationIssue::Kind::kNonMonotonicCounter) {
@@ -727,18 +729,17 @@ TEST_P(ReplicatedCounterFailoverTest, PrimaryStallFailsOverCalibrated) {
   ASSERT_TRUE(rec->dump(dir + "/run"));
   rec->detach();
 
-  auto profile = analyzer::Profile::load(dir + "/run");
-  ASSERT_TRUE(profile.has_value());
-  ASSERT_GT(profile->ns_per_tick(), 0.0);
+  auto agg = analyzer::StreamAnalyzer::analyze(dir + "/run");
+  ASSERT_TRUE(agg.has_value());
+  ASSERT_GT(agg->ns_per_tick, 0.0);
   // Monotonic timestamps survive reconstruction: no backwards counters.
-  for (const auto& issue : analyzer::Profile::validate(rec->log())) {
+  for (const auto& issue : analyzer::validate(rec->log())) {
     EXPECT_NE(issue.kind,
               analyzer::ValidationIssue::Kind::kNonMonotonicCounter);
   }
   double est = 0.0;
-  auto agg = analyzer::MergeableProfile::from_profile(*profile);
-  if (auto it = agg.methods.find("replicated::spin"); it != agg.methods.end()) {
-    est = profile->ticks_to_ns(it->second.inclusive_total);
+  if (auto it = agg->methods.find("replicated::spin"); it != agg->methods.end()) {
+    est = static_cast<double>(it->second.inclusive_total) * agg->ns_per_tick;
   }
   ASSERT_GT(est, 0.0);
   // Calibrated time within 20% of the wall clock around the same loop.

@@ -1,6 +1,8 @@
 // Property tests for the analyzer query interface (src/analyzer/query.h):
 // every combinator is checked against a brute-force reference computed
-// directly from Profile::invocations(), over many randomly generated (but
+// directly from the collected rows (InvocationTable::invocations()), and
+// the streaming accumulator (RowAggregate) against the table it stands in
+// for, over many randomly generated (but
 // seeded, deterministic) call/return logs. Catches drift between the
 // indexed table implementation and the semantics it promises.
 #include <gtest/gtest.h>
@@ -10,7 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "common/rng.h"
 #include "core/log_format.h"
@@ -76,7 +77,7 @@ std::vector<Row> rows_of(const InvocationTable& t) {
 // Brute-force reference: plain loop over all invocations, keeping those
 // that satisfy `pred`, in original order.
 template <typename Pred>
-std::vector<Row> brute_filter(const Profile& p, Pred pred) {
+std::vector<Row> brute_filter(const InvocationTable& p, Pred pred) {
   std::vector<Row> out;
   for (const Invocation& i : p.invocations()) {
     if (pred(i)) out.push_back(row_id(i));
@@ -89,9 +90,9 @@ class QueryPropertyTest : public ::testing::TestWithParam<u64> {};
 TEST_P(QueryPropertyTest, FiltersMatchBruteForce) {
   ProfileLog log;
   auto buf = make_random_log(GetParam(), &log);
-  Profile p = Profile::from_log(log, {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(log, {}, 1.0);
   ASSERT_FALSE(p.invocations().empty());
-  InvocationTable t(p);
+  InvocationTable t = p;
   EXPECT_EQ(t.count(), p.invocations().size());
 
   EXPECT_EQ(rows_of(t.where_method(0x200)),
@@ -123,7 +124,7 @@ TEST_P(QueryPropertyTest, FiltersMatchBruteForce) {
 TEST_P(QueryPropertyTest, CalledUnderMatchesAncestryWalk) {
   ProfileLog log;
   auto buf = make_random_log(GetParam(), &log);
-  Profile p = Profile::from_log(log, {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(log, {}, 1.0);
   const auto& all = p.invocations();
   for (u64 ancestor : {u64{0x100}, u64{0x300}, u64{0x999}}) {
     auto expected = brute_filter(p, [&all, ancestor](const Invocation& i) {
@@ -132,14 +133,14 @@ TEST_P(QueryPropertyTest, CalledUnderMatchesAncestryWalk) {
       }
       return false;
     });
-    EXPECT_EQ(rows_of(InvocationTable(p).where_called_under(ancestor)), expected);
+    EXPECT_EQ(rows_of(p.where_called_under(ancestor)), expected);
   }
 }
 
 TEST_P(QueryPropertyTest, SortAndTopMatchStableSortReference) {
   ProfileLog log;
   auto buf = make_random_log(GetParam(), &log);
-  Profile p = Profile::from_log(log, {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(log, {}, 1.0);
   const auto& all = p.invocations();
 
   for (SortKey key : {SortKey::kInclusive, SortKey::kExclusive, SortKey::kStart,
@@ -164,7 +165,7 @@ TEST_P(QueryPropertyTest, SortAndTopMatchStableSortReference) {
       std::vector<Row> expected;
       for (usize r : ref) expected.push_back(row_id(all[r]));
 
-      auto sorted = InvocationTable(p).sort_by(key, descending);
+      auto sorted = p.sort_by(key, descending);
       EXPECT_EQ(rows_of(sorted), expected);
 
       // top(n) is a plain prefix, and never reads past the end.
@@ -172,6 +173,16 @@ TEST_P(QueryPropertyTest, SortAndTopMatchStableSortReference) {
       expected.resize(std::min<usize>(3, expected.size()));
       EXPECT_EQ(rows_of(top3), expected);
       EXPECT_EQ(sorted.top(all.size() + 100).count(), all.size());
+
+      // RowAggregate keeps the same first rows from rows fed in any order:
+      // here the reverse of the table's.
+      if (descending) {
+        RowAggregate agg({}, 3, key);
+        for (auto it = all.rbegin(); it != all.rend(); ++it) agg.add(*it);
+        std::vector<Row> kept;
+        for (const Invocation& i : agg.top()) kept.push_back(row_id(i));
+        EXPECT_EQ(kept, expected);
+      }
     }
   }
 }
@@ -179,8 +190,8 @@ TEST_P(QueryPropertyTest, SortAndTopMatchStableSortReference) {
 TEST_P(QueryPropertyTest, ScalarAggregatesMatchBruteForce) {
   ProfileLog log;
   auto buf = make_random_log(GetParam(), &log);
-  Profile p = Profile::from_log(log, {}, 1.0);
-  InvocationTable t = InvocationTable(p).where_depth_between(0, 2);
+  InvocationTable p = InvocationTable::from_log(log, {}, 1.0);
+  InvocationTable t = p.where_depth_between(0, 2);
 
   u64 sum_inc = 0, sum_exc = 0, max_inc = 0;
   usize n = 0;
@@ -220,7 +231,7 @@ TEST_P(QueryPropertyTest, ScalarAggregatesMatchBruteForce) {
 TEST_P(QueryPropertyTest, GroupedAggregatesMatchBruteForce) {
   ProfileLog log;
   auto buf = make_random_log(GetParam(), &log);
-  Profile p = Profile::from_log(log, {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(log, {}, 1.0);
   const auto& all = p.invocations();
 
   struct Agg {
@@ -259,18 +270,18 @@ TEST_P(QueryPropertyTest, GroupedAggregatesMatchBruteForce) {
     c.inc += i.inclusive();
     c.exc += i.exclusive();
   }
-  check(InvocationTable(p).group_by_method(), by_method);
-  check(InvocationTable(p).group_by_caller(), by_caller);
+  check(p.group_by_method(), by_method);
+  check(p.group_by_caller(), by_caller);
 
   // Grouping partitions the table: totals across groups equal the table's.
   u64 grand_inc = 0;
   usize grand_count = 0;
-  for (const auto& g : InvocationTable(p).group_by_tid()) {
+  for (const auto& g : p.group_by_tid()) {
     grand_inc += g.inclusive_total;
     grand_count += g.count;
   }
   EXPECT_EQ(grand_count, all.size());
-  EXPECT_EQ(grand_inc, InvocationTable(p).sum_inclusive());
+  EXPECT_EQ(grand_inc, p.sum_inclusive());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryPropertyTest,

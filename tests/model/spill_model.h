@@ -189,7 +189,7 @@ class SpillLogModel {
   }
 
   // Recovery = the spilled sequence followed by the live residue
-  // [drained, tail) — exactly what Profile::load() stitches (chunks, then the
+  // [drained, tail) — exactly what walk_session() stitches (chunks, then the
   // compact dump of the remaining windows). Committed work is computed from
   // each thread's RUNTIME pc, not its static program: blocked threads end
   // mid-program and that is a legal terminal.

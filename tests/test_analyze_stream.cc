@@ -1,9 +1,10 @@
 // Differential tests for the two sinks of the one reconstruction fold
 // (analyzer/fold.h, DESIGN.md §12): the path-tree sink (StreamAnalyzer)
-// must produce the byte-identical MergeableProfile that the invocation sink
-// (Profile::load → MergeableProfile::from_profile) produces —
-// over every corpus seed, over real drainer sessions (healthy, fault-seeded
-// and torn), and over rejection decisions. Plus the golden `.mprof` layer
+// must produce the byte-identical MergeableProfile that a test-side rollup
+// of the invocation sink's collected rows (InvocationTable::load →
+// rollup, row_rollup.h) produces — over every corpus seed, over real
+// drainer sessions (healthy, fault-seeded and torn), and over rejection
+// decisions; and the streamed rows must be the collected table's rows. Plus the golden `.mprof` layer
 // (regenerate with TEEPERF_UPDATE_GOLDEN=1) and the bounded-memory property
 // the streaming pass exists for: analyzing a spill session far larger than
 // the shm window without ever holding it in memory.
@@ -23,7 +24,7 @@
 
 #include "analyzer/fold.h"
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
@@ -31,13 +32,14 @@
 #include "drain/chunk_format.h"
 #include "drain/drainer.h"
 #include "faultsim/fault.h"
+#include "row_rollup.h"
 #include "synthetic_session.h"
 
 namespace teeperf {
 namespace {
 
+using analyzer::InvocationTable;
 using analyzer::MergeableProfile;
-using analyzer::Profile;
 using analyzer::StreamAnalyzer;
 
 std::string corpus_dir() {
@@ -104,9 +106,9 @@ u64 peak_rss_bytes() {
 
 // The in-memory reference pipeline the streaming pass is held equal to.
 std::string reference_bytes(const std::string& prefix) {
-  auto ref = Profile::load(prefix);
+  auto ref = InvocationTable::load(prefix);
   EXPECT_TRUE(ref.has_value());
-  return ref ? MergeableProfile::from_profile(*ref).save() : std::string();
+  return ref ? rollup(*ref).save() : std::string();
 }
 
 // ------------------------------------------------ drainer-session plumbing
@@ -181,8 +183,9 @@ int run_supervised(ProfileLog& log, drain::Drainer& drainer) {
 
 // Runs one spill session to completion (chunks + residue dump on disk) and
 // returns the drainer restart count.
-int record_spill_session(const std::string& prefix, const char* fault_spec) {
-  SpillLog s;
+int record_spill_session(const std::string& prefix, const char* fault_spec,
+                         u32 shards = kShards) {
+  SpillLog s(kSpillCapacity, shards);
   drain::DrainerOptions dopts;
   dopts.prefix = prefix;
   dopts.chunk_entries = 256;
@@ -211,12 +214,12 @@ TEST(AnalyzeStream, CorpusDifferentialByteIdentical) {
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
     std::string prefix = corpus_dir() + "/" + name;
-    auto ref = Profile::load(prefix);
+    auto ref = InvocationTable::load(prefix);
     ASSERT_TRUE(ref.has_value()) << "loader rejected a trusted seed";
     std::string err;
     auto streamed = StreamAnalyzer::analyze(prefix, &err);
     ASSERT_TRUE(streamed.has_value()) << err;
-    EXPECT_EQ(streamed->save(), MergeableProfile::from_profile(*ref).save());
+    EXPECT_EQ(streamed->save(), rollup(*ref).save());
     EXPECT_EQ(streamed->sessions, 1u);
   }
 }
@@ -252,7 +255,7 @@ TEST(AnalyzeStream, SpillSessionDifferentialByteIdentical) {
   EXPECT_EQ(streamed->stats.entries, kTotalEntries);
   EXPECT_EQ(streamed->stats.tombstones, 0u);
 
-  // analyze() auto-detects the chunk sequence, like Profile::load.
+  // analyze() auto-detects the chunk sequence, like InvocationTable::load.
   auto auto_detected = StreamAnalyzer::analyze(prefix, &err);
   ASSERT_TRUE(auto_detected.has_value()) << err;
   EXPECT_EQ(auto_detected->save(), ref);
@@ -309,12 +312,12 @@ TEST(AnalyzeStream, TornTrailingChunkParityCorruptMiddleRejectsBoth) {
   ASSERT_TRUE(last_raw.has_value());
   ASSERT_TRUE(write_file(
       last_path, std::string_view(last_raw->data(), last_raw->size() / 2)));
-  auto ref = Profile::load(prefix);
+  auto ref = InvocationTable::load(prefix);
   ASSERT_TRUE(ref.has_value());
   std::string err;
   auto streamed = StreamAnalyzer::analyze(prefix, &err);
   ASSERT_TRUE(streamed.has_value()) << err;
-  EXPECT_EQ(streamed->save(), MergeableProfile::from_profile(*ref).save());
+  EXPECT_EQ(streamed->save(), rollup(*ref).save());
   EXPECT_LT(streamed->stats.entries, kTotalEntries);  // genuinely degraded
 
   // A corrupt chunk in the middle rejects through both pipelines.
@@ -324,7 +327,7 @@ TEST(AnalyzeStream, TornTrailingChunkParityCorruptMiddleRejectsBoth) {
   ASSERT_TRUE(mid_raw.has_value());
   (*mid_raw)[mid_raw->size() / 2] ^= 0x40;
   ASSERT_TRUE(write_file(mid_path, *mid_raw));
-  EXPECT_FALSE(Profile::load(prefix).has_value());
+  EXPECT_FALSE(InvocationTable::load(prefix).has_value());
   EXPECT_FALSE(StreamAnalyzer::analyze(prefix).has_value());
   remove_session(prefix);
 }
@@ -334,13 +337,13 @@ TEST(AnalyzeStream, RejectionParityWithInMemoryLoader) {
   remove_session(prefix);
 
   // Nothing on disk at all.
-  EXPECT_EQ(Profile::load(prefix).has_value(),
+  EXPECT_EQ(InvocationTable::load(prefix).has_value(),
             StreamAnalyzer::analyze(prefix).has_value());
   EXPECT_FALSE(StreamAnalyzer::analyze(prefix).has_value());
 
   // A .log that is not a dump.
   ASSERT_TRUE(write_file(prefix + ".log", "this is not a profile dump"));
-  EXPECT_EQ(Profile::load(prefix).has_value(),
+  EXPECT_EQ(InvocationTable::load(prefix).has_value(),
             StreamAnalyzer::analyze(prefix).has_value());
   EXPECT_FALSE(StreamAnalyzer::analyze(prefix).has_value());
   remove_session(prefix);
@@ -348,8 +351,49 @@ TEST(AnalyzeStream, RejectionParityWithInMemoryLoader) {
   // A lone unparseable chunk with no residue: torn-trailing tolerance has
   // nothing left to analyze — both pipelines must make the same call.
   ASSERT_TRUE(write_file(drain::chunk_path(prefix, 0), "torn"));
-  EXPECT_EQ(Profile::load(prefix).has_value(),
+  EXPECT_EQ(InvocationTable::load(prefix).has_value(),
             StreamAnalyzer::analyze(prefix).has_value());
+  remove_session(prefix);
+}
+
+// ------------------------------------------------ the invocation stream
+
+// The rows InvocationStream hands over as frames close, over a 4-shard
+// spill session, are the collected table's rows: the same multiset, each
+// with its shard, open sequence number and parent.
+TEST(AnalyzeStream, StreamedRowsEqualCollectedTableRows) {
+  PatientWriters patient;
+  std::string prefix = tmp_prefix("rows");
+  remove_session(prefix);
+  record_spill_session(prefix, nullptr, /*shards=*/4);
+
+  std::vector<analyzer::Invocation> streamed;
+  analyzer::InvocationStream stream(
+      [&](const analyzer::Invocation& row) { streamed.push_back(row); });
+  ASSERT_TRUE(analyzer::walk_session(prefix, stream).has_value());
+  analyzer::ReconstructionStats recon = stream.finish();
+
+  auto table = InvocationTable::load(prefix);
+  ASSERT_TRUE(table.has_value());
+  EXPECT_EQ(recon, table->recon_stats());
+  EXPECT_EQ(recon.entries, kTotalEntries);
+  // A collected row's parent is an index into the table; a streamed row's
+  // is its parent's seq.
+  std::vector<analyzer::Invocation> collected = table->invocations();
+  for (analyzer::Invocation& row : collected) {
+    if (row.parent >= 0) {
+      row.parent = static_cast<i64>(table->invocations()[static_cast<usize>(row.parent)].seq);
+    }
+  }
+  auto by_place = [](const analyzer::Invocation& a, const analyzer::Invocation& b) {
+    return a.shard != b.shard ? a.shard < b.shard : a.seq < b.seq;
+  };
+  ASSERT_TRUE(std::is_sorted(collected.begin(), collected.end(), by_place));
+  std::sort(streamed.begin(), streamed.end(), by_place);
+  EXPECT_EQ(streamed, collected);
+  EXPECT_EQ(streamed.size(), kTotalEntries / 2);
+  ASSERT_FALSE(collected.empty());
+  EXPECT_EQ(collected.back().shard, 3u);
   remove_session(prefix);
 }
 
@@ -359,7 +403,7 @@ TEST(AnalyzeStream, RejectionParityWithInMemoryLoader) {
 // point (every k-th on large seeds): the open frames, the tid cache and
 // the stats carry across the boundary, so both sinks must land exactly
 // where one piece does — the same `.mprof` bytes through the path-tree
-// sink, the same Invocations and stats through the invocation sink.
+// sink, the same rows and stats through the invocation sink.
 TEST(AnalyzeStream, SplitFeedMatchesOnePieceForBothSinks) {
   using analyzer::InvocationSink;
   using analyzer::ShardFold;
@@ -402,7 +446,7 @@ TEST(AnalyzeStream, SplitFeedMatchesOnePieceForBothSinks) {
         split.feed(w, at);
         split.feed(w + at, n - at);
         split.close_all();
-        EXPECT_EQ(split.sink.invocations, whole.sink.invocations);
+        EXPECT_EQ(split.sink.closed, whole.sink.closed);
         EXPECT_EQ(split.recon(), whole.recon());
         EXPECT_EQ(split.thread_count(), whole.thread_count());
       }
@@ -412,8 +456,8 @@ TEST(AnalyzeStream, SplitFeedMatchesOnePieceForBothSinks) {
 
 // ------------------------------------------------ validation of spill sessions
 
-// validate_file reads every entry load() would: a defect in chunk 0 is
-// reported whether the residue dump is missing or clean.
+// validate_session reads every entry walk_session feeds: a defect in chunk
+// 0 is reported whether the residue dump is missing or clean.
 TEST(AnalyzeStream, ValidateFileChecksSpillChunks) {
   std::string prefix = tmp_prefix("validate");
   remove_session(prefix);
@@ -439,7 +483,7 @@ TEST(AnalyzeStream, ValidateFileChecksSpillChunks) {
                          drain::serialize_chunk(session, chunk, 0)));
 
   auto expect_both_issues = [&](u64 entries) {
-    auto issues = Profile::validate_file(prefix);
+    auto issues = analyzer::validate_session(prefix);
     ASSERT_TRUE(issues.has_value()) << "a session killed before dump must validate";
     ASSERT_EQ(issues->size(), 2u);
     EXPECT_EQ((*issues)[0].kind, analyzer::ValidationIssue::Kind::kNonMonotonicCounter);
@@ -463,7 +507,7 @@ TEST(AnalyzeStream, ValidateFileChecksSpillChunks) {
   auto residue_only = analyzer::parse_dump(residue_dump);
   ASSERT_TRUE(residue_only.has_value());
   ASSERT_EQ(residue_only->shards[0].size(), 2u);
-  EXPECT_TRUE(Profile::validate(residue_only->shards[0].data(), 2).empty());
+  EXPECT_TRUE(analyzer::validate(residue_only->shards[0].data(), 2).empty());
   expect_both_issues(7);
   remove_session(prefix);
 }
@@ -490,19 +534,19 @@ TEST(AnalyzeStream, BoundedMemoryOverLargeSyntheticSession) {
   EXPECT_EQ(streamed->methods.size(), 3 * 16u);
 
   // The bounded-memory property: streaming one chunk at a time must never
-  // approach the session's size. The in-memory pipeline materializes every
-  // Invocation (~24 MB here); the streaming pass holds one chunk and the
-  // rolling aggregates.
+  // approach the session's size. A collected table holds every row
+  // (~29 MB here); the streaming pass holds one chunk and the rolling
+  // aggregates.
   ASSERT_GT(peak_before, 0u);
   EXPECT_LT(peak_after, peak_before + (24ull << 20))
       << "streaming analysis peaked " << (peak_after - peak_before)
       << " bytes over baseline for a "
       << (kSynthTotal * sizeof(LogEntry) >> 20) << " MB session";
 
-  // And it is still the exact same aggregate the in-memory loader derives.
-  auto ref = Profile::load(prefix);
+  // And it is still the exact same aggregate the collected rows roll up to.
+  auto ref = InvocationTable::load(prefix);
   ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(streamed->save(), MergeableProfile::from_profile(*ref).save());
+  EXPECT_EQ(streamed->save(), rollup(*ref).save());
   remove_session(prefix);
 }
 
@@ -556,7 +600,7 @@ TEST(AnalyzeStream, ReaderThreadCorruptMiddleChunkFailsAndJoins) {
   EXPECT_FALSE(StreamAnalyzer::analyze_spill(prefix, &err).has_value());
   EXPECT_EQ(err, "corrupt chunk sequence");
   EXPECT_EQ(threads_after_settling(before), before);
-  EXPECT_FALSE(Profile::load(prefix).has_value());
+  EXPECT_FALSE(InvocationTable::load(prefix).has_value());
   remove_session(prefix);
 }
 
@@ -575,9 +619,9 @@ TEST(AnalyzeStream, ReaderThreadToleratesTornTrailingChunk) {
   ASSERT_TRUE(streamed.has_value()) << err;
   EXPECT_EQ(streamed->stats.entries, u64{kReaderChunks - 1} * 2 * kReaderPerShard);
   EXPECT_EQ(threads_after_settling(before), before);
-  auto ref = Profile::load(prefix);
+  auto ref = InvocationTable::load(prefix);
   ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(streamed->save(), MergeableProfile::from_profile(*ref).save());
+  EXPECT_EQ(streamed->save(), rollup(*ref).save());
   remove_session(prefix);
 }
 
@@ -604,7 +648,7 @@ TEST(AnalyzeStream, ReaderThreadEarlyStopDoesNotHang) {
   EXPECT_FALSE(StreamAnalyzer::analyze_spill(prefix, &err).has_value());
   EXPECT_EQ(err, "corrupt chunk sequence");
   EXPECT_EQ(threads_after_settling(before), before);
-  EXPECT_FALSE(Profile::load(prefix).has_value());
+  EXPECT_FALSE(InvocationTable::load(prefix).has_value());
 
   // A chunk that verifies but holds no loadable dump (a zero-shard
   // directory) stops the fold the same way.

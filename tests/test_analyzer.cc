@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
 #include "analyzer/stream.h"
@@ -40,8 +39,14 @@ class LogBuilder {
     return *this;
   }
 
-  Profile profile(std::unordered_map<u64, std::string> symbols = {}) {
-    return Profile::from_log(log_, std::move(symbols), 1.0);
+  InvocationTable table(std::unordered_map<u64, std::string> symbols = {}) {
+    return InvocationTable::from_log(log_, std::move(symbols), 1.0);
+  }
+  SessionTree tree(std::unordered_map<u64, std::string> symbols = {}) {
+    return StreamAnalyzer::analyze_log(log_, std::move(symbols), 1.0);
+  }
+  MergeableProfile aggregate(std::unordered_map<u64, std::string> symbols = {}) {
+    return MergeableProfile::from_tree(tree(std::move(symbols)));
   }
 
   // The same log through the streaming (path-tree) sink.
@@ -63,7 +68,7 @@ class LogBuilder {
 constexpr u64 A = 0x100, B = 0x200, C = 0x300;
 
 TEST(Analyzer, SingleInvocation) {
-  Profile p = LogBuilder().call(A, 0, 10).ret(A, 0, 50).profile();
+  InvocationTable p = LogBuilder().call(A, 0, 10).ret(A, 0, 50).table();
   ASSERT_EQ(p.invocations().size(), 1u);
   const Invocation& inv = p.invocations()[0];
   EXPECT_EQ(inv.method, A);
@@ -77,12 +82,12 @@ TEST(Analyzer, SingleInvocation) {
 
 TEST(Analyzer, NestedExclusiveSubtraction) {
   // A [10..100] calls B [20..60]: A exclusive = 90 - 40 = 50.
-  Profile p = LogBuilder()
+  InvocationTable p = LogBuilder()
                   .call(A, 0, 10)
                   .call(B, 0, 20)
                   .ret(B, 0, 60)
                   .ret(A, 0, 100)
-                  .profile();
+                  .table();
   ASSERT_EQ(p.invocations().size(), 2u);
   const Invocation& a = p.invocations()[0];
   const Invocation& b = p.invocations()[1];
@@ -96,14 +101,14 @@ TEST(Analyzer, NestedExclusiveSubtraction) {
 }
 
 TEST(Analyzer, SiblingsAccumulateInParent) {
-  Profile p = LogBuilder()
+  InvocationTable p = LogBuilder()
                   .call(A, 0, 0)
                   .call(B, 0, 10)
                   .ret(B, 0, 20)
                   .call(C, 0, 30)
                   .ret(C, 0, 70)
                   .ret(A, 0, 100)
-                  .profile();
+                  .table();
   const Invocation& a = p.invocations()[0];
   EXPECT_EQ(a.inclusive(), 100u);
   EXPECT_EQ(a.children, 50u);
@@ -112,14 +117,14 @@ TEST(Analyzer, SiblingsAccumulateInParent) {
 }
 
 TEST(Analyzer, RecursionDepths) {
-  Profile p = LogBuilder()
+  InvocationTable p = LogBuilder()
                   .call(A, 0, 0)
                   .call(A, 0, 10)
                   .call(A, 0, 20)
                   .ret(A, 0, 30)
                   .ret(A, 0, 40)
                   .ret(A, 0, 50)
-                  .profile();
+                  .table();
   ASSERT_EQ(p.invocations().size(), 3u);
   EXPECT_EQ(p.invocations()[0].depth, 0u);
   EXPECT_EQ(p.invocations()[1].depth, 1u);
@@ -128,12 +133,12 @@ TEST(Analyzer, RecursionDepths) {
 }
 
 TEST(Analyzer, ThreadsReconstructIndependently) {
-  Profile p = LogBuilder()
+  InvocationTable p = LogBuilder()
                   .call(A, 0, 0)
                   .call(B, 1, 5)   // interleaved entries from another thread
                   .ret(A, 0, 10)
                   .ret(B, 1, 25)
-                  .profile();
+                  .table();
   ASSERT_EQ(p.invocations().size(), 2u);
   EXPECT_EQ(p.thread_count(), 2u);
   for (const auto& inv : p.invocations()) {
@@ -145,7 +150,7 @@ TEST(Analyzer, ThreadsReconstructIndependently) {
 TEST(Analyzer, StrayReturnCounted) {
   LogBuilder log;
   log.ret(A, 0, 10).call(B, 0, 20).ret(B, 0, 30);
-  Profile p = log.profile();
+  InvocationTable p = log.table();
   EXPECT_EQ(p.recon_stats().stray_returns, 1u);
   ASSERT_EQ(p.invocations().size(), 1u);
   EXPECT_EQ(p.invocations()[0].method, B);
@@ -157,7 +162,7 @@ TEST(Analyzer, MismatchedReturnIgnored) {
   log.call(A, 0, 0)
       .ret(C, 0, 10)  // C was never entered
       .ret(A, 0, 20);
-  Profile p = log.profile();
+  InvocationTable p = log.table();
   EXPECT_EQ(p.recon_stats().mismatched_returns, 1u);
   ASSERT_EQ(p.invocations().size(), 1u);
   EXPECT_EQ(p.invocations()[0].inclusive(), 20u);
@@ -168,7 +173,7 @@ TEST(Analyzer, MissingReturnUnwoundToMatch) {
   // A calls B; B's return was dropped (filtering/overflow); A returns.
   LogBuilder log;
   log.call(A, 0, 0).call(B, 0, 10).ret(A, 0, 50);
-  Profile p = log.profile();
+  InvocationTable p = log.table();
   ASSERT_EQ(p.invocations().size(), 2u);
   EXPECT_EQ(p.recon_stats().unwound_frames, 1u);
   // B force-closed at A's return counter.
@@ -179,7 +184,7 @@ TEST(Analyzer, MissingReturnUnwoundToMatch) {
 TEST(Analyzer, TruncatedLogClosesOpenFramesIncomplete) {
   LogBuilder log;
   log.call(A, 0, 0).call(B, 0, 30);
-  Profile p = log.profile();
+  InvocationTable p = log.table();
   ASSERT_EQ(p.invocations().size(), 2u);
   EXPECT_EQ(p.recon_stats().incomplete, 2u);
   EXPECT_FALSE(p.invocations()[0].complete);
@@ -191,7 +196,7 @@ TEST(Analyzer, TombstoneSkipped) {
   // An all-zero slot: reserved by a writer that died before filling it.
   LogBuilder log;
   log.call(A, 1, 0).raw(LogEntry{}).ret(A, 1, 10);
-  Profile p = log.profile();
+  InvocationTable p = log.table();
   EXPECT_EQ(p.recon_stats().tombstones, 1u);
   ASSERT_EQ(p.invocations().size(), 1u);
   EXPECT_EQ(p.invocations()[0].inclusive(), 10u);
@@ -206,7 +211,7 @@ TEST(Analyzer, BackwardsCounterClampsToZero) {
   // is older still. Durations clamp to zero instead of wrapping.
   LogBuilder log;
   log.call(A, 0, 100).call(B, 0, 120).ret(B, 0, 110).ret(A, 0, 90);
-  Profile p = log.profile();
+  InvocationTable p = log.table();
   ASSERT_EQ(p.invocations().size(), 2u);
   EXPECT_EQ(p.invocations()[0].end, 100u);
   EXPECT_EQ(p.invocations()[0].inclusive(), 0u);
@@ -224,15 +229,14 @@ TEST(Analyzer, BackwardsCounterClampsToZero) {
 
 TEST(Analyzer, MethodStatsAggregatesAndSorts) {
   std::unordered_map<u64, std::string> syms{{A, "a"}, {B, "b"}};
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .ret(A, 0, 10)
-                  .call(A, 0, 20)
-                  .ret(A, 0, 40)
-                  .call(B, 0, 50)
-                  .ret(B, 0, 51)
-                  .profile(syms);
-  MergeableProfile m = MergeableProfile::from_profile(p);
+  MergeableProfile m = LogBuilder()
+                           .call(A, 0, 0)
+                           .ret(A, 0, 10)
+                           .call(A, 0, 20)
+                           .ret(A, 0, 40)
+                           .call(B, 0, 50)
+                           .ret(B, 0, 51)
+                           .aggregate(syms);
   ASSERT_EQ(m.methods.size(), 2u);
   EXPECT_EQ(m.methods.at("a"), (MprofMethod{A, 2, 30, 30, 10, 20}));
   EXPECT_EQ(m.methods.at("b"), (MprofMethod{B, 1, 1, 1, 1, 1}));
@@ -242,15 +246,14 @@ TEST(Analyzer, MethodStatsAggregatesAndSorts) {
 }
 
 TEST(Analyzer, CallEdges) {
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .call(B, 0, 1)
-                  .ret(B, 0, 2)
-                  .call(B, 0, 3)
-                  .ret(B, 0, 4)
-                  .ret(A, 0, 5)
-                  .profile({{A, "a"}, {B, "b"}});
-  MergeableProfile m = MergeableProfile::from_profile(p);
+  MergeableProfile m = LogBuilder()
+                           .call(A, 0, 0)
+                           .call(B, 0, 1)
+                           .ret(B, 0, 2)
+                           .call(B, 0, 3)
+                           .ret(B, 0, 4)
+                           .ret(A, 0, 5)
+                           .aggregate({{A, "a"}, {B, "b"}});
   ASSERT_EQ(m.edges.size(), 2u);
   EXPECT_EQ(m.edges.at(MprofEdgeKey{"a", "b", false}), (MprofEdge{2, 2}));
   EXPECT_EQ(m.edges.at(MprofEdgeKey{"", "a", true}), (MprofEdge{1, 5}));
@@ -261,13 +264,13 @@ TEST(Analyzer, CallEdges) {
 
 TEST(Analyzer, FoldedStacksSumToTotalTime) {
   std::unordered_map<u64, std::string> syms{{A, "a"}, {B, "b"}};
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .call(B, 0, 20)
-                  .ret(B, 0, 80)
-                  .ret(A, 0, 100)
-                  .profile(syms);
-  auto folded = p.folded_stacks();
+  MergeableProfile m = LogBuilder()
+                           .call(A, 0, 0)
+                           .call(B, 0, 20)
+                           .ret(B, 0, 80)
+                           .ret(A, 0, 100)
+                           .aggregate(syms);
+  std::vector<std::pair<std::string, u64>> folded(m.stacks.begin(), m.stacks.end());
   ASSERT_EQ(folded.size(), 2u);
   u64 total = 0;
   for (auto& [path, v] : folded) total += v;
@@ -280,14 +283,14 @@ TEST(Analyzer, FoldedStacksSumToTotalTime) {
 
 TEST(Analyzer, HottestStack) {
   std::unordered_map<u64, std::string> syms{{A, "a"}, {B, "b"}};
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .call(B, 0, 10)
-                  .ret(B, 0, 90)
-                  .ret(A, 0, 100)
-                  .profile(syms);
+  MergeableProfile p = LogBuilder()
+                           .call(A, 0, 0)
+                           .call(B, 0, 10)
+                           .ret(B, 0, 90)
+                           .ret(A, 0, 100)
+                           .aggregate(syms);
   // 80 ticks at 1 ns each.
-  EXPECT_EQ(hottest_report(MergeableProfile::from_profile(p)),
+  EXPECT_EQ(hottest_report(p),
             "hottest stack (0.000 ms exclusive):\n  a;b\n");
   MergeableProfile m;
   m.stacks = {{"x", 7}, {"x;y", 2'500'000}, {"z", 2'500'000}};
@@ -296,8 +299,7 @@ TEST(Analyzer, HottestStack) {
 }
 
 TEST(Analyzer, HottestStackEmptyProfile) {
-  Profile p = LogBuilder().profile();
-  EXPECT_EQ(hottest_report(MergeableProfile::from_profile(p)),
+  EXPECT_EQ(hottest_report(LogBuilder().aggregate()),
             "hottest stack (0.000 ms exclusive):\n  \n");
 }
 
@@ -309,17 +311,16 @@ TEST(Analyzer, BottomUpBreaksTiesByName) {
       {D, "tie::a"}, {B, "tie::b"}, {A, "tie::c"}};
   // tie::c [0..30] and tie::b [40..70] each call tie::a for 10 ticks:
   // every method has 20 exclusive ticks, tie::a's split 10/10 by caller.
-  Profile p = LogBuilder()
-                  .call(A, 0, 0)
-                  .call(D, 0, 10)
-                  .ret(D, 0, 20)
-                  .ret(A, 0, 30)
-                  .call(B, 0, 40)
-                  .call(D, 0, 50)
-                  .ret(D, 0, 60)
-                  .ret(B, 0, 70)
-                  .profile(syms);
-  std::string r = bottom_up_report(p.path_tree());
+  std::string r = bottom_up_report(LogBuilder()
+                                       .call(A, 0, 0)
+                                       .call(D, 0, 10)
+                                       .ret(D, 0, 20)
+                                       .ret(A, 0, 30)
+                                       .call(B, 0, 40)
+                                       .call(D, 0, 50)
+                                       .ret(D, 0, 60)
+                                       .ret(B, 0, 70)
+                                       .tree(syms));
   usize a = r.find("\ntie::a ");
   usize b = r.find("\ntie::b ");
   usize c = r.find("\ntie::c ");
@@ -338,13 +339,12 @@ TEST(Analyzer, BottomUpBreaksTiesByName) {
 TEST(Analyzer, TableReportsBreakTiesByName) {
   // Ids in the opposite order to names, equal exclusive time.
   std::unordered_map<u64, std::string> syms{{A, "tie::z"}, {B, "tie::y"}};
-  Profile before = LogBuilder()
-                       .call(A, 0, 0)
-                       .ret(A, 0, 1'000'000)
-                       .call(B, 0, 2'000'000)
-                       .ret(B, 0, 3'000'000)
-                       .profile(syms);
-  MergeableProfile m = MergeableProfile::from_profile(before);
+  MergeableProfile m = LogBuilder()
+                           .call(A, 0, 0)
+                           .ret(A, 0, 1'000'000)
+                           .call(B, 0, 2'000'000)
+                           .ret(B, 0, 3'000'000)
+                           .aggregate(syms);
   for (const std::string& r : {method_report(m), gprof_flat_report(m)}) {
     EXPECT_LT(r.find("tie::y"), r.find("tie::z")) << r;
   }
@@ -356,20 +356,19 @@ TEST(Analyzer, TableReportsBreakTiesByName) {
 TEST(Analyzer, DiffReportSumsIdsSharingAName) {
   // Two ids symbolize to one name on both sides: the row is their sum.
   std::unordered_map<u64, std::string> syms{{A, "dup"}, {B, "dup"}};
-  Profile before = LogBuilder()
-                       .call(A, 0, 0)
-                       .ret(A, 0, 1'000'000)
-                       .call(B, 0, 2'000'000)
-                       .ret(B, 0, 5'000'000)
-                       .profile(syms);
-  Profile after = LogBuilder()
-                      .call(A, 0, 0)
-                      .ret(A, 0, 500'000)
-                      .call(B, 0, 1'000'000)
-                      .ret(B, 0, 2'000'000)
-                      .profile(syms);
-  std::string diff = diff_report(MergeableProfile::from_profile(before),
-                                 MergeableProfile::from_profile(after));
+  MergeableProfile before = LogBuilder()
+                                .call(A, 0, 0)
+                                .ret(A, 0, 1'000'000)
+                                .call(B, 0, 2'000'000)
+                                .ret(B, 0, 5'000'000)
+                                .aggregate(syms);
+  MergeableProfile after = LogBuilder()
+                               .call(A, 0, 0)
+                               .ret(A, 0, 500'000)
+                               .call(B, 0, 1'000'000)
+                               .ret(B, 0, 2'000'000)
+                               .aggregate(syms);
+  std::string diff = diff_report(before, after);
   EXPECT_NE(diff.find(str_format("%-44s %12.3f %12.3f %+12.3f %9d %9d\n", "dup",
                                  4.0, 1.5, -2.5, 2, 2)),
             std::string::npos)
@@ -377,15 +376,15 @@ TEST(Analyzer, DiffReportSumsIdsSharingAName) {
 }
 
 TEST(Analyzer, NameFallsBackToHex) {
-  Profile p = LogBuilder().call(0xdead, 0, 0).ret(0xdead, 0, 1).profile();
+  InvocationTable p = LogBuilder().call(0xdead, 0, 0).ret(0xdead, 0, 1).table();
   EXPECT_EQ(p.name(0xdead), "0xdead");
 }
 
 TEST(Analyzer, EmptyLog) {
-  Profile p = LogBuilder().profile();
-  EXPECT_TRUE(p.invocations().empty());
-  EXPECT_TRUE(MergeableProfile::from_profile(p).empty());
-  EXPECT_TRUE(p.folded_stacks().empty());
+  EXPECT_TRUE(LogBuilder().table().invocations().empty());
+  MergeableProfile m = LogBuilder().aggregate();
+  EXPECT_TRUE(m.empty());
+  EXPECT_TRUE(m.stacks.empty());
 }
 
 // ---- query interface --------------------------------------------------------
@@ -394,66 +393,68 @@ class QueryTest : public ::testing::Test {
  protected:
   QueryTest() {
     std::unordered_map<u64, std::string> syms{{A, "alpha"}, {B, "beta"}, {C, "gamma"}};
-    profile_ = LogBuilder()
-                   .call(A, 0, 0)
-                   .call(B, 0, 10)
-                   .ret(B, 0, 30)
-                   .call(B, 0, 40)
-                   .ret(B, 0, 45)
-                   .ret(A, 0, 100)
-                   .call(C, 1, 0)
-                   .call(B, 1, 5)
-                   .ret(B, 1, 15)
-                   .ret(C, 1, 50)
-                   .profile(syms);
+    LogBuilder log;
+    log.call(A, 0, 0)
+        .call(B, 0, 10)
+        .ret(B, 0, 30)
+        .call(B, 0, 40)
+        .ret(B, 0, 45)
+        .ret(A, 0, 100)
+        .call(C, 1, 0)
+        .call(B, 1, 5)
+        .ret(B, 1, 15)
+        .ret(C, 1, 50);
+    table_ = log.table(syms);
+    agg_ = log.aggregate(syms);
   }
-  Profile profile_ = LogBuilder().profile();
+  InvocationTable table_;
+  MergeableProfile agg_;
 };
 
 TEST_F(QueryTest, CountAll) {
-  EXPECT_EQ(InvocationTable(profile_).count(), 5u);
+  EXPECT_EQ(table_.count(), 5u);
 }
 
 TEST_F(QueryTest, WhereMethod) {
-  auto t = InvocationTable(profile_).where_method(B);
+  auto t = table_.where_method(B);
   EXPECT_EQ(t.count(), 3u);
   EXPECT_EQ(t.sum_inclusive(), 20u + 5u + 10u);
 }
 
 TEST_F(QueryTest, WhereNameContains) {
-  EXPECT_EQ(InvocationTable(profile_).where_name_contains("bet").count(), 3u);
-  EXPECT_EQ(InvocationTable(profile_).where_name_contains("zzz").count(), 0u);
+  EXPECT_EQ(table_.where_name_contains("bet").count(), 3u);
+  EXPECT_EQ(table_.where_name_contains("zzz").count(), 0u);
 }
 
 TEST_F(QueryTest, WhereTid) {
-  EXPECT_EQ(InvocationTable(profile_).where_tid(1).count(), 2u);
+  EXPECT_EQ(table_.where_tid(1).count(), 2u);
 }
 
 TEST_F(QueryTest, WhereDepth) {
-  EXPECT_EQ(InvocationTable(profile_).where_depth_between(1, 9).count(), 3u);
+  EXPECT_EQ(table_.where_depth_between(1, 9).count(), 3u);
 }
 
 TEST_F(QueryTest, WhereCalledUnder) {
   // "which B invocations happened underneath C" — the call-history query.
-  auto t = InvocationTable(profile_).where_method(B).where_called_under(C);
+  auto t = table_.where_method(B).where_called_under(C);
   ASSERT_EQ(t.count(), 1u);
   EXPECT_EQ(t.row(0).tid, 1u);
 }
 
 TEST_F(QueryTest, SortAndTop) {
-  auto t = InvocationTable(profile_).sort_by(SortKey::kInclusive).top(2);
+  auto t = table_.sort_by(SortKey::kInclusive).top(2);
   ASSERT_EQ(t.count(), 2u);
   EXPECT_EQ(t.row(0).inclusive(), 100u);
   EXPECT_EQ(t.row(1).inclusive(), 50u);
 }
 
 TEST_F(QueryTest, SortAscending) {
-  auto t = InvocationTable(profile_).sort_by(SortKey::kInclusive, false);
+  auto t = table_.sort_by(SortKey::kInclusive, false);
   EXPECT_EQ(t.row(0).inclusive(), 5u);
 }
 
 TEST_F(QueryTest, GroupByMethod) {
-  auto groups = InvocationTable(profile_).group_by_method();
+  auto groups = table_.group_by_method();
   ASSERT_EQ(groups.size(), 3u);
   // alpha: exclusive = 100 - 25 = 75, the largest.
   EXPECT_EQ(groups[0].key, "alpha");
@@ -462,7 +463,7 @@ TEST_F(QueryTest, GroupByMethod) {
 
 TEST_F(QueryTest, GroupByMethodAndTid) {
   // "which thread called which method how often" (§II-C).
-  auto groups = InvocationTable(profile_).where_method(B).group_by_method_and_tid();
+  auto groups = table_.where_method(B).group_by_method_and_tid();
   ASSERT_EQ(groups.size(), 2u);
   usize total = 0;
   for (auto& g : groups) total += g.count;
@@ -470,24 +471,24 @@ TEST_F(QueryTest, GroupByMethodAndTid) {
 }
 
 TEST_F(QueryTest, GroupByCaller) {
-  auto groups = InvocationTable(profile_).where_method(B).group_by_caller();
+  auto groups = table_.where_method(B).group_by_caller();
   ASSERT_EQ(groups.size(), 2u);  // alpha and gamma both call beta
 }
 
 TEST_F(QueryTest, MeanAndMax) {
-  auto t = InvocationTable(profile_).where_method(B);
+  auto t = table_.where_method(B);
   EXPECT_DOUBLE_EQ(t.mean_inclusive(), 35.0 / 3.0);
   EXPECT_EQ(t.max_inclusive(), 20u);
 }
 
 TEST_F(QueryTest, ToStringRendersRows) {
-  std::string s = InvocationTable(profile_).to_string(3);
+  std::string s = table_.to_string(3);
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("more rows"), std::string::npos);
 }
 
 TEST_F(QueryTest, Reports) {
-  MergeableProfile agg = MergeableProfile::from_profile(profile_);
+  const MergeableProfile& agg = agg_;
   std::string m = method_report(agg);
   EXPECT_NE(m.find("alpha"), std::string::npos);
   EXPECT_NE(m.find("excl%"), std::string::npos);

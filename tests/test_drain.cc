@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/counter.h"
@@ -24,13 +24,14 @@
 #include "drain/chunk_format.h"
 #include "drain/drainer.h"
 #include "faultsim/fault.h"
+#include "row_rollup.h"
 #include "written_dump.h"
 
 namespace teeperf {
 namespace {
 
 using analyzer::MergeableProfile;
-using analyzer::Profile;
+using analyzer::StreamAnalyzer;
 
 constexpr int kWriters = 4;
 constexpr u64 kReps = 1000;  // 4 entries per rep
@@ -104,22 +105,20 @@ struct SpillLog {
 };
 
 // The unbounded reference: same workload, same shard layout, no spill.
-Profile reference_profile() {
+MergeableProfile reference_profile() {
   std::vector<u8> buf(ProfileLog::bytes_for(kTotalEntries * 2, kShards));
   ProfileLog log;
   EXPECT_TRUE(log.init(buf.data(), buf.size(), 1,
                        log_flags::kActive | log_flags::kMultithread, kShards));
   run_workload(log);
   EXPECT_EQ(log.size(), kTotalEntries);
-  return Profile::from_log(log, {});
+  return MergeableProfile::from_tree(StreamAnalyzer::analyze_log(log));
 }
 
-void expect_profiles_identical(const Profile& a, const Profile& b) {
-  EXPECT_EQ(a.recon_stats().entries, b.recon_stats().entries);
-  MergeableProfile ma = MergeableProfile::from_profile(a);
-  MergeableProfile mb = MergeableProfile::from_profile(b);
-  EXPECT_EQ(ma.methods, mb.methods);
-  EXPECT_EQ(ma.stacks, mb.stacks);
+void expect_profiles_identical(const MergeableProfile& a, const MergeableProfile& b) {
+  EXPECT_EQ(a.stats.entries, b.stats.entries);
+  EXPECT_EQ(a.methods, b.methods);
+  EXPECT_EQ(a.stacks, b.stacks);
 }
 
 TEST(Drain, SpillSessionMatchesUnboundedRunExactly) {
@@ -146,11 +145,11 @@ TEST(Drain, SpillSessionMatchesUnboundedRunExactly) {
   EXPECT_EQ(s.log.size(), 0u);  // no unpublished residue
 
   ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
-  auto spilled = Profile::load(prefix);  // auto-detects .seg.0000
+  auto spilled = analyzer::InvocationTable::load(prefix);  // auto-detects .seg.0000
   ASSERT_TRUE(spilled.has_value());
   EXPECT_EQ(spilled->recon_stats().entries, kTotalEntries);
   EXPECT_EQ(spilled->recon_stats().tombstones, 0u);
-  expect_profiles_identical(*spilled, reference_profile());
+  expect_profiles_identical(rollup(*spilled), reference_profile());
 
   // The second half of the acceptance property: the streaming analyzer over
   // the same ≥8×-capacity session derives the byte-identical aggregate
@@ -161,8 +160,7 @@ TEST(Drain, SpillSessionMatchesUnboundedRunExactly) {
   u64 rss_after = resident_bytes();
   ASSERT_TRUE(streamed.has_value()) << err;
   EXPECT_EQ(streamed->stats.entries, kTotalEntries);
-  EXPECT_EQ(streamed->save(),
-            analyzer::MergeableProfile::from_profile(*spilled).save());
+  EXPECT_EQ(streamed->save(), rollup(*spilled).save());
   ASSERT_GT(rss_before, 0u);
   EXPECT_LT(rss_after, rss_before + (32ull << 20))
       << "streaming analysis grew RSS by " << (rss_after - rss_before);
@@ -184,9 +182,9 @@ TEST(Drain, LoadsFromChunksAloneWithoutResidueDump) {
   run_workload(s.log);
   ASSERT_TRUE(drainer.final_drain());
 
-  auto p = Profile::load(prefix);  // no .log written
+  auto p = StreamAnalyzer::analyze(prefix);  // no .log written
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->recon_stats().entries, kTotalEntries);
+  EXPECT_EQ(p->stats.entries, kTotalEntries);
   remove_session(prefix);
 }
 
@@ -234,10 +232,10 @@ TEST(Drain, DrainerDeathAndRestartLosesNothing) {
   EXPECT_EQ(s.log.dropped(), 0u);
   EXPECT_EQ(drainer.stats().drained_entries, kTotalEntries);
   ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
-  auto p = Profile::load(prefix);
+  auto p = StreamAnalyzer::analyze(prefix);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->recon_stats().entries, kTotalEntries);
-  EXPECT_EQ(p->recon_stats().tombstones, 0u);
+  EXPECT_EQ(p->stats.entries, kTotalEntries);
+  EXPECT_EQ(p->stats.tombstones, 0u);
   expect_profiles_identical(*p, reference_profile());
   remove_session(prefix);
 }
@@ -274,9 +272,9 @@ TEST(Drain, TornChunkIsRewrittenOnResume) {
     EXPECT_EQ(got, seq);
   }
   ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
-  auto p = Profile::load(prefix);
+  auto p = StreamAnalyzer::analyze(prefix);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->recon_stats().entries, kTotalEntries);
+  EXPECT_EQ(p->stats.entries, kTotalEntries);
   remove_session(prefix);
 }
 
@@ -307,9 +305,9 @@ TEST(Drain, LoaderSkipsOverlapFromCrashBetweenPersistAndAdvance) {
   // The residue dump re-covers the same window (drained never moved).
   ASSERT_TRUE(s.log.write_compact(prefix + ".log"));
 
-  auto p = Profile::load(prefix);
+  auto p = StreamAnalyzer::analyze(prefix);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->recon_stats().entries, 300u);  // once, not twice
+  EXPECT_EQ(p->stats.entries, 300u);  // once, not twice
   remove_session(prefix);
 }
 
@@ -336,14 +334,14 @@ TEST(Drain, LoaderToleratesTornTrailingChunkRejectsBadMiddle) {
   ASSERT_TRUE(last_raw.has_value());
   std::string_view payload;
   ASSERT_TRUE(drain::parse_chunk(*last_raw, nullptr, &payload, nullptr));
-  auto last_profile = Profile::load_bytes(payload);
-  ASSERT_TRUE(last_profile.has_value());
-  u64 last_entries = last_profile->recon_stats().entries;
+  auto last_chunk = table_of_dump(payload);
+  ASSERT_TRUE(last_chunk.has_value());
+  u64 last_entries = last_chunk->recon_stats().entries;
   ASSERT_TRUE(write_file(last_path, std::string_view(last_raw->data(),
                                                      last_raw->size() / 2)));
-  auto tolerant = Profile::load(prefix);
+  auto tolerant = StreamAnalyzer::analyze(prefix);
   ASSERT_TRUE(tolerant.has_value());
-  EXPECT_EQ(tolerant->recon_stats().entries, kTotalEntries - last_entries);
+  EXPECT_EQ(tolerant->stats.entries, kTotalEntries - last_entries);
 
   // A corrupt chunk *followed by good ones* cannot come from the protocol:
   // refuse to analyze rather than silently drop the middle of the session.
@@ -353,7 +351,7 @@ TEST(Drain, LoaderToleratesTornTrailingChunkRejectsBadMiddle) {
   ASSERT_TRUE(mid_raw.has_value());
   (*mid_raw)[mid_raw->size() / 2] ^= 0x40;
   ASSERT_TRUE(write_file(mid_path, *mid_raw));
-  EXPECT_FALSE(Profile::load(prefix).has_value());
+  EXPECT_FALSE(StreamAnalyzer::analyze(prefix).has_value());
   remove_session(prefix);
 }
 
@@ -376,7 +374,7 @@ TEST(Drain, DeadDrainerForceAdvanceKeepsNewestAndCountsDrops) {
   EXPECT_EQ(s.log.attempted(), total);
   EXPECT_EQ(s.log.dropped(), total - cap);  // exact keep-newest accounting
   EXPECT_EQ(s.log.size(), cap);
-  auto p = Profile::load_bytes(written_dump(s.log));
+  auto p = table_of_dump(written_dump(s.log));
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, cap);
   EXPECT_EQ(p->recon_stats().tombstones, 0u);
@@ -403,7 +401,7 @@ TEST(Drain, ChunkFrameRejectsCorruption) {
   std::string err;
   ASSERT_TRUE(drain::parse_chunk(chunk, &seq, &payload, &err)) << err;
   EXPECT_EQ(seq, 7u);
-  auto p = Profile::load_bytes(payload);
+  auto p = table_of_dump(payload);
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->recon_stats().entries, 1u);
 
@@ -483,9 +481,9 @@ TEST(Drain, DrainerChunkIsSerializeChunkOfTheSameWindows) {
   EXPECT_EQ(*chunk1, drain::serialize_chunk(*s.log.header(), wrapped, 1));
   EXPECT_FALSE(file_exists(drain::chunk_path(prefix, 2)));
 
-  auto p = Profile::load(prefix);
+  auto p = StreamAnalyzer::analyze(prefix);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->recon_stats().entries, 90u);
+  EXPECT_EQ(p->stats.entries, 90u);
   remove_session(prefix);
 }
 

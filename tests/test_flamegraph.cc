@@ -82,7 +82,7 @@ TEST(FrameTree, RepeatedFrameNameSummed) {
 }
 
 TEST(FrameTree, EmptyInput) {
-  Frame root = build_frame_tree({});
+  Frame root = build_frame_tree(FoldedStacks{});
   EXPECT_EQ(root.value, 0u);
   EXPECT_TRUE(root.children.empty());
   EXPECT_DOUBLE_EQ(frame_fraction(root, "x"), 0.0);
@@ -132,7 +132,7 @@ TEST(Svg, DropsSubPixelFrames) {
 
 // --- timeline renderer ---------------------------------------------------------
 
-analyzer::Profile two_thread_profile() {
+analyzer::InvocationTable two_thread_profile() {
   static std::vector<u8> buf(ProfileLog::bytes_for(64));
   ProfileLog log;
   log.init(buf.data(), buf.size(), 1, log_flags::kActive);
@@ -142,7 +142,7 @@ analyzer::Profile two_thread_profile() {
   log.append(EventKind::kReturn, 0x1, 0, 100);
   log.append(EventKind::kCall, 0x3, 1, 20);
   log.append(EventKind::kReturn, 0x3, 1, 90);
-  return analyzer::Profile::from_log(
+  return analyzer::InvocationTable::from_log(
       log, {{0x1, "tmain"}, {0x2, "tchild<x>"}, {0x3, "tworker"}}, 1.0);
 }
 
@@ -164,7 +164,7 @@ TEST(Timeline, EscapesNames) {
 }
 
 TEST(Timeline, EmptyProfileValidSvg) {
-  analyzer::Profile empty;
+  analyzer::InvocationTable empty;
   std::string svg = render_timeline_svg(empty);
   EXPECT_NE(svg.find("<svg"), std::string::npos);
 }

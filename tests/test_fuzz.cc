@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/rng.h"
@@ -19,7 +19,7 @@ namespace {
 // Shared invariants every reconstruction must satisfy, whatever the input.
 // `check_spans` additionally asserts child-within-parent time containment,
 // which only holds when input counters are per-thread monotonic.
-void check_invariants(const Profile& p, bool check_spans = true) {
+void check_invariants(const InvocationTable& p, bool check_spans = true) {
   const auto& all = p.invocations();
   for (usize i = 0; i < all.size(); ++i) {
     const Invocation& inv = all[i];
@@ -35,6 +35,7 @@ void check_invariants(const Profile& p, bool check_spans = true) {
         EXPECT_GE(inv.start, parent.start) << "invocation " << i;
         EXPECT_LE(inv.end, parent.end) << "invocation " << i;
       }
+      EXPECT_EQ(parent.method, inv.caller) << "invocation " << i;
     } else {
       EXPECT_EQ(inv.depth, 0u) << "invocation " << i;
     }
@@ -67,10 +68,10 @@ TEST_P(AdversarialEvents, ArbitraryStreamNeverBreaksInvariants) {
                       rng.next_below(3),       // few threads
                       rng.next_below(100000)); // counters may go backwards
   }
-  Profile p = Profile::from_log(fuzz.log(), {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(fuzz.log(), {}, 1.0);
   check_invariants(p, /*check_spans=*/false);
   // Derived views must not crash either.
-  (void)MergeableProfile::from_profile(p).save();
+  (void)MergeableProfile::from_tree(StreamAnalyzer::analyze_log(fuzz.log(), {}, 1.0)).save();
 }
 
 // Well-formed nested streams with random truncation: the analyzer must
@@ -106,7 +107,7 @@ TEST_P(AdversarialEvents, TruncatedValidStreamOnlyIncomplete) {
   u64 keep = rng.next_below(fuzz.log().size() + 1);
   fuzz.log().shard(0)->tail.store(keep, std::memory_order_relaxed);
 
-  Profile p = Profile::from_log(fuzz.log(), {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(fuzz.log(), {}, 1.0);
   check_invariants(p);
   EXPECT_EQ(p.recon_stats().stray_returns, 0u);
   EXPECT_EQ(p.recon_stats().mismatched_returns, 0u);
@@ -138,7 +139,7 @@ TEST_P(AdversarialEvents, ExclusivePartitionsRootTime) {
     stack.pop_back();
   }
 
-  Profile p = Profile::from_log(fuzz.log(), {}, 1.0);
+  InvocationTable p = InvocationTable::from_log(fuzz.log(), {}, 1.0);
   check_invariants(p);
   u64 root_inclusive = 0, all_exclusive = 0;
   for (const auto& inv : p.invocations()) {
@@ -157,14 +158,14 @@ TEST(Validate, CleanLogHasNoIssues) {
   FuzzLog fuzz;
   fuzz.log().append(EventKind::kCall, 1, 0, 10);
   fuzz.log().append(EventKind::kReturn, 1, 0, 20);
-  EXPECT_TRUE(Profile::validate(fuzz.log()).empty());
+  EXPECT_TRUE(validate(fuzz.log()).empty());
 }
 
 TEST(Validate, DetectsNonMonotonicCounter) {
   FuzzLog fuzz;
   fuzz.log().append(EventKind::kCall, 1, 0, 100);
   fuzz.log().append(EventKind::kReturn, 1, 0, 50);  // goes backwards
-  auto issues = Profile::validate(fuzz.log());
+  auto issues = validate(fuzz.log());
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].kind, ValidationIssue::Kind::kNonMonotonicCounter);
   EXPECT_EQ(issues[0].entry_index, 1u);
@@ -176,7 +177,7 @@ TEST(Validate, CountersIndependentPerThread) {
   fuzz.log().append(EventKind::kCall, 1, 1, 5);  // other thread: fine
   fuzz.log().append(EventKind::kReturn, 1, 0, 110);
   fuzz.log().append(EventKind::kReturn, 1, 1, 6);
-  EXPECT_TRUE(Profile::validate(fuzz.log()).empty());
+  EXPECT_TRUE(validate(fuzz.log()).empty());
 }
 
 TEST(Validate, DetectsUnbalancedThread) {
@@ -184,7 +185,7 @@ TEST(Validate, DetectsUnbalancedThread) {
   fuzz.log().append(EventKind::kCall, 1, 0, 10);
   fuzz.log().append(EventKind::kCall, 2, 0, 20);
   fuzz.log().append(EventKind::kReturn, 2, 0, 30);
-  auto issues = Profile::validate(fuzz.log());
+  auto issues = validate(fuzz.log());
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].kind, ValidationIssue::Kind::kUnbalancedThread);
 }
@@ -193,7 +194,7 @@ TEST(Validate, DetectsZeroAddress) {
   FuzzLog fuzz;
   fuzz.log().append(EventKind::kCall, 0, 0, 10);
   fuzz.log().append(EventKind::kReturn, 0, 0, 20);
-  auto issues = Profile::validate(fuzz.log());
+  auto issues = validate(fuzz.log());
   ASSERT_EQ(issues.size(), 2u);
   EXPECT_EQ(issues[0].kind, ValidationIssue::Kind::kZeroAddress);
 }
@@ -218,14 +219,14 @@ TEST(Validate, EntryIndexFollowsSnapshotOrderOnWrappedShards) {
 
   std::vector<LogEntry> ordered;
   log.snapshot_ordered(&ordered);
-  auto issues = Profile::validate(log);
+  auto issues = validate(log);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].kind, ValidationIssue::Kind::kNonMonotonicCounter);
   EXPECT_EQ(issues[0].tid, 0u);
   ASSERT_LT(issues[0].entry_index, ordered.size());
   EXPECT_EQ(ordered[issues[0].entry_index].tid, 0u);
   EXPECT_EQ(ordered[issues[0].entry_index].counter(), 1u);
-  EXPECT_EQ(Profile::validate(ordered.data(), ordered.size())[0].entry_index,
+  EXPECT_EQ(validate(ordered.data(), ordered.size())[0].entry_index,
             issues[0].entry_index);
 }
 

@@ -23,12 +23,12 @@
 
 #include "analyzer/fold.h"
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
 #include "analyzer/report.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/stringutil.h"
 #include "core/log_format.h"
+#include "row_rollup.h"
 #include "written_dump.h"
 
 namespace teeperf {
@@ -61,13 +61,10 @@ std::vector<std::string> seed_logs() {
 }
 
 // Canonical folded-stacks rendering: already sorted by path.
-std::string render_folded(const analyzer::Profile& p) {
-  return analyzer::MergeableProfile::from_profile(p).folded();
-}
+std::string render_folded(const analyzer::MergeableProfile& m) { return m.folded(); }
 
 // Method stats as JSON lines, sorted by (smallest) method id.
-std::string render_stats_json(const analyzer::Profile& p) {
-  analyzer::MergeableProfile m = analyzer::MergeableProfile::from_profile(p);
+std::string render_stats_json(const analyzer::MergeableProfile& m) {
   std::vector<std::pair<const std::string*, const analyzer::MprofMethod*>> stats;
   for (const auto& [name, mm] : m.methods) stats.push_back({&name, &mm});
   std::sort(stats.begin(), stats.end(), [](const auto& a, const auto& b) {
@@ -111,13 +108,11 @@ TEST(GoldenCorpus, HasSeeds) {
 TEST(GoldenCorpus, FoldedStacksAndMethodStatsBitIdentical) {
   for (const std::string& name : seed_logs()) {
     SCOPED_TRACE(name);
-    auto raw = read_file(corpus_dir() + "/" + name + ".log");
-    ASSERT_TRUE(raw);
-    auto profile = analyzer::Profile::load_bytes(*raw);
-    ASSERT_TRUE(profile) << "loader rejected a trusted seed";
+    auto m = analyzer::StreamAnalyzer::analyze(corpus_dir() + "/" + name);
+    ASSERT_TRUE(m) << "loader rejected a trusted seed";
     std::string golden_base = corpus_dir() + "/golden/" + name;
-    check_golden(golden_base + ".folded", render_folded(*profile));
-    check_golden(golden_base + ".stats.json", render_stats_json(*profile));
+    check_golden(golden_base + ".folded", render_folded(*m));
+    check_golden(golden_base + ".stats.json", render_stats_json(*m));
   }
 }
 
@@ -150,12 +145,13 @@ TEST(GoldenCorpus, TextReportsBitIdentical) {
       check_golden(corpus_dir() + "/golden/" + name + "." + command + ".txt",
                    text);
     }
-    // An in-memory Profile's path tree renders the same text.
+    // The dump's rows, collected in memory and rolled up, render the same
+    // text.
     auto raw = read_file(corpus_dir() + "/" + name + ".log");
     ASSERT_TRUE(raw);
-    auto profile = analyzer::Profile::load_bytes(*raw);
-    ASSERT_TRUE(profile) << "loader rejected a trusted seed";
-    EXPECT_EQ(text_reports(profile->path_tree()), streamed);
+    auto table = table_of_dump(*raw);
+    ASSERT_TRUE(table) << "loader rejected a trusted seed";
+    EXPECT_EQ(text_reports(rollup_tree(*table)), streamed);
   }
 }
 
@@ -220,9 +216,11 @@ TEST(ShardLayoutDifferential, SameWorkloadIdenticalMethodStats) {
   ASSERT_EQ(one.size(), four.size());
   EXPECT_EQ(one.attempted(), four.attempted());
   EXPECT_EQ(one.dropped(), four.dropped());
-  auto p1 = analyzer::Profile::from_log(one, {}, 1.0);
-  auto p4 = analyzer::Profile::from_log(four, {}, 1.0);
-  EXPECT_EQ(p1.thread_count(), p4.thread_count());
+  auto p1 = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(one, {}, 1.0));
+  auto p4 = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(four, {}, 1.0));
+  EXPECT_EQ(p1.stats.thread_count, p4.stats.thread_count);
   EXPECT_EQ(render_stats_json(p1), render_stats_json(p4));
   EXPECT_EQ(render_folded(p1), render_folded(p4));
 }
@@ -234,11 +232,12 @@ TEST(ShardLayoutDifferential, DumpRoundTripIdenticalMethodStats) {
   ASSERT_TRUE(log.init(buf.data(), buf.size(), 1, kFlags, 4));
   record_batched(log, scripted_workload());
 
-  auto live = analyzer::Profile::from_log(log, {}, 1.0);
-  auto loaded = analyzer::Profile::load_bytes(written_dump(log));
+  auto live = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(log, {}, 1.0));
+  auto loaded = table_of_dump(written_dump(log));
   ASSERT_TRUE(loaded);
-  EXPECT_EQ(render_stats_json(live), render_stats_json(*loaded));
-  EXPECT_EQ(render_folded(live), render_folded(*loaded));
+  EXPECT_EQ(render_stats_json(live), render_stats_json(rollup(*loaded)));
+  EXPECT_EQ(render_folded(live), render_folded(rollup(*loaded)));
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "core/profiler.h"
 #include "flamegraph/flamegraph.h"
@@ -24,10 +24,9 @@ class IntegrationTest : public ::testing::Test {
     if (runtime::attached()) runtime::detach();
   }
 
-  analyzer::Profile analyze(const Recorder& rec) {
-    return analyzer::Profile::from_log(
-        rec.log(),
-        SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+  analyzer::MergeableProfile analyze(const Recorder& rec) {
+    return analyzer::MergeableProfile::from_tree(
+        analyzer::StreamAnalyzer::analyze_log(rec.log()));
   }
 };
 
@@ -40,12 +39,11 @@ TEST_F(IntegrationTest, PhoenixProfileAttributesTimeToKernel) {
   phoenix::run_string_match(in, 2);
   rec->detach();
 
-  auto profile = analyze(*rec);
-  EXPECT_EQ(profile.recon_stats().stray_returns, 0u);
-  EXPECT_EQ(profile.recon_stats().mismatched_returns, 0u);
+  auto agg = analyze(*rec);
+  EXPECT_EQ(agg.stats.stray_returns, 0u);
+  EXPECT_EQ(agg.stats.mismatched_returns, 0u);
 
   // match_word must be the most-called method, with one invocation per word.
-  auto agg = analyzer::MergeableProfile::from_profile(profile);
   auto match = agg.methods.find("phoenix::string_match::match_word");
   ASSERT_NE(match, agg.methods.end());
   EXPECT_EQ(match->second.count, 50'000u);
@@ -53,7 +51,7 @@ TEST_F(IntegrationTest, PhoenixProfileAttributesTimeToKernel) {
   // The folded stacks must nest match_word under map_worker under the
   // kernel root.
   bool found_path = false;
-  for (auto& [path, v] : profile.folded_stacks()) {
+  for (auto& [path, v] : agg.stacks) {
     if (path == "phoenix::string_match;phoenix::string_match::map_worker;"
                 "phoenix::string_match::match_word") {
       found_path = v > 0;
@@ -81,7 +79,7 @@ TEST_F(IntegrationTest, KvstoreInEnclaveShowsStatsNowBottleneck) {
   rec->detach();
 
   auto profile = analyze(*rec);
-  auto tree = flamegraph::build_frame_tree(profile.folded_stacks());
+  auto tree = flamegraph::build_frame_tree(profile);
   double now_frac = flamegraph::frame_fraction(tree, "kvs::Stats::Now");
   // Two trapped clock reads per op must dominate a 400-op in-enclave run —
   // the Figure 5 finding.
@@ -106,7 +104,7 @@ TEST_F(IntegrationTest, KvstoreNativeDoesNotShowThatBottleneck) {
   rec->detach();
 
   auto profile = analyze(*rec);
-  auto tree = flamegraph::build_frame_tree(profile.folded_stacks());
+  auto tree = flamegraph::build_frame_tree(profile);
   double now_frac = flamegraph::frame_fraction(tree, "kvs::Stats::Now");
   // Outside the TEE, the clock is cheap: the same workload must attribute
   // far less of its time there. (The delta *is* the paper's point.)
@@ -134,7 +132,7 @@ TEST_F(IntegrationTest, SpdkNaiveProfileFindsGetpidAndRdtsc) {
   rec->detach();
 
   auto profile = analyze(*rec);
-  auto tree = flamegraph::build_frame_tree(profile.folded_stacks());
+  auto tree = flamegraph::build_frame_tree(profile);
   double getpid_frac = flamegraph::frame_fraction(tree, "getpid");
   double rdtsc_frac = flamegraph::frame_fraction(tree, "rdtsc");
   EXPECT_GT(getpid_frac, 0.4);  // paper: 72%
@@ -142,7 +140,7 @@ TEST_F(IntegrationTest, SpdkNaiveProfileFindsGetpidAndRdtsc) {
 
   // getpid must hang under allocate_request, as in Figure 6.
   bool getpid_under_alloc = false;
-  for (auto& [path, v] : profile.folded_stacks()) {
+  for (auto& [path, v] : profile.stacks) {
     if (v > 0 && path.find("allocate_request;getpid") != std::string::npos) {
       getpid_under_alloc = true;
     }
@@ -161,9 +159,9 @@ TEST_F(IntegrationTest, DumpedProfileMatchesLiveProfile) {
   }
   rec->detach();
 
-  auto live = analyze(*rec);
+  auto live = analyzer::InvocationTable::from_log(rec->log());
   ASSERT_TRUE(rec->dump(dir + "/run"));
-  auto loaded = analyzer::Profile::load(dir + "/run");
+  auto loaded = analyzer::InvocationTable::load(dir + "/run");
   ASSERT_TRUE(loaded.has_value());
 
   ASSERT_EQ(live.invocations().size(), loaded->invocations().size());
@@ -201,8 +199,8 @@ TEST_F(IntegrationTest, SelectiveProfilingShrinksLogOnRealWorkload) {
   // The filtered profile still reconstructs cleanly (dropped frames are
   // whole call+return pairs).
   auto profile = analyze(*selective);
-  EXPECT_EQ(profile.recon_stats().stray_returns, 0u);
-  EXPECT_EQ(profile.recon_stats().mismatched_returns, 0u);
+  EXPECT_EQ(profile.stats.stray_returns, 0u);
+  EXPECT_EQ(profile.stats.mismatched_returns, 0u);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/stream.h"
 #include "common/crc32c.h"
 #include "core/log_format.h"
 
@@ -36,7 +36,6 @@ using analyzer::MergeableProfile;
 using analyzer::MprofEdgeKey;
 using analyzer::MprofFrame;
 using analyzer::MprofMethod;
-using analyzer::Profile;
 
 // Deterministic xorshift64: the partition/shuffle choices must replay
 // identically run to run, or a failure would not reproduce.
@@ -116,7 +115,7 @@ MergeableProfile mprof_of(const std::vector<u64>& tids) {
     EXPECT_TRUE(batches[s.tid].record(log, s.kind, s.addr, s.tid, s.counter));
   }
   for (LogBatch& b : batches) EXPECT_TRUE(b.flush(log));
-  return MergeableProfile::from_profile(Profile::from_log(log, {}, 1.0));
+  return MergeableProfile::from_tree(analyzer::StreamAnalyzer::analyze_log(log, {}, 1.0));
 }
 
 std::vector<u64> all_threads() {

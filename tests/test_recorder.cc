@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "common/fileutil.h"
 #include "common/spin.h"
 #include "common/stringutil.h"
@@ -295,7 +295,7 @@ TEST_F(RecorderTest, DumpAndLoadRoundTrip) {
   EXPECT_TRUE(file_exists(dir + "/run.log"));
   EXPECT_TRUE(file_exists(dir + "/run.sym"));
 
-  auto profile = analyzer::Profile::load(dir + "/run");
+  auto profile = analyzer::InvocationTable::load(dir + "/run");
   ASSERT_TRUE(profile.has_value());
   EXPECT_EQ(profile->recon_stats().entries, 4u);
   ASSERT_EQ(profile->invocations().size(), 2u);

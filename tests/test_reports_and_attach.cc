@@ -8,8 +8,9 @@
 
 #include "analyzer/fold.h"
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
+#include "analyzer/query.h"
 #include "analyzer/report.h"
+#include "analyzer/stream.h"
 #include "common/fileutil.h"
 #include "common/spin.h"
 #include "common/stringutil.h"
@@ -24,7 +25,23 @@
 namespace teeperf {
 namespace {
 
-using analyzer::Profile;
+using analyzer::InvocationTable;
+
+// One recorded log, as its rows and as its path tree.
+struct Recorded {
+  InvocationTable table;
+  analyzer::SessionTree tree;
+  analyzer::MergeableProfile aggregate() const {
+    return analyzer::MergeableProfile::from_tree(tree);
+  }
+};
+
+// Feeds every row of `t` to a row writer or rollup, in table order.
+template <typename W>
+W& add_rows(W& w, const InvocationTable& t) {
+  for (const analyzer::Invocation& row : t.invocations()) w.add(row);
+  return w;
+}
 
 class ReportsTest : public ::testing::Test {
  protected:
@@ -32,15 +49,15 @@ class ReportsTest : public ::testing::Test {
     if (runtime::attached()) runtime::detach();
   }
 
-  Profile record(const std::function<void()>& fn) {
+  Recorded record(const std::function<void()>& fn) {
     RecorderOptions opts;
     opts.counter_mode = CounterMode::kSteadyClock;
     auto rec = Recorder::create(opts);
     EXPECT_TRUE(rec->attach());
     fn();
     rec->detach();
-    return Profile::from_log(
-        rec->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+    return {InvocationTable::from_log(rec->log()),
+            analyzer::StreamAnalyzer::analyze_log(rec->log())};
   }
 };
 
@@ -54,7 +71,9 @@ TEST_F(ReportsTest, ThreadReportListsEachThread) {
     }
     t.join();
   });
-  std::string report = analyzer::thread_report(profile);
+  analyzer::ThreadRollup threads;
+  std::string report = add_rows(threads, profile.table)
+                           .report(profile.table.symbols(), profile.table.ns_per_tick());
   EXPECT_NE(report.find("rep::worker_fn"), std::string::npos);
   EXPECT_NE(report.find("rep::main_fn"), std::string::npos);
   // Two distinct tid rows (header + 2 lines minimum).
@@ -67,7 +86,8 @@ TEST_F(ReportsTest, CsvExportRowPerInvocation) {
       TEEPERF_SCOPE("rep::csv_fn");
     }
   });
-  std::string csv = analyzer::csv_export(profile);
+  analyzer::CsvRows rows(profile.table.symbols());
+  std::string csv = add_rows(rows, profile.table).text;
   auto lines = split(csv, '\n');
   // header + 3 rows + trailing empty
   ASSERT_EQ(lines.size(), 5u);
@@ -80,8 +100,9 @@ TEST_F(ReportsTest, CsvQuotesEmbeddedQuotes) {
   auto profile = record([] {
     TEEPERF_SCOPE("rep::has\"quote");
   });
-  std::string csv = analyzer::csv_export(profile);
-  EXPECT_NE(csv.find("\"rep::has\"\"quote\""), std::string::npos);
+  analyzer::CsvRows rows(profile.table.symbols());
+  EXPECT_NE(add_rows(rows, profile.table).text.find("\"rep::has\"\"quote\""),
+            std::string::npos);
 }
 
 TEST_F(ReportsTest, DiffReportShowsDelta) {
@@ -94,8 +115,7 @@ TEST_F(ReportsTest, DiffReportShowsDelta) {
     Scope s(slow);
     spin_for_ns(1'000'000);
   });
-  std::string diff = analyzer::diff_report(analyzer::MergeableProfile::from_profile(before),
-                                         analyzer::MergeableProfile::from_profile(after));
+  std::string diff = analyzer::diff_report(before.aggregate(), after.aggregate());
   EXPECT_NE(diff.find("rep::optimize_me"), std::string::npos);
   EXPECT_NE(diff.find("delta(ms)"), std::string::npos);
   // The improvement must render as a negative delta.
@@ -110,7 +130,7 @@ TEST_F(ReportsTest, CallTreeReportNestsAndSums) {
       spin_for_ns(1'000'000);
     }
   });
-  std::string tree = analyzer::call_tree_report(profile.path_tree(), 0.0);
+  std::string tree = analyzer::call_tree_report(profile.tree, 0.0);
   usize root_pos = tree.find("tree::root_fn");
   usize child_pos = tree.find("tree::child_fn");
   ASSERT_NE(root_pos, std::string::npos);
@@ -127,7 +147,7 @@ TEST_F(ReportsTest, CallTreeFoldsTinyNodes) {
       TEEPERF_SCOPE("tree::tiny");
     }
   });
-  std::string tree = analyzer::call_tree_report(profile.path_tree(), 0.05);
+  std::string tree = analyzer::call_tree_report(profile.tree, 0.05);
   EXPECT_EQ(tree.find("tree::tiny"), std::string::npos);
   EXPECT_NE(tree.find("(other: 1 callees)"), std::string::npos);
 }
@@ -137,7 +157,7 @@ TEST_F(ReportsTest, TimelineCsvSortedByThreadAndStart) {
     TEEPERF_SCOPE("tl::first");
     TEEPERF_SCOPE("tl::second");
   });
-  std::string csv = analyzer::timeline_csv(profile);
+  std::string csv = analyzer::timeline_csv(profile.table);
   auto lines = split(csv, '\n');
   ASSERT_GE(lines.size(), 3u);
   EXPECT_EQ(lines[0], "tid,method,start,end,depth");
@@ -152,7 +172,9 @@ TEST_F(ReportsTest, ChromeTraceJsonWellFormed) {
     TEEPERF_SCOPE("ct::a\"quoted");
     TEEPERF_SCOPE("ct::b");
   });
-  std::string json = analyzer::chrome_trace_json(profile);
+  analyzer::ChromeTrace trace(profile.table.symbols(), profile.table.ns_per_tick());
+  add_rows(trace, profile.table).finish();
+  const std::string& json = trace.text;
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("ct::b"), std::string::npos);
@@ -168,8 +190,7 @@ TEST_F(ReportsTest, GprofFlatReportColumns) {
       spin_for_ns(2'000'000);
     }
   });
-  std::string report = analyzer::gprof_flat_report(
-      analyzer::MergeableProfile::from_profile(profile));
+  std::string report = analyzer::gprof_flat_report(profile.aggregate());
   EXPECT_NE(report.find("Flat profile"), std::string::npos);
   EXPECT_NE(report.find("ms/call"), std::string::npos);
   EXPECT_NE(report.find("gp::hot"), std::string::npos);
@@ -194,8 +215,7 @@ TEST_F(ReportsTest, RingRecorderKeepsNewestWindow) {
   rec->detach();
   EXPECT_EQ(rec->log().dropped(), 0u);
 
-  auto profile = Profile::from_log(
-      rec->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
+  auto profile = InvocationTable::from_log(rec->log());
   // The late scope's 40 events all survive in order.
   usize late_count = 0;
   for (const auto& inv : profile.invocations()) {
@@ -207,7 +227,7 @@ TEST_F(ReportsTest, RingRecorderKeepsNewestWindow) {
   // Dump normalizes the wrap: the reloaded profile matches.
   std::string dir = make_temp_dir("teeperf_ring_");
   ASSERT_TRUE(rec->dump(dir + "/ring"));
-  auto loaded = Profile::load(dir + "/ring");
+  auto loaded = InvocationTable::load(dir + "/ring");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->invocations().size(), profile.invocations().size());
   remove_tree(dir);
@@ -248,7 +268,7 @@ TEST_F(ReportsTest, BottomUpGroupsByCaller) {
       spin_for_ns(1'000'000);
     }
   });
-  std::string report = analyzer::bottom_up_report(profile.path_tree());
+  std::string report = analyzer::bottom_up_report(profile.tree);
   usize helper_pos = report.find("bu::shared_helper");
   ASSERT_NE(helper_pos, std::string::npos);
   usize one_pos = report.find("from bu::path_one");
@@ -411,9 +431,8 @@ TEST(TeeProfiles, SecurePagingIsAScopedFrame) {
   });
   rec->detach();
 
-  auto profile = Profile::from_log(
-      rec->log(), SymbolRegistry::parse(SymbolRegistry::instance().serialize()));
-  auto agg = analyzer::MergeableProfile::from_profile(profile);
+  auto agg = analyzer::MergeableProfile::from_tree(
+      analyzer::StreamAnalyzer::analyze_log(rec->log()));
   auto paging = agg.methods.find("epc::secure_paging");
   ASSERT_NE(paging, agg.methods.end());
   EXPECT_EQ(paging->second.count, 8u);

@@ -414,11 +414,17 @@ long peak_rss_kib(const std::vector<std::string>& args, int* exit_code) {
   std::vector<char*> argv;
   for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
+  // In an ASan build a freed block waits in the allocator's quarantine
+  // (256 MiB by default) and stays resident, so the peak would count what
+  // the child freed, not what it holds. No effect in other builds.
+  const char* asan = std::getenv("ASAN_OPTIONS");
+  std::string asan_options = std::string(asan ? asan : "") + ":quarantine_size_mb=0";
   pid_t pid = fork();
   if (pid == 0) {
     int null = open("/dev/null", O_WRONLY);
     dup2(null, 1);
     dup2(null, 2);
+    setenv("ASAN_OPTIONS", asan_options.c_str(), 1);
     execv(argv[0], argv.data());
     _exit(127);
   }
@@ -443,16 +449,23 @@ bool in_child(F fn) {
          WEXITSTATUS(status) == 0;
 }
 
-// Peak RSS, in KiB, of the streamed aggregate commands on the session at
-// each of `prefixes`; 0 for a prefix whose run failed.
-std::vector<long> aggregate_peaks_kib(const std::string& analyze,
-                                      const std::vector<std::string>& prefixes) {
+// The streamed aggregate commands; "@" stands for the session prefix.
+const std::vector<std::string> kAggregateCommands = {"--top", "10", "--tree",
+                                                     "--svg", "@.svg"};
+
+// Peak RSS, in KiB, of `command` on the session at each of `prefixes`; 0
+// for a prefix whose run failed.
+std::vector<long> aggregate_peaks_kib(
+    const std::string& analyze, const std::vector<std::string>& prefixes,
+    const std::vector<std::string>& command = kAggregateCommands) {
   std::vector<long> peaks;
   for (const std::string& p : prefixes) {
+    std::vector<std::string> args{analyze, p};
+    for (const std::string& a : command) {
+      args.push_back(a[0] == '@' ? p + a.substr(1) : a);
+    }
     int code = -1;
-    long peak = peak_rss_kib({analyze, p, "--top", "10", "--tree", "--svg",
-                              p + ".svg"},
-                             &code);
+    long peak = peak_rss_kib(args, &code);
     EXPECT_EQ(code, 0) << p;
     EXPECT_GT(peak, 0) << p;
     peaks.push_back(code == 0 ? peak : 0);
@@ -468,16 +481,27 @@ constexpr long kFlatRssMarginKib = 4 << 10;
 TEST_F(ToolsTest, StreamedAggregatesPeakRssFlat) {
   // 8x the entries (65,536 vs 524,288; 1 MB vs 8 MB of chunks). Holding
   // every Invocation costs ~20 MB more at the larger size; the streamed
-  // commands hold two chunk files and one tree of 48 distinct paths.
+  // commands hold two chunk files and one tree of 48 distinct paths, and
+  // the row commands the open frames, one round's rows and what their
+  // output keeps (a 1 MiB write buffer, 25 rows and the callers).
   std::string small = dir_ + "/small", large = dir_ + "/large";
   ASSERT_TRUE(in_child([&] {
     synthetic_session("small", 16);
     synthetic_session("large", 128);
   }));
-  std::vector<long> peak = aggregate_peaks_kib(analyze_, {small, large});
-  EXPECT_LE(peak[1], peak[0] + kFlatRssMarginKib)
-      << "peak RSS " << peak[0] << " KiB at 65,536 entries, " << peak[1]
-      << " KiB at 524,288";
+  for (const std::vector<std::string>& command :
+       std::vector<std::vector<std::string>>{kAggregateCommands,
+                                             {"--chrome", "@.json"},
+                                             {"--csv", "@.csv"},
+                                             {"--method", "synth::level2"}}) {
+    SCOPED_TRACE(command[0]);
+    std::vector<long> peak = aggregate_peaks_kib(analyze_, {small, large}, command);
+    EXPECT_LE(peak[1], peak[0] + kFlatRssMarginKib)
+        << "peak RSS " << peak[0] << " KiB at 65,536 entries, " << peak[1]
+        << " KiB at 524,288";
+    std::remove((large + ".json").c_str());
+    std::remove((large + ".csv").c_str());
+  }
 }
 
 TEST_F(ToolsTest, PlainDumpPeakRssFlat) {

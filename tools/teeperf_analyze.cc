@@ -23,15 +23,19 @@
 //   --diff and --merge inputs are session prefixes or `.mprof` files (an
 //   argument ending in ".mprof" is read as an aggregate).
 //
-// The invocation-level commands need every Invocation in memory, so they
-// load the session once more, in full, on first use:
+// The invocation-level commands stream the session once more each, one row
+// per invocation as its frame closes, writing rows or keeping bounded
+// aggregates as they arrive (--chrome and --csv rows in close order):
 //     --threads         per-thread rollup
-//     --method <substr> invocation table filtered by method name
+//     --method <substr> invocations matching a method name: count, total,
+//                       the 25 longest, callers
 //     --tid <n>         restrict --method/--top to one thread
-//     --timeline <file>     per-thread invocation intervals as CSV
-//     --timeline-svg <file> swim-lane SVG trace view
 //     --chrome <file>   Chrome trace-event JSON (chrome://tracing)
 //     --csv <file>      dump every invocation as CSV
+//   The timeline commands sort every invocation, so they collect the
+//   session into an InvocationTable once, on first use:
+//     --timeline <file>     per-thread invocation intervals as CSV
+//     --timeline-svg <file> swim-lane SVG trace view
 //   and --validate checks the raw entries of the whole session, spill
 //   chunks included (monotonicity, balance).
 //
@@ -51,7 +55,6 @@
 
 #include "analyzer/fold.h"
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
 #include "analyzer/stream.h"
@@ -186,12 +189,39 @@ int main(int argc, char** argv) {
   if (!health.empty()) std::printf("\n%s", health.c_str());
   std::printf("\n");
 
-  // Every Invocation, for the invocation-level commands only: loaded on
-  // first use, at most once.
-  std::optional<Profile> loaded;
-  auto invocations = [&]() -> const Profile& {
+  // Every row of the session, handed to `visit` as its frame closes.
+  auto stream_rows = [&](const InvocationStream::Visit& visit) {
+    InvocationStream rows(visit);
+    if (!walk_session(prefix, rows)) {
+      std::fprintf(stderr, "teeperf_analyze: cannot load %s\n", prefix.c_str());
+      std::exit(1);
+    }
+    rows.finish();
+  };
+  // Streams what `writer` makes of every row into `path`, 1 MiB at a time.
+  auto write_rows = [&](const std::string& path, auto& writer) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (!f) return false;
+    bool ok = true;
+    auto flush = [&] {
+      ok = ok && std::fwrite(writer.text.data(), 1, writer.text.size(), f) ==
+                     writer.text.size();
+      writer.text.clear();
+    };
+    stream_rows([&](const Invocation& row) {
+      writer.add(row);
+      if (writer.text.size() >= (1u << 20)) flush();
+    });
+    writer.finish();
+    flush();
+    return std::fclose(f) == 0 && ok;
+  };
+  MethodNames name(tree->symbols);
+  // Every Invocation, for the timeline commands: collected once, on first use.
+  std::optional<InvocationTable> loaded;
+  auto invocations = [&]() -> const InvocationTable& {
     if (!loaded) {
-      loaded = Profile::load(prefix);
+      loaded = InvocationTable::load(prefix);
       if (!loaded) {
         std::fprintf(stderr, "teeperf_analyze: cannot load %s\n", prefix.c_str());
         std::exit(1);
@@ -213,10 +243,14 @@ int main(int argc, char** argv) {
     if (arg == "--top" && i + 1 < argc) {
       usize n = static_cast<usize>(std::atoll(argv[++i]));
       if (tid_filter >= 0) {
-        auto t = InvocationTable(invocations()).where_tid(static_cast<u64>(tid_filter));
+        RowAggregate rows({}, n, SortKey::kExclusive);
+        stream_rows([&](const Invocation& row) {
+          if (row.tid == static_cast<u64>(tid_filter)) rows.add(row);
+        });
+        std::vector<Invocation> top = rows.top();
         std::printf("top invocations on tid %lld:\n%s\n",
                     static_cast<long long>(tid_filter),
-                    t.sort_by(SortKey::kExclusive).top(n).to_string(n).c_str());
+                    rows_text(top, top.size(), n, name).c_str());
       } else {
         std::printf("%s\n", method_report(agg, n).c_str());
       }
@@ -225,18 +259,29 @@ int main(int argc, char** argv) {
       std::printf("%s\n", call_graph_report(agg).c_str());
       did_something = true;
     } else if (arg == "--threads") {
-      std::printf("%s\n", thread_report(invocations()).c_str());
+      ThreadRollup threads;
+      stream_rows([&](const Invocation& row) { threads.add(row); });
+      std::printf("%s\n", threads.report(tree->symbols, tree->ns_per_tick).c_str());
       did_something = true;
     } else if (arg == "--method" && i + 1 < argc) {
       std::string needle = argv[++i];
-      auto t = InvocationTable(invocations()).where_name_contains(needle);
-      if (tid_filter >= 0) t = t.where_tid(static_cast<u64>(tid_filter));
+      RowAggregate rows(
+          [&](const Invocation& row) {
+            return row.depth == 0 ? std::string("<root>") : name(row.caller);
+          },
+          25, SortKey::kInclusive);
+      stream_rows([&](const Invocation& row) {
+        if (name(row.method).find(needle) != std::string::npos &&
+            (tid_filter < 0 || row.tid == static_cast<u64>(tid_filter))) {
+          rows.add(row);
+        }
+      });
       std::printf("%zu invocations matching \"%s\" (%.3f ms inclusive):\n%s\n",
-                  t.count(), needle.c_str(),
-                  invocations().ticks_to_ns(t.sum_inclusive()) / 1e6,
-                  t.sort_by(SortKey::kInclusive).to_string(25).c_str());
+                  rows.count(), needle.c_str(),
+                  ticks_to_ns(tree->ns_per_tick, rows.sum_inclusive()) / 1e6,
+                  rows_text(rows.top(), rows.count(), 25, name).c_str());
       std::printf("by caller:\n");
-      for (auto& g : t.group_by_caller()) {
+      for (auto& g : rows.groups()) {
         std::printf("  %8zu from %s\n", g.count, g.key.c_str());
       }
       did_something = true;
@@ -257,7 +302,7 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
     } else if (arg == "--validate") {
-      auto maybe_issues = Profile::validate_file(prefix);
+      auto maybe_issues = validate_session(prefix);
       if (!maybe_issues) {
         std::fprintf(stderr, "cannot load session %s for validation\n",
                      prefix.c_str());
@@ -299,7 +344,9 @@ int main(int argc, char** argv) {
       did_something = true;
     } else if (arg == "--chrome" && i + 1 < argc) {
       std::string path = argv[++i];
-      if (!write_file(path, chrome_trace_json(invocations()))) return 1;
+      // The rate is the session's (the last dump's), known before any row.
+      ChromeTrace trace(tree->symbols, tree->ns_per_tick);
+      if (!write_rows(path, trace)) return 1;
       std::printf("wrote %s (load in chrome://tracing or Perfetto)\n",
                   path.c_str());
       did_something = true;
@@ -314,7 +361,8 @@ int main(int argc, char** argv) {
       did_something = true;
     } else if (arg == "--csv" && i + 1 < argc) {
       std::string path = argv[++i];
-      if (!write_file(path, csv_export(invocations()))) return 1;
+      CsvRows csv(tree->symbols);
+      if (!write_rows(path, csv)) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
     } else if (arg == "--folded" && i + 1 < argc) {

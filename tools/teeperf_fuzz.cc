@@ -7,10 +7,11 @@
 //
 //   1. Mutation fuzzing: every corpus file is mutated (bit flips, torn
 //      tails, header scrambles, entry splices, zero chunks, growth) and fed
-//      through the full analysis surface — load_bytes, the walk of the
-//      same bytes as a `.log` file (read in blocks, held equal to
-//      load_bytes), reconstruction, reports, flame graph rendering,
-//      validation — inside a forked child, so a crash or sanitizer abort
+//      through the full analysis surface — the bytes parsed and folded in
+//      memory (parse_dump), the walk of the same bytes as a `.log` file
+//      (read in blocks, held equal to the in-memory fold), the invocation
+//      rows, reports, flame graph rendering, validation — inside a forked
+//      child, so a crash or sanitizer abort
 //      is contained, detected, minimized, and saved to the crashers
 //      directory as a regression input.
 //
@@ -40,7 +41,6 @@
 
 #include "analyzer/fold.h"
 #include "analyzer/mprof.h"
-#include "analyzer/profile.h"
 #include "analyzer/query.h"
 #include "analyzer/report.h"
 #include "analyzer/stream.h"
@@ -286,6 +286,21 @@ std::vector<std::pair<std::string, std::string>> build_seed_corpus() {
   return corpus;
 }
 
+// `bytes` parsed in memory (parse_dump), stitched as one dump and folded:
+// the in-memory twin of walking the same bytes as a `.log` file. nullopt
+// when parse_dump rejects them.
+std::optional<analyzer::SessionTree> fold_bytes(const std::string& bytes) {
+  auto dump = analyzer::parse_dump(bytes);
+  if (!dump) return std::nullopt;
+  analyzer::SpillStitcher one;  // a single dump: nothing to deduplicate
+  std::vector<analyzer::ShardSpan> spans;
+  one.absorb(*dump, &spans);
+  analyzer::StreamAnalyzer sa;
+  for (const analyzer::ShardSpan& sp : spans) sa.feed(sp.shard, sp.entries, sp.n);
+  sa.set_ns_per_tick(dump->layout.ns_per_tick);
+  return sa.finish_tree();
+}
+
 // `.mprof` seed inputs: the mergeable-profile loader joins the same
 // differential fuzz loop as the dump loader. Derived from the dump seeds
 // above (via the in-memory pipeline), so they stay deterministic and cover
@@ -297,8 +312,7 @@ std::vector<std::pair<std::string, std::string>> build_mprof_seed_corpus() {
   auto mprof_of = [&](const char* dump_name) {
     for (const auto& [name, bytes] : dumps) {
       if (name == dump_name) {
-        auto p = analyzer::Profile::load_bytes(bytes);
-        return analyzer::MergeableProfile::from_profile(*p).save();
+        return analyzer::MergeableProfile::from_tree(*fold_bytes(bytes)).save();
       }
     }
     return std::string();
@@ -324,8 +338,8 @@ std::vector<std::pair<std::string, std::string>> build_mprof_seed_corpus() {
 // A stats signature that must be invariant under benign mutations: the
 // aggregate's methods and folded stacks (both name-sorted) and the
 // reconstruction health.
-std::string signature(const analyzer::Profile& p) {
-  analyzer::MergeableProfile m = analyzer::MergeableProfile::from_profile(p);
+std::string signature(const analyzer::SessionTree& t) {
+  analyzer::MergeableProfile m = analyzer::MergeableProfile::from_tree(t);
   std::string out;
   for (const auto& [name, s] : m.methods) {
     out += str_format("m %s n=%llu inc=%llu exc=%llu min=%llu max=%llu\n",
@@ -339,7 +353,7 @@ std::string signature(const analyzer::Profile& p) {
     out += str_format("f %s %llu\n", path.c_str(),
                       static_cast<unsigned long long>(ticks));
   }
-  const auto& r = p.recon_stats();
+  const auto& r = t.recon;
   out += str_format(
       "r stray=%llu mis=%llu unw=%llu inc=%llu tomb=%llu threads=%llu\n",
       static_cast<unsigned long long>(r.stray_returns),
@@ -347,7 +361,7 @@ std::string signature(const analyzer::Profile& p) {
       static_cast<unsigned long long>(r.unwound_frames),
       static_cast<unsigned long long>(r.incomplete),
       static_cast<unsigned long long>(r.tombstones),
-      static_cast<unsigned long long>(p.thread_count()));
+      static_cast<unsigned long long>(t.thread_count));
   return out;
 }
 
@@ -374,28 +388,29 @@ void exercise(const std::string& bytes) {
     acc.save();
   }
 
-  auto profile = analyzer::Profile::load_bytes(bytes);
+  auto parsed = fold_bytes(bytes);
 
   // The same bytes as a `.log` dump on disk, walked the way
   // teeperf_analyze reads one: laid out from its header and directory and
-  // read in blocks. It must accept what load_bytes accepts and analyze to
+  // read in blocks. It must accept what parse_dump accepts and analyze to
   // the same signature; a divergence aborts like a crash.
   std::string prefix = (std::filesystem::temp_directory_path() /
                         ("teeperf_fuzz." + std::to_string(getpid())))
                            .string();
+  std::optional<analyzer::InvocationTable> table;
   if (write_file(prefix + ".log", bytes)) {
-    auto walked = analyzer::Profile::load(prefix);
-    analyzer::StreamAnalyzer::analyze(prefix);
-    analyzer::Profile::validate_file(prefix);
+    auto walked = analyzer::StreamAnalyzer::analyze_tree(prefix);
+    table = analyzer::InvocationTable::load(prefix);
+    analyzer::validate_session(prefix);
     std::remove((prefix + ".log").c_str());
-    if (walked.has_value() != profile.has_value() ||
-        (walked && signature(*walked) != signature(*profile))) {
-      std::fprintf(stderr, "teeperf_fuzz: the file walk diverged from load_bytes\n");
+    if (walked.has_value() != parsed.has_value() ||
+        (walked && signature(*walked) != signature(*parsed))) {
+      std::fprintf(stderr, "teeperf_fuzz: the file walk diverged from parse_dump\n");
       std::abort();
     }
   }
-  if (!profile) return;  // rejected: that is a pass
-  analyzer::SessionTree tree = profile->path_tree();
+  if (!parsed) return;  // rejected: that is a pass
+  const analyzer::SessionTree& tree = *parsed;
   analyzer::MergeableProfile agg = analyzer::MergeableProfile::from_tree(tree);
   agg.save();
   analyzer::method_report(agg);
@@ -405,14 +420,21 @@ void exercise(const std::string& bytes) {
   analyzer::mprof_summary(agg);
   analyzer::call_tree_report(tree);
   analyzer::bottom_up_report(tree);
-  analyzer::thread_report(*profile);
-  analyzer::chrome_trace_json(*profile);
-  analyzer::csv_export(*profile);
-  analyzer::timeline_csv(*profile);
   flamegraph::render_profile_svg(agg);
-  analyzer::InvocationTable table(*profile);
-  table.where_min_inclusive(1).sort_by(analyzer::SortKey::kExclusive).top(10);
-  table.group_by_method();
+  if (!table) return;
+  analyzer::ThreadRollup threads;
+  analyzer::CsvRows csv(table->symbols());
+  analyzer::ChromeTrace chrome(table->symbols(), table->ns_per_tick());
+  for (const analyzer::Invocation& row : table->invocations()) {
+    threads.add(row);
+    csv.add(row);
+    chrome.add(row);
+  }
+  threads.report(table->symbols(), table->ns_per_tick());
+  chrome.finish();
+  analyzer::timeline_csv(*table);
+  table->where_min_inclusive(1).sort_by(analyzer::SortKey::kExclusive).top(10);
+  table->group_by_method();
 }
 
 // ---------------------------------------------------------------- mutants --
@@ -731,12 +753,12 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    auto base_profile = analyzer::Profile::load_bytes(corpus[f]);
-    if (!base_profile) continue;  // a checked-in crasher the loader rejects
-    std::string base_sig = signature(*base_profile);
+    auto base = fold_bytes(corpus[f]);
+    if (!base) continue;  // a checked-in crasher the loader rejects
+    std::string base_sig = signature(*base);
     for (u64 r = 0; r < reorders; ++r) {
       std::string shuffled = reorder_across_threads(corpus[f], rng);
-      auto p = analyzer::Profile::load_bytes(shuffled);
+      auto p = fold_bytes(shuffled);
       if (!p || signature(*p) != base_sig) {
         ++mismatch_count;
         std::string path = str_format("%s/mismatch_s%llu_f%zu_r%llu.log",
@@ -786,7 +808,7 @@ int main(int argc, char** argv) {
     }
     // Count accept/reject in-process for the summary (the child already
     // proved this input safe).
-    if (analyzer::Profile::load_bytes(mutant)) {
+    if (analyzer::parse_dump(mutant)) {
       ++loaded;
     } else {
       ++rejected;
