@@ -105,17 +105,6 @@ class ChunkReader {
   std::thread thread_;  // last: starts once the state above exists
 };
 
-// An open file descriptor, closed on scope exit.
-struct Fd {
-  explicit Fd(int f) : fd(f) {}
-  ~Fd() {
-    if (fd >= 0) ::close(fd);
-  }
-  Fd(const Fd&) = delete;
-  Fd& operator=(const Fd&) = delete;
-  int fd;
-};
-
 // Reads exactly `n` bytes at `off`; false if the file ends first or a read
 // fails.
 bool pread_all(int fd, void* buf, usize n, u64 off) {

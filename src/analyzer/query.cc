@@ -105,14 +105,24 @@ std::optional<InvocationTable> InvocationTable::collect(
   s->symbols = std::move(info->symbols);
   s->ns_per_tick = info->ns_per_tick;
   // Method ids and tids mean the same thing in every shard (same process,
-  // same address space), so only the parent indices need rebasing.
-  for (std::vector<Invocation>& part : shards) {
-    i64 base = static_cast<i64>(s->rows.size());
-    for (Invocation& row : part) {
-      if (row.parent >= 0) row.parent += base;
+  // same address space), so only the parent indices need rebasing. One
+  // shard's rows are the table; several are appended into one vector sized
+  // once, each freed as soon as it is in, so at most one shard's rows are
+  // held twice.
+  if (shards.size() == 1) {
+    s->rows = std::move(shards.front());
+  } else {
+    usize total = 0;
+    for (const std::vector<Invocation>& part : shards) total += part.size();
+    s->rows.reserve(total);
+    for (std::vector<Invocation>& part : shards) {
+      i64 base = static_cast<i64>(s->rows.size());
+      for (Invocation& row : part) {
+        if (row.parent >= 0) row.parent += base;
+      }
+      s->rows.insert(s->rows.end(), part.begin(), part.end());
+      part = {};
     }
-    s->rows.insert(s->rows.end(), part.begin(), part.end());
-    part = {};
   }
   std::vector<usize> all(s->rows.size());
   std::iota(all.begin(), all.end(), usize{0});

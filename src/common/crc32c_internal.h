@@ -14,8 +14,11 @@ u32 extend_portable(u32 crc, const void* data, usize n);
 // True when this CPU executes the SSE4.2 crc32 instruction.
 bool hardware_available();
 
-// The SSE4.2 crc32 instruction, eight bytes per step. Call only when
-// hardware_available() is true.
+// The SSE4.2 crc32 instruction, eight bytes per step; from kThreeStreamMin
+// bytes on, three interleaved chains over kStreamBlock-byte blocks. Call
+// only when hardware_available() is true.
+inline constexpr usize kStreamBlock = 8192;
+inline constexpr usize kThreeStreamMin = 3 * kStreamBlock;
 u32 extend_hardware(u32 crc, const void* data, usize n);
 
 }  // namespace teeperf::crc32c_impl

@@ -1,11 +1,15 @@
 #include "common/fileutil.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <system_error>
-
-#include <sys/stat.h>
 
 #include "common/types.h"
 
@@ -28,6 +32,10 @@ bool put_file(const std::string& path, const char* mode,
 
 }  // namespace
 
+Fd::~Fd() {
+  if (fd >= 0) ::close(fd);
+}
+
 bool write_file(const std::string& path, std::string_view contents) {
   return put_file(path, "wb", contents);
 }
@@ -43,21 +51,40 @@ std::optional<std::string> read_file(const std::string& path) {
 }
 
 bool read_file(const std::string& path, std::string* out) {
-  out->clear();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return false;
-  // Sized to the file first: a string that grows as it reads pays a chain
-  // of reallocations and fresh-page faults several times the read itself.
-  // The size is only a hint (procfs files report 0); the loop reads to EOF.
-  struct stat st;
-  if (::fstat(fileno(f), &st) == 0 && st.st_size > 0) {
-    out->reserve(static_cast<usize>(st.st_size));
+  Fd file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (file.fd < 0) {
+    out->clear();
+    return false;
   }
-  char buf[1 << 16];
-  usize n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  std::fclose(f);
-  return true;
+  // read(2) lands straight in *out, sized to the file first: a string that
+  // grows as it reads pays a chain of reallocations and fresh-page faults
+  // several times the read itself. The size is only a hint (procfs files
+  // report 0, a file may grow), so the loop reads to EOF, and the one byte
+  // past the hint lets a file that did not grow end without growing *out.
+  struct stat st;
+  usize hint = ::fstat(file.fd, &st) == 0 && st.st_size > 0 ? static_cast<usize>(st.st_size) : 0;
+  usize want = hint + 1;
+  // A buffer that must grow is emptied first, or growing would copy the
+  // previous file's bytes into the new allocation only to overwrite them.
+  if (out->capacity() < want) {
+    out->clear();
+    out->reserve(want);
+  }
+  out->resize(want);
+  usize got = 0;
+  bool ok = true;
+  for (;;) {
+    if (got == out->size()) out->resize(got + std::max<usize>(got, 4096));
+    ssize_t n = ::read(file.fd, out->data() + got, out->size() - got);
+    if (n > 0) {
+      got += static_cast<usize>(n);
+    } else if (n == 0 || errno != EINTR) {
+      ok = n == 0;
+      break;
+    }
+  }
+  out->resize(ok ? got : 0);
+  return ok;
 }
 
 bool file_exists(const std::string& path) {

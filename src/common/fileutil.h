@@ -8,13 +8,23 @@
 
 namespace teeperf {
 
+// An open file descriptor, closed on scope exit.
+struct Fd {
+  explicit Fd(int f) : fd(f) {}
+  ~Fd();
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  int fd;
+};
+
 bool write_file(const std::string& path, std::string_view contents);
 bool append_file(const std::string& path, std::string_view contents);
 std::optional<std::string> read_file(const std::string& path);
-// Reads the file into *out, reserving the file's size first and reusing
-// *out's capacity: a caller that reads many files through one buffer
-// allocates only when a file outgrows it. False (with *out cleared) if the
-// file cannot be opened.
+// Reads the file into *out with read(2), one copy, sized to the file first
+// and reusing *out's capacity: a caller that reads many files through one
+// buffer allocates only when a file outgrows it. Reads to EOF, so files
+// longer than their reported size (procfs) come back whole. False (with
+// *out cleared) if the file cannot be opened or read.
 bool read_file(const std::string& path, std::string* out);
 bool file_exists(const std::string& path);
 bool remove_file(const std::string& path);

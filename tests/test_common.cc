@@ -1,10 +1,12 @@
 // Unit tests for src/common: crc32c, rng, string utilities, histogram,
 // spin calibration, file helpers.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -92,35 +94,75 @@ TEST(Crc32c, KnownVectorsOnEveryPath) {
   }
 }
 
+// Every length to 1,024 bytes, then lengths around the three-stream
+// threshold, around three blocks and one of many triples plus a remainder:
+// from crc32c_impl::kThreeStreamMin bytes on, three chains are shifted and
+// folded together, and these lengths sit where a mistake in that fold (its
+// order, its shift length, the remainder after the last triple) would show.
+std::vector<usize> crc_test_lengths() {
+  using crc32c_impl::kStreamBlock;
+  using crc32c_impl::kThreeStreamMin;
+  std::vector<usize> lengths;
+  for (usize n = 0; n <= 1024; ++n) lengths.push_back(n);
+  for (usize n = kThreeStreamMin - 64; n <= kThreeStreamMin + 64; ++n) lengths.push_back(n);
+  for (usize d = 1; d <= 8; ++d) {
+    lengths.push_back(3 * kStreamBlock - d);
+    lengths.push_back(3 * kStreamBlock + d);
+  }
+  lengths.push_back((2u << 20) + 13);
+  return lengths;
+}
+
 TEST(Crc32c, HardwareMatchesPortableAtEveryLengthAndAlignment) {
   if (!crc32c_impl::hardware_available()) {
     GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
   }
-  std::vector<u8> buf = crc_test_bytes(1024 + 8);
+  std::vector<usize> lengths = crc_test_lengths();
+  std::vector<u8> buf = crc_test_bytes(lengths.back() + 8);
   for (usize off = 0; off < 8; ++off) {
-    for (usize n = 0; n <= 1024; ++n) {
-      const u8* p = buf.data() + off;
-      ASSERT_EQ(crc32c_impl::extend_hardware(0, p, n),
-                crc32c_impl::extend_portable(0, p, n))
-          << "offset " << off << " length " << n;
-      // A nonzero running crc, as crc32c_extend continues one.
-      ASSERT_EQ(crc32c_impl::extend_hardware(0x9e3779b9u, p, n),
-                crc32c_impl::extend_portable(0x9e3779b9u, p, n))
-          << "offset " << off << " length " << n;
+    const u8* p = buf.data() + off;
+    for (usize n : lengths) {
+      // Zero, and a nonzero running crc, as crc32c_extend continues one.
+      for (u32 seed : {0u, 0x9e3779b9u}) {
+        ASSERT_EQ(crc32c_impl::extend_hardware(seed, p, n),
+                  crc32c_impl::extend_portable(seed, p, n))
+            << "offset " << off << " length " << n << " seed " << seed;
+      }
     }
   }
 }
 
 TEST(Crc32c, ExtendAgreesAtEverySplitPoint) {
-  std::vector<u8> buf = crc_test_bytes(1024 + 8);
+  using crc32c_impl::kStreamBlock;
+  // Every split of 1,024 bytes; and splits of four blocks on both sides of
+  // each block boundary, where either half takes the three-stream path,
+  // the single chain or both.
+  struct Case {
+    usize n;
+    std::vector<usize> splits;
+  };
+  Case every{1024, {}}, blocks{4 * kStreamBlock, {}};
+  for (usize k = 0; k <= every.n; ++k) every.splits.push_back(k);
+  for (usize b = 0; b <= 4; ++b) {
+    for (usize d = 0; d <= 8; ++d) {
+      if (b * kStreamBlock >= d) blocks.splits.push_back(b * kStreamBlock - d);
+      if (b * kStreamBlock + d <= blocks.n) blocks.splits.push_back(b * kStreamBlock + d);
+    }
+  }
+  std::vector<u8> buf = crc_test_bytes(blocks.n + 8);
   for (auto [name, extend] : crc_paths()) {
-    for (usize off = 0; off < 8; ++off) {
-      const u8* p = buf.data() + off;
-      u32 whole = extend(0, p, 1024);
-      EXPECT_EQ(whole, crc32c(p, 1024)) << name << " offset " << off;
-      for (usize k = 0; k <= 1024; ++k) {
-        ASSERT_EQ(extend(extend(0, p, k), p + k, 1024 - k), whole)
-            << name << " offset " << off << " split " << k;
+    for (const Case& c : {every, blocks}) {
+      for (usize off = 0; off < 8; ++off) {
+        const u8* p = buf.data() + off;
+        for (u32 seed : {0u, 0x9e3779b9u}) {
+          u32 whole = extend(seed, p, c.n);
+          EXPECT_EQ(whole, crc32c_extend(seed, p, c.n)) << name << " offset " << off;
+          for (usize k : c.splits) {
+            ASSERT_EQ(extend(extend(seed, p, k), p + k, c.n - k), whole)
+                << name << " length " << c.n << " offset " << off << " split " << k
+                << " seed " << seed;
+          }
+        }
       }
     }
   }
@@ -318,6 +360,14 @@ TEST(Spin, MonotonicClockAdvances) {
 
 // --- fileutil -----------------------------------------------------------------
 
+usize open_fd_count() {
+  usize n = 0;
+  for ([[maybe_unused]] const auto& e : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
 class FileUtilTest : public ::testing::Test {
  protected:
   void SetUp() override { dir_ = make_temp_dir("teeperf_fut_"); }
@@ -349,22 +399,103 @@ TEST_F(FileUtilTest, AppendAccumulates) {
 // A short fwrite (disk full) must still close the file: every failed call
 // used to leak one FILE and its descriptor.
 TEST_F(FileUtilTest, FailedWritesLeakNoDescriptors) {
-  auto open_fds = [] {
-    usize n = 0;
-    for ([[maybe_unused]] const auto& e :
-         std::filesystem::directory_iterator("/proc/self/fd")) {
-      ++n;
-    }
-    return n;
-  };
   if (!file_exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   std::string block(64 << 10, 'x');
-  usize before = open_fds();
+  usize before = open_fd_count();
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(write_file("/dev/full", block));
     EXPECT_FALSE(append_file("/dev/full", block));
   }
-  EXPECT_EQ(open_fds(), before);
+  EXPECT_EQ(open_fd_count(), before);
+}
+
+TEST_F(FileUtilTest, ReadIntoBufferMissingFileClearsIt) {
+  std::string buf = "left over";
+  EXPECT_FALSE(read_file(dir_ + "/nope", &buf));
+  EXPECT_TRUE(buf.empty());
+}
+
+TEST_F(FileUtilTest, ReadIntoBufferEmptyFile) {
+  std::string path = dir_ + "/empty";
+  ASSERT_TRUE(write_file(path, ""));
+  std::string buf = "left over";
+  ASSERT_TRUE(read_file(path, &buf));
+  EXPECT_TRUE(buf.empty());
+}
+
+// procfs files report size 0: the hint is wrong and the read must go on.
+TEST_F(FileUtilTest, ReadIntoBufferProcfsFileIsWhole) {
+  std::string buf;
+  ASSERT_TRUE(read_file("/proc/self/status", &buf));
+  EXPECT_NE(buf.find("Name:"), std::string::npos);
+  EXPECT_NE(buf.find("VmRSS:"), std::string::npos);
+  EXPECT_EQ(buf.back(), '\n');
+}
+
+TEST_F(FileUtilTest, ReadIntoLargerBufferReturnsExactlyTheFile) {
+  std::string big = dir_ + "/big", small = dir_ + "/small";
+  ASSERT_TRUE(write_file(big, std::string(100000, 'b')));
+  ASSERT_TRUE(write_file(small, "tiny"));
+  std::string buf;
+  ASSERT_TRUE(read_file(big, &buf));
+  EXPECT_EQ(buf, std::string(100000, 'b'));
+  const char* storage = buf.data();
+  ASSERT_TRUE(read_file(small, &buf));
+  EXPECT_EQ(buf, "tiny");
+  EXPECT_EQ(buf.data(), storage);  // reused, not reallocated
+}
+
+TEST_F(FileUtilTest, ReadIntoSmallerBufferGrowsIt) {
+  std::string small = dir_ + "/small", big = dir_ + "/big";
+  std::string contents(300000, '\0');
+  for (usize i = 0; i < contents.size(); ++i) contents[i] = static_cast<char>(i * 7);
+  ASSERT_TRUE(write_file(small, "abc"));
+  ASSERT_TRUE(write_file(big, contents));
+  std::string buf;
+  ASSERT_TRUE(read_file(small, &buf));
+  EXPECT_EQ(buf, "abc");
+  ASSERT_TRUE(read_file(big, &buf));
+  EXPECT_EQ(buf, contents);
+  ASSERT_TRUE(read_file(small, &buf));
+  EXPECT_EQ(buf, "abc");
+}
+
+// The size from fstat is a hint taken at open: bytes appended after it
+// are read too.
+TEST_F(FileUtilTest, ReadIntoBufferFollowsAFileLongerThanItsHint) {
+  std::string path = dir_ + "/grows";
+  std::string expect(5000, 'a');
+  ASSERT_TRUE(write_file(path, expect));
+  std::string buf;
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_TRUE(read_file(path, &buf));
+    EXPECT_EQ(buf, expect) << "round " << round;
+    std::string more(1000 + 70000 * round, static_cast<char>('b' + round));
+    ASSERT_TRUE(append_file(path, more));
+    expect += more;
+  }
+  // A fifo has no size at all: everything written to it comes back.
+  std::string fifo = dir_ + "/fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::string payload(200000, 'f');
+  std::thread writer([&] { ASSERT_TRUE(write_file(fifo, payload)); });
+  ASSERT_TRUE(read_file(fifo, &buf));
+  writer.join();
+  EXPECT_EQ(buf, payload);
+}
+
+TEST_F(FileUtilTest, ReadsLeakNoDescriptors) {
+  std::string path = dir_ + "/f";
+  ASSERT_TRUE(write_file(path, std::string(70000, 'x')));
+  std::string buf;
+  usize before = open_fd_count();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_TRUE(read_file(path, &buf));
+    EXPECT_FALSE(read_file(dir_ + "/nope", &buf));
+    EXPECT_FALSE(read_file(dir_, &buf));  // a directory opens but does not read
+    EXPECT_TRUE(read_file(path).has_value());
+  }
+  EXPECT_EQ(open_fd_count(), before);
 }
 
 TEST_F(FileUtilTest, ExistsAndRemove) {
