@@ -2,7 +2,9 @@
 // files"): every seed_*.log in tests/corpus has a checked-in reference
 // rendering — folded stacks, method-stat JSON and the text reports of
 // teeperf_analyze's aggregate commands — and analysis output must stay
-// bit-identical to it. Any intentional analyzer change regenerates the
+// bit-identical to it. The flame graph and timeline SVGs are pinned the
+// same way: every corpus .mprof (calibrated and in ticks), one seeded
+// deep and wide profile, and one timeline. Any intentional analyzer change regenerates the
 // references with TEEPERF_UPDATE_GOLDEN=1 and reviews the diff.
 //
 // Plus the shard-layout differential: the same scripted workload recorded
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,8 +29,10 @@
 #include "analyzer/report.h"
 #include "analyzer/stream.h"
 #include "common/fileutil.h"
+#include "common/rng.h"
 #include "common/stringutil.h"
 #include "core/log_format.h"
+#include "flamegraph/flamegraph.h"
 #include "row_rollup.h"
 #include "written_dump.h"
 
@@ -44,21 +49,25 @@ bool update_mode() {
   return u && *u && std::string(u) != "0";
 }
 
-std::vector<std::string> seed_logs() {
+// The corpus files named "<prefix>*<suffix>", without the suffix, sorted.
+std::vector<std::string> corpus_files(const std::string& prefix,
+                                      const std::string& suffix) {
   std::vector<std::string> names;
   DIR* d = opendir(corpus_dir().c_str());
   if (!d) return names;
   while (dirent* entry = readdir(d)) {
     std::string name = entry->d_name;
-    if (starts_with(name, "seed_") && name.size() > 4 &&
-        name.compare(name.size() - 4, 4, ".log") == 0) {
-      names.push_back(name.substr(0, name.size() - 4));
+    if (starts_with(name, prefix) && name.size() > suffix.size() &&
+        ends_with(name, suffix)) {
+      names.push_back(name.substr(0, name.size() - suffix.size()));
     }
   }
   closedir(d);
   std::sort(names.begin(), names.end());
   return names;
 }
+
+std::vector<std::string> seed_logs() { return corpus_files("seed_", ".log"); }
 
 // Canonical folded-stacks rendering: already sorted by path.
 std::string render_folded(const analyzer::MergeableProfile& m) { return m.folded(); }
@@ -153,6 +162,92 @@ TEST(GoldenCorpus, TextReportsBitIdentical) {
     ASSERT_TRUE(table) << "loader rejected a trusted seed";
     EXPECT_EQ(text_reports(rollup_tree(*table)), streamed);
   }
+}
+
+// ------------------------------------------------------------- SVG bytes
+
+TEST(GoldenSvg, CorpusProfilesBitIdentical) {
+  std::vector<std::string> names = corpus_files("", ".mprof");
+  EXPECT_GE(names.size(), 5u) << "corpus dir: " << corpus_dir();
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    std::string err;
+    auto m = analyzer::MergeableProfile::load(corpus_dir() + "/" + name + ".mprof",
+                                              &err);
+    ASSERT_TRUE(m) << err;
+    flamegraph::SvgOptions opt;
+    opt.title = name;
+    std::string base = corpus_dir() + "/golden/" + name;
+    // Calibrated from the aggregate's tick rate, and ticks only.
+    check_golden(base + ".svg", flamegraph::render_profile_svg(*m, opt));
+    check_golden(base + ".ticks.svg",
+                 flamegraph::render_svg({m->stacks.begin(), m->stacks.end()}, opt));
+  }
+}
+
+// A seeded deep and wide profile: 2,000 paths up to 17 frames deep,
+// names with every XML-special character, drawn narrow enough that most
+// labels are ellipsized and many frames fall under the pixel floor.
+std::map<std::string, u64> deep_wide_stacks() {
+  const char* names[] = {
+      "main", "run<T&>", "a&b", "x<y>", "say\"hi\"", "operator<<",
+      "std::vector<std::pair<int,double>>::emplace_back", "io", "read",
+      "write", "compute_kernel_with_a_long_name", "f", "g", "h", "<lambda>",
+      "&&", "parse", "lex", "emit", "flush"};
+  constexpr u64 kNames = sizeof(names) / sizeof(names[0]);
+  Xorshift64 rng(2028);
+  std::map<std::string, u64> stacks;
+  while (stacks.size() < 2000) {
+    std::string path = "main";
+    u64 depth = 1 + rng.next_below(16);
+    for (u64 d = 0; d < depth; ++d) {
+      path += ';';
+      // Narrow fan-out near the root so paths share long prefixes.
+      path += names[rng.next_below(d < 3 ? 3 : kNames)];
+    }
+    // Heavy-tailed values: a few paths carry most of the time.
+    stacks[path] += 1 + (rng.next_below(16) == 0 ? rng.next_below(2'000'000)
+                                                  : rng.next_below(5'000));
+  }
+  return stacks;
+}
+
+TEST(GoldenSvg, DeepWideProfileBitIdenticalInAnyOrder) {
+  analyzer::MergeableProfile m;
+  m.stacks = deep_wide_stacks();
+  m.ns_per_tick = 0.37;
+  flamegraph::SvgOptions opt;
+  opt.title = "deep & <wide>";
+  opt.width = 480;
+  std::string svg = flamegraph::render_profile_svg(m, opt);
+  check_golden(corpus_dir() + "/golden/deep_wide.svg", svg);
+
+  opt.ns_per_tick = m.ns_per_tick;
+  flamegraph::FoldedStacks sorted(m.stacks.begin(), m.stacks.end());
+  EXPECT_EQ(flamegraph::render_svg(sorted, opt), svg);
+  flamegraph::FoldedStacks shuffled = sorted;
+  Xorshift64 rng(7);
+  for (usize i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+  }
+  EXPECT_EQ(flamegraph::render_svg(shuffled, opt), svg);
+
+  // Wide, with only frames of 20 px and up: nearly every frame is labelled.
+  opt.width = 4000;
+  opt.min_width_px = 20;
+  svg = flamegraph::render_svg(shuffled, opt);
+  check_golden(corpus_dir() + "/golden/deep_wide.labels.svg", svg);
+  EXPECT_EQ(flamegraph::render_svg(sorted, opt), svg);
+}
+
+TEST(GoldenSvg, TimelineBitIdentical) {
+  auto table = analyzer::InvocationTable::load(corpus_dir() + "/seed_threads");
+  ASSERT_TRUE(table);
+  ASSERT_GT(table->count(), 0u);
+  flamegraph::TimelineOptions opt;
+  opt.title = "seed_threads";
+  check_golden(corpus_dir() + "/golden/seed_threads.timeline.svg",
+               flamegraph::render_timeline_svg(*table, opt));
 }
 
 // ----------------------------------------------- shard-layout differential
