@@ -1,6 +1,7 @@
 #include "analyzer/mprof.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -495,12 +496,17 @@ u64 MergeableProfile::total_exclusive() const {
 }
 
 std::string MergeableProfile::folded() const {
+  usize bound = 0;
+  // Each line is the path, then " <ticks>\n" of at most 22 bytes.
+  for (const auto& [path, ticks] : stacks) bound += path.size() + 22;
   std::string out;
+  out.reserve(bound);
   for (const auto& [path, ticks] : stacks) {
     out += path;
-    out += ' ';
-    out += std::to_string(ticks);
-    out += '\n';
+    char tail[22] = {' '};
+    char* end = std::to_chars(tail + 1, tail + sizeof tail - 1, ticks).ptr;
+    *end++ = '\n';
+    out.append(tail, end);
   }
   return out;
 }

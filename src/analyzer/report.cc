@@ -407,30 +407,30 @@ void CsvRows::add(const Invocation& row) {
     text += c;
     if (c == '"') text += '"';
   }
-  text += str_format("\",%llu,%u,%llu,%llu,%llu,%llu,%llu,%d\n",
-                     static_cast<unsigned long long>(row.tid), row.depth,
-                     static_cast<unsigned long long>(row.start),
-                     static_cast<unsigned long long>(row.end),
-                     static_cast<unsigned long long>(row.inclusive()),
-                     static_cast<unsigned long long>(row.exclusive()),
-                     static_cast<unsigned long long>(row.calls_made),
-                     row.complete ? 1 : 0);
+  text += "\",";
+  for (u64 v : {row.tid, u64{row.depth}, row.start, row.end, row.inclusive(),
+                row.exclusive(), row.calls_made}) {
+    append_int(text, v);
+    text += ',';
+  }
+  text += row.complete ? "1\n" : "0\n";
 }
 
 void ChromeTrace::add(const Invocation& row) {
   if (!first_) text += ",\n";
   first_ = false;
-  std::string escaped;
+  text += "{\"name\":\"";
   for (char c : name_(row.method)) {
-    if (c == '"' || c == '\\') escaped.push_back('\\');
-    escaped.push_back(c);
+    if (c == '"' || c == '\\') text += '\\';
+    text += c;
   }
-  text += str_format(
-      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%llu,"
-      "\"ts\":%.3f,\"dur\":%.3f}",
-      escaped.c_str(), static_cast<unsigned long long>(row.tid),
-      ticks_to_ns(ns_per_tick_, row.start) / 1e3,
-      ticks_to_ns(ns_per_tick_, row.inclusive()) / 1e3);
+  text += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
+  append_int(text, row.tid);
+  text += ",\"ts\":";
+  append_fixed(text, ticks_to_ns(ns_per_tick_, row.start) / 1e3, 3);
+  text += ",\"dur\":";
+  append_fixed(text, ticks_to_ns(ns_per_tick_, row.inclusive()) / 1e3, 3);
+  text += '}';
 }
 
 std::string timeline_csv(const InvocationTable& table) {
@@ -445,11 +445,16 @@ std::string timeline_csv(const InvocationTable& table) {
   MethodNames name(table.symbols());
   std::string out = "tid,method,start,end,depth\n";
   for (const Invocation* inv : order) {
-    out += str_format("%llu,\"%s\",%llu,%llu,%u\n",
-                      static_cast<unsigned long long>(inv->tid),
-                      name(inv->method).c_str(),
-                      static_cast<unsigned long long>(inv->start),
-                      static_cast<unsigned long long>(inv->end), inv->depth);
+    append_int(out, inv->tid);
+    out += ",\"";
+    out += name(inv->method);
+    out += "\",";
+    append_int(out, inv->start);
+    out += ',';
+    append_int(out, inv->end);
+    out += ',';
+    append_int(out, inv->depth);
+    out += '\n';
   }
   return out;
 }

@@ -44,6 +44,15 @@ std::string str_format(const char* fmt, ...) {
   return out;
 }
 
+void append_fixed(std::string& out, double v, int decimals) {
+  // Room for DBL_MAX's 309 integer digits, a sign, the point and 16
+  // decimals.
+  char buf[330];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                                decimals)
+                      .ptr);
+}
+
 std::vector<std::string_view> split(std::string_view s, char sep) {
   std::vector<std::string_view> parts;
   usize start = 0;
