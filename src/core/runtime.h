@@ -69,8 +69,10 @@ void on_exit(u64 addr) TEEPERF_NO_INSTRUMENT;
 u64 current_tid() TEEPERF_NO_INSTRUMENT;
 
 // Copies the calling thread's shadow stack (bottom → top) into `out`,
-// returning the depth copied (≤ max). Async-signal-safe.
-int capture_own_stack(u64* out, int max) TEEPERF_NO_INSTRUMENT;
+// returning the depth copied (≤ max), and stores the thread's id in `tid`.
+// Async-signal-safe: it never creates the thread's state, so a thread the
+// hooks have not touched yields depth 0 and tid ~0.
+int capture_own_stack(u64* out, int max, u64* tid) TEEPERF_NO_INSTRUMENT;
 
 // Appends every raw function address recorded since process start (or the
 // last reset) to `out`. A drained (spill mode) or wrapped (ring mode) log
@@ -84,6 +86,10 @@ void seen_addresses(std::vector<u64>* out);
 // Resets the calling thread's shadow stack and cached tid. Test-only: lets
 // one process run many independent sessions.
 void reset_thread_for_test() TEEPERF_NO_INSTRUMENT;
+
+// Whether the calling thread's state exists (the hooks or a runtime call
+// made on this thread created it). Test-only.
+bool thread_state_created_for_test() TEEPERF_NO_INSTRUMENT;
 
 // Clears the first-sight address table. Test-only, same purpose.
 void reset_seen_addresses_for_test();

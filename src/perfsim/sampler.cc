@@ -30,7 +30,8 @@ void sigprof_handler(int) {
   }
 
   u64 frames[512];
-  int depth = runtime::capture_own_stack(frames, p->options_.max_depth);
+  u64 tid = 0;
+  int depth = runtime::capture_own_stack(frames, p->options_.max_depth, &tid);
   usize record = 2 + static_cast<usize>(depth);
 
   usize at = p->cursor_.fetch_add(record, std::memory_order_relaxed);
@@ -38,7 +39,7 @@ void sigprof_handler(int) {
     p->dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  p->arena_[at] = runtime::current_tid();
+  p->arena_[at] = tid;
   p->arena_[at + 1] = static_cast<u64>(depth);
   for (int i = 0; i < depth; ++i) p->arena_[at + 2 + static_cast<usize>(i)] = frames[i];
   p->count_.fetch_add(1, std::memory_order_relaxed);

@@ -31,7 +31,7 @@ struct SamplerOptions {
 
 // A captured sample: the stack bottom→top at the interrupt.
 struct Sample {
-  u64 tid = 0;
+  u64 tid = 0;  // the profiler's thread id; ~0 for a thread no hook has run on
   u16 depth = 0;
   const u64* frames = nullptr;  // points into the profiler's frame arena
 };

@@ -3,6 +3,10 @@
 // exclusive-use contract.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+
+#include <thread>
+
 #include "common/spin.h"
 #include "core/profiler.h"
 #include "perfsim/sampler.h"
@@ -113,6 +117,59 @@ TEST_F(PerfsimTest, NoRuntimeMeansEmptyStacks) {
   sampler.stop();
   for (const Sample& s : sampler.samples()) EXPECT_EQ(s.depth, 0);
   EXPECT_TRUE(sampler.leaf_counts().empty());
+}
+
+TEST_F(PerfsimTest, FreshThreadSignalConstructsNoThreadState) {
+  // The handler must never be a thread's first touch of the runtime's
+  // per-thread state: creating it registers a TLS destructor through
+  // calloc, which deadlocks if the signal interrupted malloc. A thread the
+  // hooks never ran on samples depth 0 and stays without state.
+  SamplerOptions opts;
+  opts.frequency_hz = 1;  // the test raises the signal itself
+  SamplingProfiler sampler(opts);
+  ASSERT_TRUE(sampler.start());
+  bool created = true;
+  std::thread fresh([&] {
+    raise(SIGPROF);
+    created = runtime::thread_state_created_for_test();
+  });
+  fresh.join();
+  sampler.stop();
+  EXPECT_FALSE(created);
+  std::vector<Sample> samples = sampler.samples();
+  ASSERT_GE(samples.size(), 1u);
+  bool from_fresh = false;
+  for (const Sample& s : samples) {
+    EXPECT_EQ(s.depth, 0);
+    from_fresh = from_fresh || s.tid == ~0ull;
+  }
+  EXPECT_TRUE(from_fresh);
+}
+
+TEST_F(PerfsimTest, SignalReadsStackOfThreadTheHooksTouched) {
+  ASSERT_TRUE(runtime::attach(nullptr, CounterMode::kSteadyClock, nullptr));
+  SamplerOptions opts;
+  opts.frequency_hz = 1;
+  SamplingProfiler sampler(opts);
+  ASSERT_TRUE(sampler.start());
+  std::thread worker([] {
+    runtime::on_enter(0x51);
+    runtime::on_enter(0x52);
+    raise(SIGPROF);
+    runtime::on_exit(0x52);
+    runtime::on_exit(0x51);
+  });
+  worker.join();
+  sampler.stop();
+  runtime::detach();
+  bool found = false;
+  for (const Sample& s : sampler.samples()) {
+    if (s.depth == 2 && s.frames[0] == 0x51 && s.frames[1] == 0x52) {
+      found = true;
+      EXPECT_NE(s.tid, ~0ull);
+    }
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(PerfsimTest, BufferOverflowCountsDrops) {
