@@ -23,9 +23,10 @@
 //   --diff and --merge inputs are session prefixes or `.mprof` files (an
 //   argument ending in ".mprof" is read as an aggregate).
 //
-// The invocation-level commands stream the session once more each, one row
-// per invocation as its frame closes, writing rows or keeping bounded
-// aggregates as they arrive (--chrome and --csv rows in close order):
+// The invocation-level commands share one more walk of the session, one row
+// per invocation as its frame closes: each writes rows or keeps bounded
+// aggregates as they arrive (--chrome and --csv rows in close order), and
+// prints at its turn on the command line:
 //     --threads         per-thread rollup
 //     --method <substr> invocations matching a method name: count, total,
 //                       the 25 longest, callers
@@ -50,8 +51,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "analyzer/fold.h"
 #include "analyzer/mprof.h"
@@ -158,6 +162,171 @@ std::optional<MergeableProfile> load_aggregate(const std::string& input,
   return StreamAnalyzer::analyze(input, error);
 }
 
+// One command of the command line: its flag and the arguments it took. A
+// flag that is no command, or lacks its argument, is not `known`; it is
+// reported when its turn comes.
+struct Command {
+  std::string flag;
+  std::vector<std::string> args;
+  bool known = true;
+};
+
+std::vector<Command> parse_commands(int argc, char** argv) {
+  static const std::set<std::string> kNoArg = {
+      "--callgraph", "--threads", "--tree",   "--validate",
+      "--bottomup",  "--gprof",   "--hottest"};
+  static const std::set<std::string> kOneArg = {
+      "--top",  "--method", "--timeline", "--timeline-svg", "--chrome",
+      "--csv",  "--folded", "--svg",      "--diff"};
+  std::vector<Command> out;
+  for (int i = 2; i < argc; ++i) {
+    Command c{argv[i], {}};
+    bool more = i + 1 < argc;
+    if (c.flag == "--tid") {
+      if (more) c.args.push_back(argv[++i]);
+    } else if (c.flag == "--merge" && more) {
+      // Every following argument up to the next flag is an input.
+      while (i + 1 < argc && argv[i + 1][0] != '-') c.args.push_back(argv[++i]);
+    } else if (kOneArg.count(c.flag) && more) {
+      c.args.push_back(argv[++i]);
+    } else {
+      c.known = kNoArg.count(c.flag) > 0;
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+// A command that reads invocation rows: every one is fed by the same walk
+// of the session, then prints at its turn on the command line (a nonzero
+// return is the exit code).
+class RowCommand {
+ public:
+  virtual ~RowCommand() = default;
+  virtual void add(const Invocation& row) = 0;
+  virtual void finish() {}
+  virtual int report() = 0;
+};
+
+// --top N --tid T: the N longest exclusive invocations on one thread.
+class TopOnThread final : public RowCommand {
+ public:
+  TopOnThread(usize n, u64 tid, MethodNames& name)
+      : n_(n), tid_(tid), name_(name), rows_({}, n, SortKey::kExclusive) {}
+  void add(const Invocation& row) override {
+    if (row.tid == tid_) rows_.add(row);
+  }
+  int report() override {
+    std::vector<Invocation> top = rows_.top();
+    std::printf("top invocations on tid %lld:\n%s\n", static_cast<long long>(tid_),
+                rows_text(top, top.size(), n_, name_).c_str());
+    return 0;
+  }
+
+ private:
+  usize n_;
+  u64 tid_;
+  MethodNames& name_;
+  RowAggregate rows_;
+};
+
+// --threads: the per-thread rollup.
+class Threads final : public RowCommand {
+ public:
+  explicit Threads(const SessionTree& tree) : tree_(tree) {}
+  void add(const Invocation& row) override { threads_.add(row); }
+  int report() override {
+    std::printf("%s\n", threads_.report(tree_.symbols, tree_.ns_per_tick).c_str());
+    return 0;
+  }
+
+ private:
+  const SessionTree& tree_;
+  ThreadRollup threads_;
+};
+
+// --method S [--tid T]: the invocations whose name contains S, grouped by
+// caller.
+class MethodRows final : public RowCommand {
+ public:
+  MethodRows(std::string needle, i64 tid_filter, MethodNames& name, double ns_per_tick)
+      : needle_(std::move(needle)),
+        tid_filter_(tid_filter),
+        name_(name),
+        ns_per_tick_(ns_per_tick),
+        rows_(
+            [&name](const Invocation& row) {
+              return row.depth == 0 ? std::string("<root>") : name(row.caller);
+            },
+            25, SortKey::kInclusive) {}
+  void add(const Invocation& row) override {
+    if (name_(row.method).find(needle_) != std::string::npos &&
+        (tid_filter_ < 0 || row.tid == static_cast<u64>(tid_filter_))) {
+      rows_.add(row);
+    }
+  }
+  int report() override {
+    std::printf("%zu invocations matching \"%s\" (%.3f ms inclusive):\n%s\n",
+                rows_.count(), needle_.c_str(),
+                ticks_to_ns(ns_per_tick_, rows_.sum_inclusive()) / 1e6,
+                rows_text(rows_.top(), rows_.count(), 25, name_).c_str());
+    std::printf("by caller:\n");
+    for (auto& g : rows_.groups()) {
+      std::printf("  %8zu from %s\n", g.count, g.key.c_str());
+    }
+    return 0;
+  }
+
+ private:
+  std::string needle_;
+  i64 tid_filter_;
+  MethodNames& name_;
+  double ns_per_tick_;
+  RowAggregate rows_;
+};
+
+// --chrome / --csv: what `Writer` makes of every row, streamed into `path`
+// 1 MiB at a time.
+template <class Writer>
+class RowFile final : public RowCommand {
+ public:
+  template <class... WriterArgs>
+  RowFile(std::string path, const char* wrote_note, WriterArgs&&... args)
+      : path_(std::move(path)),
+        wrote_note_(wrote_note),
+        writer_(std::forward<WriterArgs>(args)...),
+        file_(std::fopen(path_.c_str(), "wb")),
+        ok_(file_ != nullptr) {}
+  void add(const Invocation& row) override {
+    writer_.add(row);
+    if (writer_.text.size() >= (1u << 20)) flush();
+  }
+  void finish() override {
+    writer_.finish();
+    flush();
+    if (file_) ok_ = std::fclose(file_) == 0 && ok_;
+    file_ = nullptr;
+  }
+  int report() override {
+    if (!ok_) return 1;
+    std::printf("wrote %s%s\n", path_.c_str(), wrote_note_);
+    return 0;
+  }
+
+ private:
+  void flush() {
+    ok_ = ok_ && std::fwrite(writer_.text.data(), 1, writer_.text.size(), file_) ==
+                     writer_.text.size();
+    writer_.text.clear();
+  }
+
+  std::string path_;
+  const char* wrote_note_;
+  Writer writer_;
+  std::FILE* file_;
+  bool ok_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -189,33 +358,6 @@ int main(int argc, char** argv) {
   if (!health.empty()) std::printf("\n%s", health.c_str());
   std::printf("\n");
 
-  // Every row of the session, handed to `visit` as its frame closes.
-  auto stream_rows = [&](const InvocationStream::Visit& visit) {
-    InvocationStream rows(visit);
-    if (!walk_session(prefix, rows)) {
-      std::fprintf(stderr, "teeperf_analyze: cannot load %s\n", prefix.c_str());
-      std::exit(1);
-    }
-    rows.finish();
-  };
-  // Streams what `writer` makes of every row into `path`, 1 MiB at a time.
-  auto write_rows = [&](const std::string& path, auto& writer) {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (!f) return false;
-    bool ok = true;
-    auto flush = [&] {
-      ok = ok && std::fwrite(writer.text.data(), 1, writer.text.size(), f) ==
-                     writer.text.size();
-      writer.text.clear();
-    };
-    stream_rows([&](const Invocation& row) {
-      writer.add(row);
-      if (writer.text.size() >= (1u << 20)) flush();
-    });
-    writer.finish();
-    flush();
-    return std::fclose(f) == 0 && ok;
-  };
   MethodNames name(tree->symbols);
   // Every Invocation, for the timeline commands: collected once, on first use.
   std::optional<InvocationTable> loaded;
@@ -230,71 +372,88 @@ int main(int argc, char** argv) {
     return *loaded;
   };
 
-  bool did_something = false;
+  std::vector<Command> commands = parse_commands(argc, argv);
   i64 tid_filter = -1;
-
   // Pre-scan for --tid so it applies regardless of argument order.
   for (int i = 2; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--tid") == 0) tid_filter = std::atoll(argv[i + 1]);
   }
 
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--top" && i + 1 < argc) {
-      usize n = static_cast<usize>(std::atoll(argv[++i]));
-      if (tid_filter >= 0) {
-        RowAggregate rows({}, n, SortKey::kExclusive);
-        stream_rows([&](const Invocation& row) {
-          if (row.tid == static_cast<u64>(tid_filter)) rows.add(row);
-        });
-        std::vector<Invocation> top = rows.top();
-        std::printf("top invocations on tid %lld:\n%s\n",
-                    static_cast<long long>(tid_filter),
-                    rows_text(top, top.size(), n, name).c_str());
-      } else {
-        std::printf("%s\n", method_report(agg, n).c_str());
+  auto is_row_command = [&](const Command& c) {
+    return (c.flag == "--top" && tid_filter >= 0) || c.flag == "--threads" ||
+           c.flag == "--method" || c.flag == "--chrome" || c.flag == "--csv";
+  };
+  // The row commands, by their index in `commands`, up to the first unknown
+  // one. They are set up and fed by one walk of the session when the first
+  // of them comes up.
+  std::vector<std::unique_ptr<RowCommand>> row_commands(commands.size());
+  bool walked = false;
+  auto walk_rows = [&] {
+    std::vector<RowCommand*> live;
+    for (usize k = 0; k < commands.size() && commands[k].known; ++k) {
+      const Command& c = commands[k];
+      std::unique_ptr<RowCommand>& rc = row_commands[k];
+      if (!is_row_command(c)) continue;
+      if (c.flag == "--top") {
+        rc = std::make_unique<TopOnThread>(
+            static_cast<usize>(std::atoll(c.args[0].c_str())),
+            static_cast<u64>(tid_filter), name);
+      } else if (c.flag == "--threads") {
+        rc = std::make_unique<Threads>(*tree);
+      } else if (c.flag == "--method") {
+        rc = std::make_unique<MethodRows>(c.args[0], tid_filter, name,
+                                          tree->ns_per_tick);
+      } else if (c.flag == "--chrome") {
+        // The rate is the session's (the last dump's), known before any row.
+        rc = std::make_unique<RowFile<ChromeTrace>>(
+            c.args[0], " (load in chrome://tracing or Perfetto)", tree->symbols,
+            tree->ns_per_tick);
+      } else if (c.flag == "--csv") {
+        rc = std::make_unique<RowFile<CsvRows>>(c.args[0], "", tree->symbols);
       }
+      if (rc) live.push_back(rc.get());
+    }
+    InvocationStream rows([&](const Invocation& row) {
+      for (RowCommand* rc : live) rc->add(row);
+    });
+    if (!walk_session(prefix, rows)) {
+      std::fprintf(stderr, "teeperf_analyze: cannot load %s\n", prefix.c_str());
+      std::exit(1);
+    }
+    rows.finish();
+    for (RowCommand* rc : live) rc->finish();
+    walked = true;
+  };
+
+  bool did_something = false;
+  for (usize k = 0; k < commands.size(); ++k) {
+    const std::string& arg = commands[k].flag;
+    const std::vector<std::string>& args = commands[k].args;
+    if (!commands[k].known) {
+      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
+      return 2;
+    }
+    if (is_row_command(commands[k])) {
+      if (!walked) walk_rows();
+      if (int rc = row_commands[k]->report()) return rc;
+      did_something = true;
+    } else if (arg == "--top") {
+      usize n = static_cast<usize>(std::atoll(args[0].c_str()));
+      std::printf("%s\n", method_report(agg, n).c_str());
       did_something = true;
     } else if (arg == "--callgraph") {
       std::printf("%s\n", call_graph_report(agg).c_str());
       did_something = true;
-    } else if (arg == "--threads") {
-      ThreadRollup threads;
-      stream_rows([&](const Invocation& row) { threads.add(row); });
-      std::printf("%s\n", threads.report(tree->symbols, tree->ns_per_tick).c_str());
-      did_something = true;
-    } else if (arg == "--method" && i + 1 < argc) {
-      std::string needle = argv[++i];
-      RowAggregate rows(
-          [&](const Invocation& row) {
-            return row.depth == 0 ? std::string("<root>") : name(row.caller);
-          },
-          25, SortKey::kInclusive);
-      stream_rows([&](const Invocation& row) {
-        if (name(row.method).find(needle) != std::string::npos &&
-            (tid_filter < 0 || row.tid == static_cast<u64>(tid_filter))) {
-          rows.add(row);
-        }
-      });
-      std::printf("%zu invocations matching \"%s\" (%.3f ms inclusive):\n%s\n",
-                  rows.count(), needle.c_str(),
-                  ticks_to_ns(tree->ns_per_tick, rows.sum_inclusive()) / 1e6,
-                  rows_text(rows.top(), rows.count(), 25, name).c_str());
-      std::printf("by caller:\n");
-      for (auto& g : rows.groups()) {
-        std::printf("  %8zu from %s\n", g.count, g.key.c_str());
-      }
-      did_something = true;
     } else if (arg == "--tree") {
       std::printf("%s\n", call_tree_report(*tree).c_str());
       did_something = true;
-    } else if (arg == "--timeline" && i + 1 < argc) {
-      std::string path = argv[++i];
+    } else if (arg == "--timeline") {
+      const std::string& path = args[0];
       if (!write_file(path, timeline_csv(invocations()))) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
-    } else if (arg == "--timeline-svg" && i + 1 < argc) {
-      std::string path = argv[++i];
+    } else if (arg == "--timeline-svg") {
+      const std::string& path = args[0];
       flamegraph::TimelineOptions topts;
       topts.title = prefix;
       if (!write_file(path, flamegraph::render_timeline_svg(invocations(), topts)))
@@ -320,14 +479,13 @@ int main(int argc, char** argv) {
         }
       }
       did_something = true;
-    } else if (arg == "--merge" && i + 1 < argc) {
+    } else if (arg == "--merge") {
       // Fold further profiles into this one (multi-process profiling):
       // aggregates are keyed by name, so ids from other processes cannot
       // collide. The session itself always loaded, so this never fails.
       MergeableProfile merged = agg;
       usize dumps = 1;
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        std::string input = argv[++i];
+      for (const std::string& input : args) {
         auto m = load_aggregate(input, &err);
         if (!m) {
           std::fprintf(stderr, "teeperf_analyze: skipping %s: %s\n",
@@ -342,14 +500,6 @@ int main(int argc, char** argv) {
       std::printf("merged %zu dumps: %s\n%s\n", dumps, mprof_summary(merged).c_str(),
                   method_report(merged).c_str());
       did_something = true;
-    } else if (arg == "--chrome" && i + 1 < argc) {
-      std::string path = argv[++i];
-      // The rate is the session's (the last dump's), known before any row.
-      ChromeTrace trace(tree->symbols, tree->ns_per_tick);
-      if (!write_rows(path, trace)) return 1;
-      std::printf("wrote %s (load in chrome://tracing or Perfetto)\n",
-                  path.c_str());
-      did_something = true;
     } else if (arg == "--bottomup") {
       std::printf("%s\n", bottom_up_report(*tree).c_str());
       did_something = true;
@@ -359,26 +509,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--hottest") {
       std::printf("%s", hottest_report(agg).c_str());
       did_something = true;
-    } else if (arg == "--csv" && i + 1 < argc) {
-      std::string path = argv[++i];
-      CsvRows csv(tree->symbols);
-      if (!write_rows(path, csv)) return 1;
-      std::printf("wrote %s\n", path.c_str());
-      did_something = true;
-    } else if (arg == "--folded" && i + 1 < argc) {
-      std::string path = argv[++i];
+    } else if (arg == "--folded") {
+      const std::string& path = args[0];
       if (!write_file(path, agg.folded())) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
-    } else if (arg == "--svg" && i + 1 < argc) {
-      std::string path = argv[++i];
+    } else if (arg == "--svg") {
+      const std::string& path = args[0];
       flamegraph::SvgOptions opts;
       opts.title = prefix;
       if (!write_file(path, flamegraph::render_profile_svg(agg, opts))) return 1;
       std::printf("wrote %s\n", path.c_str());
       did_something = true;
-    } else if (arg == "--diff" && i + 1 < argc) {
-      std::string other = argv[++i];
+    } else if (arg == "--diff") {
+      const std::string& other = args[0];
       auto after = load_aggregate(other, &err);
       if (!after) {
         std::fprintf(stderr, "teeperf_analyze: cannot load %s: %s\n",
@@ -388,12 +532,8 @@ int main(int argc, char** argv) {
       std::printf("diff (%s → %s):\n%s\n", prefix.c_str(), other.c_str(),
                   diff_report(agg, *after).c_str());
       did_something = true;
-    } else if (arg == "--tid") {
-      ++i;  // consumed in the pre-scan
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return 2;
     }
+    // --tid was applied by the pre-scan.
   }
 
   if (!did_something) std::printf("%s\n", method_report(agg).c_str());
