@@ -6,13 +6,15 @@
 //               delivery is its real cost), no trace instrumentation live;
 //   TEE-Perf  — the recorder attached with calls+returns traced.
 // The reported number is runtime(TEE-Perf) / runtime(perf), min-of-N per
-// configuration (N = TEEPERF_REPEATS, default 3; paper: geomean of 10 via
-// Fex). Paper's anchors: linear_regression ≈ 0.92× (TEE-Perf *faster*,
-// because it injects nothing into a call-free kernel while perf keeps
+// configuration (N = TEEPERF_REPEATS, default 10; paper: geomean of 10 via
+// Fex), with the runs interleaved across kernels and configurations.
+// Paper's anchors: linear_regression ≈ 0.92× (TEE-Perf *faster*, because
+// it injects nothing into a call-free kernel while perf keeps
 // interrupting), string_match ≈ 5.7× (a function call per word), geometric
 // mean ≈ 1.9×.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -62,7 +64,7 @@ double run_once_teeperf(phoenix::PhoenixBenchmark& bench, tee::Enclave& enclave)
 }  // namespace
 
 int main() {
-  usize n = repeats(3);
+  usize n = repeats(10);
   usize s = scale(1);
 
   std::printf("Figure 4: TEE-Perf overhead relative to perf "
@@ -87,8 +89,11 @@ int main() {
       {"histogram", "~1-2x"},
   };
 
-  std::vector<double> ratios;
-  double string_match = 0, linear_regression = 0, others_max = 0;
+  // Every kernel is prepared up front and the runs interleave: each round
+  // runs every kernel once per configuration, so a busy period on a shared
+  // host lands on all kernels' samples alike instead of on one kernel's
+  // min-of-N.
+  std::vector<std::unique_ptr<phoenix::PhoenixBenchmark>> benches;
   for (const auto& row : kFigure4) {
     auto bench = phoenix::make_benchmark(row.name);
     phoenix::SuiteParams params;
@@ -96,12 +101,21 @@ int main() {
     params.threads = kThreads;
     bench->prepare(params);
     bench->run(kThreads);  // warm-up (page in inputs, intern symbols)
+    benches.push_back(std::move(bench));
+  }
+  std::vector<std::vector<double>> perf_ms(benches.size()), tee_ms(benches.size());
+  for (usize i = 0; i < n; ++i) {
+    for (usize b = 0; b < benches.size(); ++b) {
+      perf_ms[b].push_back(run_once_perf(*benches[b], enclave));
+      tee_ms[b].push_back(run_once_teeperf(*benches[b], enclave));
+    }
+  }
 
-    std::vector<double> perf_ms, tee_ms;
-    for (usize i = 0; i < n; ++i) perf_ms.push_back(run_once_perf(*bench, enclave));
-    for (usize i = 0; i < n; ++i) tee_ms.push_back(run_once_teeperf(*bench, enclave));
-
-    double p = min_of(perf_ms), t = min_of(tee_ms);
+  std::vector<double> ratios;
+  double string_match = 0, linear_regression = 0, others_max = 0;
+  for (usize b = 0; b < benches.size(); ++b) {
+    const PaperRef& row = kFigure4[b];
+    double p = min_of(perf_ms[b]), t = min_of(tee_ms[b]);
     double rel = p > 0 ? t / p : 0;
     ratios.push_back(rel);
     std::string_view name = row.name;
